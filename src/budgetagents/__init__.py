@@ -46,6 +46,7 @@ from .topology import (
     count_oob,
     execute,
     expand_pool,
+    staffable_topologies,
 )
 
 __version__ = "0.1.0"

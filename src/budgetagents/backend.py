@@ -10,6 +10,7 @@ token usage reported by the backend, never local tokenization.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass
 from typing import Protocol
@@ -179,15 +180,17 @@ class HttpBackend:
         self.backoff_base = backoff_base
         self._min_interval = 1.0 / requests_per_second if requests_per_second else 0.0
         self._last_request = 0.0
+        self._throttle_lock = threading.Lock()  # one backend serves every collect worker
         self._session = session or requests.Session()
 
     def _throttle(self) -> None:
         if self._min_interval <= 0.0:
             return
-        wait = self._last_request + self._min_interval - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_request = time.monotonic()
+        with self._throttle_lock:
+            wait = self._last_request + self._min_interval - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            self._last_request = time.monotonic()
 
     def _post_once(self, payload: dict) -> CallResponse:
         self._throttle()

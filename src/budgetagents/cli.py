@@ -295,23 +295,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _run_single(
     config: RunConfig,
-    catalog: ModelCatalog,
     profile: TaskProfile,
     task: TaskSpec,
     budget: float,
+    pool: list[topology.AgentInstance],
+    staffable: tuple[Topology, ...],
     factory,
     evaluator,
     params,
     override: Topology | None,
 ) -> topology.RunTrace:
-    _, solution = _solve_for_budget(config, catalog, profile, budget)
-    if not solution.feasible:
-        raise ConfigError(f"provisioning infeasible for budget {budget:g}: {solution.reason}")
-    pool = topology.expand_pool(catalog, solution)
     if override is not None:
         topo = override
     else:
-        topo = Topology(policy.select_topology(params, task, budget, mode="greedy"))
+        topo = Topology(policy.select_topology(params, task, budget, mode="greedy", allowed=staffable))
     assignment = topology.assign_roles(pool, topo)
     return topology.execute(
         task,
@@ -354,11 +351,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not tasks:
         raise ConfigError("no tasks to run")
 
+    # The pool depends only on (catalog, profile, budget): solve it once.
     budget = config.budgets[0]
+    _, solution = _solve_for_budget(config, catalog, profile, budget)
+    if not solution.feasible:
+        raise ConfigError(f"provisioning infeasible for budget {budget:g}: {solution.reason}")
+    pool = topology.expand_pool(catalog, solution)
+    staffable = topology.staffable_topologies(pool)
+    if not staffable:
+        raise ConfigError(f"the pool for budget {budget:g} has {len(pool)} agent(s), too few for any topology")
     traces = []
     for task in tasks:
         trace = _run_single(
-            config, catalog, profile, task, budget, factory, evaluator, params, override
+            config, profile, task, budget, pool, staffable, factory, evaluator, params, override
         )
         traces.append(trace)
         print(

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -258,16 +259,11 @@ def _dataset_tensors(
     return emb, bud, actions, rewards
 
 
-def evaluate(
-    params: PolicyParams,
-    dataset: ExperienceDataset,
-    reward_config: RewardConfig = RewardConfig(),
-) -> float:
-    """Exact expected reward of the policy over the dataset.
+def _group_index(dataset: ExperienceDataset) -> np.ndarray:
+    """(groups x K) positions in dataset.experiences, one row per (task,
+    budget) group in sorted order and one column per topology.
 
-    Every (task, budget) group must contain an outcome for every topology;
-    the expectation per group is sum_t pi(t|state) * reward_t, averaged over
-    groups.
+    Raises unless every group contains an outcome for every topology.
     """
     groups = dataset.groups()
     if not groups:
@@ -279,22 +275,35 @@ def evaluate(
             raise ValueError(
                 f"(task={key[0]!r}, budget={key[1]:g}) lacks outcomes for: {', '.join(missing)}"
             )
-    cache: dict[str, np.ndarray] = {}
-    emb_rows, bud_rows = [], []
-    for task_id, budget in keys:
-        text = groups[(task_id, budget)][0].task_text
-        if text not in cache:
-            cache[text] = embed(text).values
-        emb_rows.append(cache[text])
-        bud_rows.append(budget / params.budget_ref)
-    out = _forward_batch(params, np.stack(emb_rows), np.array(bud_rows))
-    rewards = np.array(
-        [
-            [_reward_for(groups[key][t], reward_config) for t in range(NUM_TOPOLOGIES)]
-            for key in keys
-        ]
+    position = {(exp.task_id, exp.budget, exp.topology): i for i, exp in enumerate(dataset.experiences)}
+    return np.array(
+        [[position[(task_id, budget, t)] for t in range(NUM_TOPOLOGIES)] for task_id, budget in keys],
+        dtype=np.int64,
     )
-    return float((out["probs"] * rewards).sum(axis=1).mean())
+
+
+def _expected_reward(
+    params: PolicyParams, emb: np.ndarray, bud: np.ndarray, group_rewards: np.ndarray
+) -> float:
+    """Mean over groups of sum_t pi(t|state) * reward_t; one row per group."""
+    probs = _forward_batch(params, emb, bud)["probs"]
+    return float((probs * group_rewards).sum(axis=1).mean())
+
+
+def evaluate(
+    params: PolicyParams,
+    dataset: ExperienceDataset,
+    reward_config: RewardConfig = RewardConfig(),
+) -> float:
+    """Exact expected reward of the policy over the dataset.
+
+    Every (task, budget) group must contain an outcome for every topology;
+    the expectation per group is sum_t pi(t|state) * reward_t, averaged over
+    groups.
+    """
+    index = _group_index(dataset)
+    emb, bud, _, rewards = _dataset_tensors(dataset, params.budget_ref, reward_config)
+    return _expected_reward(params, emb[index[:, 0]], bud[index[:, 0]], rewards[index])
 
 
 class _Adam:
@@ -338,7 +347,11 @@ def train(
     if budget_ref <= 0:
         raise ValueError("budget_ref must be > 0")
 
+    # Every text is embedded and every reward computed once per call; the
+    # per-epoch score reads its group rows out of the same tensors.
     emb, bud, actions, rewards = _dataset_tensors(dataset, budget_ref, reward_config)
+    index = _group_index(dataset)
+    group_emb, group_bud, group_rewards = emb[index[:, 0]], bud[index[:, 0]], rewards[index]
     n = len(dataset)
 
     rng = np.random.default_rng(config.seed)
@@ -358,7 +371,7 @@ def train(
                 params, emb[idx], bud[idx], actions[idx], rewards[idx], config.entropy_coeff
             )
             optimizer.step(params, grads)
-        score = evaluate(params, dataset, reward_config)
+        score = _expected_reward(params, group_emb, group_bud, group_rewards)
         epoch_scores.append(score)
         if on_epoch is not None:
             on_epoch(epoch, params, score)
@@ -376,16 +389,23 @@ def select_topology(
     budget: float,
     mode: str = "greedy",
     seed: int = 0,
+    allowed: Collection[int] | None = None,
 ) -> int:
     """Pick a topology for a task and budget.
 
     greedy: argmax probability (ties resolve to the lowest index);
     sample: one seeded draw from the categorical distribution.
+    allowed restricts the choice to those topology indices (default: all);
+    sampling renormalizes the probabilities over them.
     """
     probs, _ = forward(params, make_state(params, task.text, budget))
+    mask = np.ones(len(probs), dtype=bool) if allowed is None else np.isin(np.arange(len(probs)), list(allowed))
+    if not mask.any():
+        raise ValueError("allowed names no topology")
     if mode == "greedy":
-        return int(np.argmax(probs))
+        return int(np.argmax(np.where(mask, probs, -1.0)))
     if mode == "sample":
+        probs = np.where(mask, probs, 0.0)
         return int(np.random.default_rng(seed).choice(len(probs), p=probs / probs.sum()))
     raise ValueError(f"unknown mode {mode!r}; expected 'greedy' or 'sample'")
 

@@ -32,6 +32,10 @@ class Topology(IntEnum):
 
 TOPOLOGY_NAMES = ("linear", "star", "feedback", "planner")
 
+# Fewest agents each topology can staff, indexed like TOPOLOGY_NAMES:
+# planner-driven seats a planner, a critic and at least one executor.
+MIN_POOL_SIZE = (2, 2, 2, 3)
+
 ROLE_PLANNER = "planner"
 ROLE_EXECUTOR = "executor"
 ROLE_CRITIC = "critic"
@@ -161,21 +165,26 @@ def assign_roles(instances: list[AgentInstance], topology: Topology) -> RoleAssi
     Instances must arrive in descending tier-weight order (strongest first);
     the strongest members take the critic/planner seats.
     """
-    n = len(instances)
-    if n < 2:
-        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least 2 instances, pool has {n}")
+    n, fewest = len(instances), min(MIN_POOL_SIZE)
+    if n < fewest:
+        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least {fewest} instances, pool has {n}")
+    if n < MIN_POOL_SIZE[topology]:
+        raise ValueError(
+            f"planner topology needs at least {MIN_POOL_SIZE[topology]} instances "
+            f"(planner + critic + executor), pool has {n}"
+        )
     if topology in (Topology.LINEAR, Topology.STAR):
         roles = [ROLE_EXECUTOR] * n
     elif topology == Topology.FEEDBACK:
         roles = [ROLE_CRITIC] + [ROLE_EXECUTOR] * (n - 1)
     else:  # PLANNER_DRIVEN
-        if n < 3:
-            raise ValueError(
-                f"planner topology needs at least 3 instances "
-                f"(planner + critic + executor), pool has {n}"
-            )
         roles = [ROLE_PLANNER, ROLE_CRITIC] + [ROLE_EXECUTOR] * (n - 2)
     return RoleAssignment(instances=tuple(instances), roles=tuple(roles))
+
+
+def staffable_topologies(instances: list[AgentInstance]) -> tuple[Topology, ...]:
+    """The topologies a pool of this size can staff, in index order."""
+    return tuple(t for t in Topology if len(instances) >= MIN_POOL_SIZE[t])
 
 
 def count_oob(traces: list[RunTrace]) -> int:
@@ -266,14 +275,12 @@ class _Runner:
         )
         backend = self.backends[instance.model.backend_id]
         try:
+            # Backends own the retry policy: HttpBackend retries a retryable failure once.
             response = backend.invoke(request)
-        except BackendError:
-            try:
-                response = backend.invoke(request)
-            except BackendError as exc:
-                self.failed = True
-                self.trace.note = f"backend failure ({role} on {instance.label}): {exc}"
-                raise _Halt from exc
+        except BackendError as exc:
+            self.failed = True
+            self.trace.note = f"backend failure ({role} on {instance.label}): {exc}"
+            raise _Halt from exc
         cost = estimate_cost(instance.model, response.prompt_tokens, response.completion_tokens).unit_cost
         self.trace.calls.append(
             CallRecord(

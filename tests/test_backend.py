@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from budgetagents.backend import (
@@ -159,3 +161,36 @@ def test_http_transport_error_retries_then_raises():
     backend = HttpBackend("http://127.0.0.1:9", timeout=0.2, backoff_base=0.01)
     with pytest.raises(TransportError):
         backend.invoke(request())
+
+
+def test_throttle_spaces_requests_across_threads():
+    stamps = []
+
+    class StampedBackend(HttpBackend):
+        # Records every update of the last-request time, in update order.
+        @property
+        def _last_request(self):
+            return self.__dict__.get("_stamp", 0.0)
+
+        @_last_request.setter
+        def _last_request(self, value):
+            self.__dict__["_stamp"] = value
+            stamps.append(value)
+
+    backend = StampedBackend("http://127.0.0.1:9", requests_per_second=50.0)
+    start = threading.Barrier(4)
+
+    def worker():
+        start.wait()
+        for _ in range(3):
+            backend._throttle()
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    times = sorted(stamps[1:])  # stamps[0] is the constructor's 0.0
+    assert len(times) == 12
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert min(gaps) >= backend._min_interval - 1e-4

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from budgetagents import policy, provision
 from budgetagents.cli import main
+from budgetagents.profile import TaskSpec
+from synth import dominant_topology_dataset
 
 # tier costs at t_in = t_out = 500 come out to [1235.0, 250.0]
 CATALOG = {
@@ -131,6 +134,59 @@ def test_run_with_topology_override_and_adhoc_task(workdir):
     assert trace["success"] is True
     assert trace["cumulative_cost"] == pytest.approx(180.0)
     assert [c["instance"] for c in trace["calls"]] == ["cheap-model#1", "cheap-model#2"]
+
+
+def test_run_solves_provisioning_once(workdir, monkeypatch):
+    calls = []
+    real_solve = provision.solve
+
+    def counting_solve(problem):
+        calls.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(provision, "solve", counting_solve)
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "star")
+    assert code == 0
+    traces = (workdir / "out" / "traces.jsonl").read_text().splitlines()
+    assert len(traces) == len(PROFILE["tasks"]) == 2
+    assert len(calls) == 1
+
+
+def test_run_infeasible_budget_errors_before_any_task(workdir, capsys):
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear", "--budget", "300")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err
+    assert captured.out == ""
+
+
+def test_run_pool_too_small_for_any_topology_errors(workdir, capsys):
+    config = json.loads((workdir / "config.json").read_text())
+    config["min_agents"] = 1  # budget 300 then provisions one cheap agent
+    (workdir / "config.json").write_text(json.dumps(config))
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear", "--budget", "300")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "too few for any topology" in captured.err
+    assert captured.out == ""
+
+
+def test_greedy_planner_on_two_agent_pool_picks_a_staffable_topology(workdir):
+    # A policy that always prefers planner, served at budget 500, where the
+    # pool is two cheap agents: too few for planner's three seats.
+    config = policy.TrainerConfig(learning_rate=0.0015, batch_size=64, epochs=10, seed=0)
+    params = policy.train(dominant_topology_dataset(dominant=3, budget=8000), config).params
+    for task in PROFILE["tasks"]:
+        assert policy.select_topology(params, TaskSpec(task["id"], task["text"]), 500.0) == 3
+    (workdir / "out").mkdir()
+    policy.save_params(params, workdir / "out" / "policy.json", seed=0)
+
+    code = run("run", "--config", str(workdir / "config.json"), "--budget", "500")
+    assert code == 0
+    traces = [json.loads(line) for line in (workdir / "out" / "traces.jsonl").read_text().splitlines()]
+    assert len(traces) == 2
+    assert all(t["topology"] != "planner" for t in traces)
+    assert all(len({c["instance"] for c in t["calls"]}) == 2 for t in traces)
 
 
 def test_run_without_weights_errors(workdir, capsys):

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from budgetagents import policy
 from budgetagents.embedder import embed
 from budgetagents.policy import (
     NUM_TOPOLOGIES,
@@ -20,6 +22,7 @@ from budgetagents.policy import (
 )
 from budgetagents.dataset import Experience, ExperienceDataset, ExperienceOutcome
 from budgetagents.profile import TaskSpec
+from budgetagents.reward import RewardConfig, compute_reward
 from synth import dominant_topology_dataset, finite_difference_check, random_states
 
 
@@ -231,6 +234,46 @@ def test_best_params_match_best_epoch_score():
     assert evaluate(result.params, dataset) == pytest.approx(max(result.epoch_scores), abs=1e-12)
 
 
+def two_budget_dataset(n_tasks=20):
+    low = dominant_topology_dataset(n_tasks=n_tasks, dominant=1, budget=500.0)
+    high = dominant_topology_dataset(n_tasks=n_tasks, dominant=2, budget=800.0, other_cost=900.0)
+    # Reversed so the sorted group order differs from the experience order.
+    return ExperienceDataset(experiences=tuple(reversed(low.experiences + high.experiences)))
+
+
+def test_epoch_scores_equal_evaluate_bitwise():
+    dataset = two_budget_dataset()
+    reward_config = RewardConfig(c_overflow=3.0, bonus_slope=0.25)
+    seen = []
+
+    def check(epoch, params, score):
+        seen.append((score.hex(), evaluate(params, dataset, reward_config).hex()))
+
+    config = TrainerConfig(learning_rate=0.0015, batch_size=32, epochs=4, seed=5)
+    result = train(dataset, config, reward_config=reward_config, on_epoch=check)
+    assert [score for score, _ in seen] == [s.hex() for s in result.epoch_scores]
+    assert all(score == evaluated for score, evaluated in seen)
+
+
+def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
+    dataset = two_budget_dataset()
+    embeds, rewards = Counter(), Counter()
+
+    def counting_embed(text):
+        embeds[text] += 1
+        return embed(text)
+
+    def counting_reward(outcome, config):
+        rewards[outcome] += 1
+        return compute_reward(outcome, config)
+
+    monkeypatch.setattr(policy, "embed", counting_embed)
+    monkeypatch.setattr(policy, "compute_reward", counting_reward)
+    train(dataset, TrainerConfig(learning_rate=0.0015, batch_size=32, epochs=3, seed=1))
+    assert embeds == Counter({e.task_text: 1 for e in dataset.experiences})
+    assert sum(rewards.values()) == len(dataset)
+
+
 def test_dominant_probability_rises_monotonically_without_entropy():
     dataset = dominant_topology_dataset(n_tasks=40, dominant=2)
     for seed in range(5):
@@ -275,6 +318,29 @@ def test_select_sampling_reproducible():
     draws = [select_topology(params, task, budget=1.0, mode="sample", seed=99) for _ in range(5)]
     assert len(set(draws)) == 1
     assert select_topology(params, task, budget=1.0, mode="sample", seed=100) in range(4)
+
+
+def test_select_greedy_skips_disallowed_topologies():
+    params = zero_params()
+    params.head_b[...] = np.array([0.1, 0.2, 0.1, 0.7])
+    task = TaskSpec("t", "anything")
+    assert select_topology(params, task, budget=1.0, mode="greedy") == 3
+    assert select_topology(params, task, budget=1.0, mode="greedy", allowed=(0, 1, 2)) == 1
+
+
+def test_select_sampling_renormalizes_over_allowed():
+    params = init_params(seed=21)
+    task = TaskSpec("t", "pick me a topology")
+    draws = {select_topology(params, task, 1.0, mode="sample", seed=s, allowed=(0, 2)) for s in range(40)}
+    assert draws == {0, 2}
+    for s in range(20):
+        everything = select_topology(params, task, 1.0, mode="sample", seed=s, allowed=range(4))
+        assert everything == select_topology(params, task, 1.0, mode="sample", seed=s)
+
+
+def test_select_rejects_empty_allowed():
+    with pytest.raises(ValueError, match="allowed"):
+        select_topology(init_params(seed=0), TaskSpec("t", "x"), budget=1.0, allowed=())
 
 
 def test_select_rejects_unknown_mode():

@@ -1,6 +1,6 @@
 import pytest
 
-from budgetagents.backend import ScriptedBackend, ScriptRule
+from budgetagents.backend import HttpBackend, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
@@ -8,6 +8,7 @@ from budgetagents.provision import ProvisionSolution
 from budgetagents.topology import (
     AgentInstance,
     ExecutionLimits,
+    MIN_POOL_SIZE,
     RunTrace,
     Topology,
     TOPOLOGY_NAMES,
@@ -15,6 +16,7 @@ from budgetagents.topology import (
     count_oob,
     execute,
     expand_pool,
+    staffable_topologies,
     topology_from_name,
 )
 
@@ -64,6 +66,18 @@ def test_assign_planner_roles():
 def test_assign_needs_two():
     with pytest.raises(ValueError, match="at least 2"):
         assign_roles(nano_pool(1), Topology.LINEAR)
+
+
+def test_staffable_topologies_follow_pool_minimums():
+    assert staffable_topologies(nano_pool(1)) == ()
+    assert staffable_topologies(nano_pool(2)) == (Topology.LINEAR, Topology.STAR, Topology.FEEDBACK)
+    assert staffable_topologies(nano_pool(3)) == tuple(Topology)
+    for topo in Topology:
+        pool = nano_pool(MIN_POOL_SIZE[topo])
+        assert topo in staffable_topologies(pool)
+        assign_roles(pool, topo)
+        with pytest.raises(ValueError, match="at least"):
+            assign_roles(pool[:-1], topo)
 
 
 def test_expand_pool_orders_by_tier():
@@ -326,14 +340,27 @@ def test_precall_guard_skips_when_enabled():
     assert trace.note is not None and "budget guard" in trace.note
 
 
-def test_backend_failure_retried_once_then_failed():
+def test_nonretryable_backend_failure_halts_without_retry():
     assignment = assign_roles(nano_pool(2), Topology.LINEAR)
     backend = ScriptedBackend([ScriptRule(role="critic", text="never matches")])
     trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
     assert trace.success is False
     assert "backend failure" in trace.note
-    assert len(backend.calls) == 2  # original + one retry
+    assert len(backend.calls) == 1  # a ScriptError is not retryable
     assert len(trace.calls) == 0
+
+
+@pytest.mark.parametrize("status, posts", [(500, 2), (400, 1)])
+def test_http_failure_posts_once_plus_backend_retry(fake_server, status, posts):
+    # The backend's single retry (retryable statuses only) is the only one.
+    for _ in range(4):
+        fake_server.enqueue(status, {"error": "no"})
+    backend = HttpBackend(fake_server.url, backoff_base=0.01)
+    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
+    assert trace.success is False
+    assert f"HTTP {status}" in trace.note
+    assert len(fake_server.requests) == posts
 
 
 def test_evaluator_failure_marks_unsuccessful():
