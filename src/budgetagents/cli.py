@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import backend, dataset, policy, provision, topology
@@ -48,6 +49,54 @@ class RunConfig:
     stamp: bool = False  # include a collection timestamp in dataset headers
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+
+# Shape of each config section: field -> (check, description). Value ranges
+# beyond these are checked where the section is used.
+_LIMITS_FIELDS = {
+    "max_feedback_rounds": _COUNT,
+    "max_replans": _COUNT,
+    "precall_slack": (lambda v: v is None or (_is_number(v) and v >= 0), "null or a finite number >= 0"),
+}
+_REWARD_FIELDS = {f.name: _NUMBER for f in fields(RewardConfig)}
+# The trainer's seed is the top-level 'seed'.
+_TRAINER_FIELDS = {
+    "learning_rate": _NUMBER,
+    "entropy_coeff": _NUMBER,
+    "batch_size": _INT,
+    "epochs": _INT,
+    "adam_beta1": _NUMBER,
+    "adam_beta2": _NUMBER,
+    "adam_eps": _NUMBER,
+    "budget_ref": (lambda v: v is None or _is_number(v), "null or a finite number"),
+}
+
+
+def _section(data: dict, name: str, spec: dict) -> dict:
+    """The config section `name`, rejected with the offending field named
+    unless every key is known and every value has the right type."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object, got {section!r}")
+    for key, value in section.items():
+        if key not in spec:
+            raise ConfigError(f"unknown field {name}.{key}; expected one of {', '.join(spec)}")
+        check, description = spec[key]
+        if not check(value):
+            raise ConfigError(f"{name}.{key} must be {description}, got {value!r}")
+    return section
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
@@ -80,13 +129,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         seed = int(args.seed)
 
-    limits_cfg = data.get("limits", {})
-    limits = ExecutionLimits(
-        max_feedback_rounds=int(limits_cfg.get("max_feedback_rounds", 3)),
-        max_replans=int(limits_cfg.get("max_replans", 2)),
-        precall_slack=limits_cfg.get("precall_slack"),
-    )
-    reward_cfg = RewardConfig(**data.get("reward", {}))
+    limits = ExecutionLimits(**_section(data, "limits", _LIMITS_FIELDS))
+    reward_cfg = RewardConfig(**_section(data, "reward", _REWARD_FIELDS))
 
     config = RunConfig(
         catalog_path=catalog_path,
@@ -99,7 +143,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         instance_cap=int(data.get("instance_cap", 5)),
         min_agents=int(data.get("min_agents", 2)),
         reward=reward_cfg,
-        trainer=data.get("trainer", {}),
+        trainer=_section(data, "trainer", _TRAINER_FIELDS),
         limits=limits,
         stamp=bool(data.get("stamp", False)),
     )

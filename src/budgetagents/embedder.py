@@ -1,40 +1,21 @@
 """Task text to fixed-dimension state vectors.
 
-The default embedder is signed feature hashing over word unigrams and bigrams:
+The embedder is signed feature hashing over word unigrams and bigrams:
 fully deterministic, dependency-free, and stable across processes (the hash is
-keyed, not Python's randomized hash()). A remote provider can be plugged in
-for higher-fidelity sentence embeddings; its vectors are coerced to the same
-dimension and normalization.
+keyed, not Python's randomized hash()).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 EMBED_DIM = 384
 
-ENDPOINT_ENV = "BUDGETAGENTS_EMBED_ENDPOINT"
-TOKEN_ENV = "BUDGETAGENTS_EMBED_TOKEN"
-
 _WORD_RE = re.compile(r"\w+")
-
-
-class RemoteEmbedError(Exception):
-    """Base error for the remote embedding provider."""
-
-
-class RemoteTransportError(RemoteEmbedError):
-    """Endpoint unreachable, timed out, or returned a non-2xx status."""
-
-
-class RemoteProtocolError(RemoteEmbedError):
-    """Response was not the expected JSON shape or held an unusable vector."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,54 +50,3 @@ def embed(text: str, dim: int = EMBED_DIM) -> TaskEmbedding:
         vec /= norm
     return TaskEmbedding(values=vec)
 
-
-def embed_remote(
-    text: str,
-    endpoint: str | None = None,
-    *,
-    token: str | None = None,
-    timeout: float = 10.0,
-    dim: int = EMBED_DIM,
-) -> TaskEmbedding:
-    """Fetch an embedding from a JSON HTTP service and coerce it to `dim`.
-
-    The service receives {"input": <text>} and must answer
-    {"embedding": [floats]}. Vectors longer than `dim` are truncated, shorter
-    ones zero-padded, then L2-normalized. Endpoint and bearer token fall back
-    to the BUDGETAGENTS_EMBED_ENDPOINT / BUDGETAGENTS_EMBED_TOKEN environment
-    variables.
-    """
-    endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
-    if not endpoint:
-        raise RemoteTransportError(f"no endpoint given and {ENDPOINT_ENV} is unset")
-    token = token if token is not None else os.environ.get(TOKEN_ENV)
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    try:
-        response = requests.post(endpoint, json={"input": text}, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
-        raise RemoteTransportError(f"embedding request failed: {exc}") from exc
-    if not 200 <= response.status_code < 300:
-        raise RemoteTransportError(f"embedding endpoint returned HTTP {response.status_code}")
-    try:
-        payload = response.json()
-        raw = payload["embedding"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise RemoteProtocolError(f"malformed embedding response: {exc}") from exc
-    try:
-        vec = np.asarray(raw, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise RemoteProtocolError(f"embedding is not a numeric vector: {exc}") from exc
-    if vec.ndim != 1 or vec.shape[0] == 0:
-        raise RemoteProtocolError(f"embedding has unusable shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise RemoteProtocolError("embedding contains non-finite values")
-    if vec.shape[0] >= dim:
-        vec = vec[:dim].copy()
-    else:
-        vec = np.concatenate([vec, np.zeros(dim - vec.shape[0], dtype=np.float64)])
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return TaskEmbedding(values=vec)

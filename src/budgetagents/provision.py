@@ -1,12 +1,20 @@
 """Budget-feasible LLM pool selection.
 
-Chooses how many instances of each tier to provision so the pool is
-lexicographically optimal: stronger tiers are filled first, weaker tiers only
-with the residual budget. This is encoded with integer dominance weights
-(one unit of tier i is worth more than any budget-affordable bundle of weaker
-tiers) and solved exactly by depth-first branch and bound with a fractional
-relaxation bound. An exhaustive enumerator with the same contract serves as
-the test oracle.
+Chooses how many instances of each tier to provision. The answer is the
+lexicographically largest count vector (tier 1 first) with at most
+`instance_cap` instances per tier, at least `min_agents` in total, and a cost
+within the budget. Cost is the float sum `spent + n * cost` accumulated in
+tier order, and every path judges feasibility by that same expression.
+
+The paper states this as an integer program over dominance weights: one unit
+of tier i is worth more than any budget-affordable bundle of weaker tiers, so
+stronger tiers are filled first and weaker tiers only with the residual
+budget. Under exact arithmetic those weights make the lexicographic vector
+the unique weight optimum. Feasibility here is judged in float, where rounding
+can break that dominance (two vectors can tie in weight); the answer is still
+the lexicographic vector. `compute_weights` only reports the weights. `solve`
+finds the vector by a depth-first search that stops at its first feasible
+leaf; an exhaustive enumerator with the same contract is the test oracle.
 
 Weights are plain Python ints (they grow multiplicatively and overflow 64-bit
 quickly); floor divisions of budget by cost go through Fraction so the floors
@@ -85,16 +93,6 @@ def compute_weights(problem: ProvisionProblem) -> DecisionWeights:
     return DecisionWeights(weights=tuple(weights))
 
 
-def _better(a: tuple[int, float, tuple[int, ...]], b: tuple[int, float, tuple[int, ...]]) -> bool:
-    """Total order on (weight, cost, counts): higher weight wins, then lower
-    cost, then lexicographically smaller count vector."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
-
-
 def _max_units(spent: float, cost: float, cap: int, budget: float) -> int:
     """Largest n <= cap with spent + n*cost <= budget, judged by the same
     float expression every solver path uses for feasibility."""
@@ -131,72 +129,55 @@ def _infeasible(problem: ProvisionProblem) -> ProvisionSolution:
     )
 
 
-def solve(problem: ProvisionProblem) -> ProvisionSolution:
-    """Exactly maximize total decision weight subject to the budget, the
-    per-tier instance cap, and the minimum pool size.
-
-    Depth-first branch and bound over tiers in descending weight order, trying
-    larger counts first so the greedy (lexicographically maximal) vector is
-    the first incumbent. Nodes are pruned with the fractional-relaxation bound
-    of the remaining bounded knapsack, evaluated in exact rational arithmetic;
-    weight ties between distinct feasible vectors are impossible under the
-    dominance construction, so pruning on bound <= incumbent is safe.
-    """
+def _solution(problem: ProvisionProblem, counts: tuple[int, ...], cost: float) -> ProvisionSolution:
     weights = compute_weights(problem).weights
+    return ProvisionSolution(
+        counts=counts,
+        total_weight=sum(n * w for n, w in zip(counts, weights)),
+        total_cost=cost,
+        feasible=True,
+    )
+
+
+def solve(problem: ProvisionProblem) -> ProvisionSolution:
+    """The lexicographically largest feasible count vector (see the module
+    docstring), with its decision weight.
+
+    Depth-first over tiers strongest first, trying larger counts first, so the
+    first feasible leaf is the answer. A node is pruned when even maxing every
+    remaining tier cannot reach the minimum pool size. Spend only grows along
+    a path, so no count deeper down exceeds what the prune allows here: the
+    prune is sound under float arithmetic.
+    """
     costs = problem.tier_costs
     num_tiers = len(costs)
     budget = problem.budget
     cap = problem.instance_cap
 
-    # Ratio order for the fractional bound (weight per unit cost, descending).
-    ratio_order = sorted(
-        range(num_tiers), key=lambda i: Fraction(weights[i]) / Fraction(costs[i]), reverse=True
-    )
-    cost_frac = [Fraction(c) for c in costs]
-
-    def fractional_bound(tier: int, residual: Fraction) -> Fraction:
-        bound = Fraction(0)
-        for j in ratio_order:
-            if j < tier or residual <= 0:
-                continue
-            take = min(Fraction(cap), residual / cost_frac[j])
-            bound += weights[j] * take
-            residual -= take * cost_frac[j]
-        return bound
-
-    best: list[tuple[int, float, tuple[int, ...]] | None] = [None]
-
-    def dfs(tier: int, spent: float, agents: int, weight_acc: int, counts: list[int]) -> None:
+    def dfs(
+        tier: int, spent: float, agents: int, counts: list[int]
+    ) -> tuple[tuple[int, ...], float] | None:
         if tier == num_tiers:
-            if agents >= problem.min_agents:
-                candidate = (weight_acc, spent, tuple(counts))
-                if best[0] is None or _better(candidate, best[0]):
-                    best[0] = candidate
-            return
-        # Cannot reach the minimum pool size even with every remaining tier maxed.
+            return (tuple(counts), spent) if agents >= problem.min_agents else None
         reachable = agents + sum(
             _max_units(spent, costs[j], cap, budget) for j in range(tier, num_tiers)
         )
         if reachable < problem.min_agents:
-            return
-        if best[0] is not None:
-            residual = Fraction(budget) - Fraction(spent)
-            if weight_acc + fractional_bound(tier, residual) <= best[0][0]:
-                return
-        n_max = _max_units(spent, costs[tier], cap, budget)
-        for n in range(n_max, -1, -1):
-            dfs(tier + 1, spent + n * costs[tier], agents + n, weight_acc + n * weights[tier], counts + [n])
+            return None
+        for n in range(_max_units(spent, costs[tier], cap, budget), -1, -1):
+            found = dfs(tier + 1, spent + n * costs[tier], agents + n, counts + [n])
+            if found is not None:
+                return found
+        return None
 
-    dfs(0, 0.0, 0, 0, [])
-    if best[0] is None:
-        return _infeasible(problem)
-    weight, cost, counts = best[0]
-    return ProvisionSolution(counts=counts, total_weight=weight, total_cost=cost, feasible=True)
+    found = dfs(0, 0.0, 0, [])
+    return _infeasible(problem) if found is None else _solution(problem, *found)
 
 
 def brute_force_solve(problem: ProvisionProblem) -> ProvisionSolution:
-    """Exhaustive enumeration of all feasible count vectors; same optimum and
-    tie-break contract as solve. Test oracle for small instances only."""
+    """Exhaustive enumeration of all feasible count vectors, keeping the
+    lexicographically largest; same contract and float feasibility as solve.
+    Test oracle for small instances only."""
     costs = problem.tier_costs
     num_tiers = len(costs)
     if num_tiers > BRUTE_FORCE_MAX_TIERS:
@@ -209,24 +190,20 @@ def brute_force_solve(problem: ProvisionProblem) -> ProvisionSolution:
             f"instance too large: per-tier count bound {max(per_tier_max)} > {BRUTE_FORCE_MAX_COUNT}"
         )
 
-    weights = compute_weights(problem).weights
-    best: list[tuple[int, float, tuple[int, ...]] | None] = [None]
+    feasible: list[tuple[tuple[int, ...], float]] = []
 
-    def enumerate_counts(tier: int, spent: float, agents: int, weight_acc: int, counts: list[int]) -> None:
+    def enumerate_counts(tier: int, spent: float, agents: int, counts: list[int]) -> None:
         if tier == num_tiers:
             if agents >= problem.min_agents:
-                candidate = (weight_acc, spent, tuple(counts))
-                if best[0] is None or _better(candidate, best[0]):
-                    best[0] = candidate
+                feasible.append((tuple(counts), spent))
             return
         for n in range(per_tier_max[tier] + 1):
             total = spent + n * costs[tier]
             if total > problem.budget:
                 break
-            enumerate_counts(tier + 1, total, agents + n, weight_acc + n * weights[tier], counts + [n])
+            enumerate_counts(tier + 1, total, agents + n, counts + [n])
 
-    enumerate_counts(0, 0.0, 0, 0, [])
-    if best[0] is None:
+    enumerate_counts(0, 0.0, 0, [])
+    if not feasible:
         return _infeasible(problem)
-    weight, cost, counts = best[0]
-    return ProvisionSolution(counts=counts, total_weight=weight, total_cost=cost, feasible=True)
+    return _solution(problem, *max(feasible))

@@ -99,28 +99,10 @@ class RunTrace:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "topology": self.topology,
-            "budget": self.budget,
-            "calls": [
-                {
-                    "model": c.model,
-                    "instance": c.instance,
-                    "role": c.role,
-                    "t_in": c.t_in,
-                    "t_out": c.t_out,
-                    "cost": c.cost,
-                }
-                for c in self.calls
-            ],
-            "cumulative_cost": self.cumulative_cost,
-            "final_answer": self.final_answer,
-            "success": self.success,
-            "oob": self.oob,
-            "terminated_early": self.terminated_early,
-            "note": self.note,
-        }
+        # A dataclass instance's __dict__ holds its fields in declaration
+        # order, so this equals dataclasses.asdict(self) without asdict's
+        # deepcopy of every value, which made writing traces measurably slower.
+        return {**vars(self), "calls": [dict(vars(c)) for c in self.calls]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False)
@@ -303,14 +285,19 @@ class _Runner:
 
     # -- topology flows -----------------------------------------------------
 
-    def run_linear(self) -> None:
+    def _relay(self, executors: list[AgentInstance]) -> str | None:
+        """Each executor builds on the previous one's output; returns the last."""
         previous = None
-        for inst in self.assignment.members(ROLE_EXECUTOR):
+        for inst in executors:
             user = self.task.text if previous is None else (
                 f"{self.task.text}\n\nPrevious agent's output:\n{previous}\n\n"
                 "Build on it and give the final answer."
             )
             previous = self.call(inst, ROLE_EXECUTOR, "You solve tasks step by step.", user)
+        return previous
+
+    def run_linear(self) -> None:
+        self._relay(self.assignment.members(ROLE_EXECUTOR))
 
     def run_star(self) -> None:
         for idx, inst in enumerate(self.assignment.members(ROLE_EXECUTOR)):
@@ -341,13 +328,7 @@ class _Runner:
     def run_feedback(self) -> None:
         executors = self.assignment.members(ROLE_EXECUTOR)
         critic = self.assignment.members(ROLE_CRITIC)[0]
-        draft = None
-        for inst in executors:
-            user = self.task.text if draft is None else (
-                f"{self.task.text}\n\nPrevious agent's output:\n{draft}\n\n"
-                "Build on it and give the final answer."
-            )
-            draft = self.call(inst, ROLE_EXECUTOR, "You solve tasks step by step.", user)
+        draft = self._relay(executors)
         reviser = executors[-1]
         for round_no in range(1, self.limits.max_feedback_rounds + 1):
             verdict = self.call(

@@ -280,6 +280,35 @@ def test_missing_config_file(capsys):
     assert run("provision", "--config", "/nonexistent/config.json") == 1
 
 
+@pytest.mark.parametrize(
+    "section, fields, named",
+    [
+        ("limits", {"precall_slack": "10"}, "limits.precall_slack"),
+        ("limits", {"max_replans": -1}, "limits.max_replans"),
+        ("reward", {"w_costs": 1.0}, "reward.w_costs"),
+        ("trainer", {"seed": 3}, "trainer.seed"),
+        ("trainer", {"epochs": "5"}, "trainer.epochs"),
+    ],
+    ids=["slack_string", "negative_replans", "misspelt_reward", "trainer_seed", "epochs_string"],
+)
+def test_malformed_config_section_rejected_before_any_work(workdir, capsys, section, fields, named):
+    config = json.loads((workdir / "config.json").read_text())
+    config[section] = dict(config.get(section, {}), **fields)
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert run("provision", "--config", str(workdir / "config.json")) == 1
+    assert named in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_explicit_config_sections_accepted(workdir):
+    config = json.loads((workdir / "config.json").read_text())
+    config["limits"] = {"max_feedback_rounds": 0, "max_replans": 0, "precall_slack": 0.5}
+    config["reward"] = {"w_cost": 2, "bonus_slope": 0.25}
+    config["trainer"]["budget_ref"] = None
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert run("provision", "--config", str(workdir / "config.json")) == 0
+
+
 def test_flags_override_config(workdir):
     config = str(workdir / "config.json")
     assert run("provision", "--config", config, "--budget", "500") == 0

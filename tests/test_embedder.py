@@ -1,15 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from budgetagents.embedder import (
-    EMBED_DIM,
-    RemoteProtocolError,
-    RemoteTransportError,
-    embed,
-    embed_remote,
-)
+from budgetagents.embedder import EMBED_DIM, embed
 
 
 def test_empty_text_is_zero_vector():
@@ -59,58 +52,3 @@ def test_distinct_sentences_not_identical():
 def test_word_order_matters_via_bigrams():
     assert not np.array_equal(embed("alpha beta gamma").values, embed("gamma beta alpha").values)
 
-
-# -- remote provider ----------------------------------------------------------
-
-
-def test_remote_ok_padded_and_normalized(fake_server):
-    fake_server.enqueue(200, {"embedding": [3.0, 4.0]})
-    vec = embed_remote("hi", fake_server.url, token="secret").values
-    assert vec.shape == (EMBED_DIM,)
-    assert vec[0] == pytest.approx(0.6)
-    assert vec[1] == pytest.approx(0.8)
-    assert np.all(vec[2:] == 0.0)
-    assert fake_server.requests[0]["body"] == {"input": "hi"}
-    assert fake_server.requests[0]["headers"]["Authorization"] == "Bearer secret"
-
-
-def test_remote_truncates_long_vectors(fake_server):
-    fake_server.enqueue(200, {"embedding": [1.0] * (EMBED_DIM + 100)})
-    vec = embed_remote("hi", fake_server.url).values
-    assert vec.shape == (EMBED_DIM,)
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
-
-
-def test_remote_transport_error():
-    with pytest.raises(RemoteTransportError):
-        embed_remote("hi", "http://127.0.0.1:9", timeout=0.2)
-
-
-def test_remote_http_error(fake_server):
-    fake_server.enqueue(503, {"error": "down"})
-    with pytest.raises(RemoteTransportError):
-        embed_remote("hi", fake_server.url)
-
-
-def test_remote_malformed_response(fake_server):
-    fake_server.enqueue(200, {"vectors": [1.0]})
-    with pytest.raises(RemoteProtocolError):
-        embed_remote("hi", fake_server.url)
-
-
-def test_remote_empty_vector(fake_server):
-    fake_server.enqueue(200, {"embedding": []})
-    with pytest.raises(RemoteProtocolError):
-        embed_remote("hi", fake_server.url)
-
-
-def test_remote_non_numeric_vector(fake_server):
-    fake_server.enqueue(200, {"embedding": ["a", "b"]})
-    with pytest.raises(RemoteProtocolError):
-        embed_remote("hi", fake_server.url)
-
-
-def test_remote_requires_endpoint(monkeypatch):
-    monkeypatch.delenv("BUDGETAGENTS_EMBED_ENDPOINT", raising=False)
-    with pytest.raises(RemoteTransportError, match="endpoint"):
-        embed_remote("hi")

@@ -88,9 +88,26 @@ def test_solve_infeasible():
 
 
 def test_brute_force_matches_on_spec_cases():
-    for budget in (2000.0, 500.0, 300.0):
-        problem = ProvisionProblem(budget=budget, tier_costs=TWO_TIER)
+    problems = [ProvisionProblem(budget=b, tier_costs=TWO_TIER) for b in (2000.0, 500.0, 300.0)]
+    problems += [
+        # 5 * 0.4 == 2.0 in float, but the exact floor of 2.0 / 0.4 is 4: the
+        # weights of (1, 0, 0) and (0, 5, 0) tie at 50.
+        ProvisionProblem(budget=2.0, tier_costs=(2.0, 0.4, 0.2), min_agents=0),
+        # Float sums depend on order, so a cheapest-first fill dead-ends here.
+        ProvisionProblem(
+            budget=2.0,
+            tier_costs=(
+                2.0, 1.2000000000000002, 0.7000000000000001,
+                0.44999999999999996, 0.15000000000000002, 0.1,
+            ),
+            instance_cap=2,
+            min_agents=5,
+        ),
+    ]
+    for problem in problems:
         assert brute_force_solve(problem) == solve(problem)
+    assert solve(problems[3]).counts == (1, 0, 0)
+    assert solve(problems[4]).counts == (0, 1, 0, 0, 2, 2)
 
 
 def test_brute_force_single_tier_cap():
@@ -122,15 +139,22 @@ def test_min_agents_forces_away_from_greedy():
     assert solution == brute_force_solve(problem)
 
 
-def _random_problem(rng, integer_costs=False):
+def _random_problem(rng, costs_kind="float"):
     num_tiers = int(rng.integers(1, 6))
-    if integer_costs:
+    if costs_kind == "integer":
         costs = tuple(float(rng.integers(10, 2001)) for _ in range(num_tiers))
+    elif costs_kind == "decimal":
+        # Sub-unit multiples of 0.05, whose float products and sums round.
+        costs = tuple(float(rng.integers(1, 41)) * 0.05 for _ in range(num_tiers))
     else:
         costs = tuple(float(rng.uniform(10.0, 2000.0)) for _ in range(num_tiers))
     costs = tuple(sorted(costs, reverse=True))  # tier 1 is priciest, the usual shape
+    if costs_kind == "decimal":
+        budget = float(rng.integers(1, 41)) * 0.1
+    else:
+        budget = float(rng.uniform(100.0, 1e4))
     return ProvisionProblem(
-        budget=float(rng.uniform(100.0, 1e4)),
+        budget=budget,
         tier_costs=costs,
         instance_cap=int(rng.integers(1, 6)),
         min_agents=int(rng.integers(0, 4)),
@@ -139,9 +163,10 @@ def _random_problem(rng, integer_costs=False):
 
 def test_solver_matches_oracle_on_float_instances():
     rng = np.random.default_rng(2024)
-    for _ in range(200):
-        problem = _random_problem(rng, integer_costs=False)
-        assert solve(problem) == brute_force_solve(problem)
+    for costs_kind in ("float", "decimal"):
+        for _ in range(200):
+            problem = _random_problem(rng, costs_kind)
+            assert solve(problem) == brute_force_solve(problem)
 
 
 def test_budget_adherence_and_cap():
