@@ -38,11 +38,9 @@ from .reward import Outcome, RewardConfig, compute_reward
 from .topology import (
     AgentInstance,
     ExecutionLimits,
-    RoleAssignment,
     RunTrace,
     Topology,
     TOPOLOGY_NAMES,
-    assign_roles,
     count_oob,
     execute,
     expand_pool,

@@ -60,9 +60,23 @@ def _is_number(value) -> bool:
 _INT = (_is_int, "an integer")
 _NUMBER = (_is_number, "a finite number")
 _COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
 
-# Shape of each config section: field -> (check, description). Value ranges
-# beyond these are checked where the section is used.
+# Shape of the config file and of each section: field -> (check,
+# description). Value ranges beyond these are checked where a field is used.
+_TOP_LEVEL_FIELDS = {
+    "catalog": _STRING,
+    "task_profile": _STRING,
+    "out_dir": _STRING,
+    "budgets": (lambda v: isinstance(v, list) and all(_is_number(b) for b in v), "a list of finite numbers"),
+    "seed": _INT,
+    "jobs": _INT,
+    "instance_cap": _INT,
+    "min_agents": _INT,
+    "mock": _BOOL,
+    "stamp": _BOOL,
+}
 _LIMITS_FIELDS = {
     "max_feedback_rounds": _COUNT,
     "max_replans": _COUNT,
@@ -82,6 +96,12 @@ _TRAINER_FIELDS = {
 }
 
 
+def _check_field(name: str, value, spec: tuple) -> None:
+    check, description = spec
+    if not check(value):
+        raise ConfigError(f"{name} must be {description}, got {value!r}")
+
+
 def _section(data: dict, name: str, spec: dict) -> dict:
     """The config section `name`, rejected with the offending field named
     unless every key is known and every value has the right type."""
@@ -91,9 +111,7 @@ def _section(data: dict, name: str, spec: dict) -> dict:
     for key, value in section.items():
         if key not in spec:
             raise ConfigError(f"unknown field {name}.{key}; expected one of {', '.join(spec)}")
-        check, description = spec[key]
-        if not check(value):
-            raise ConfigError(f"{name}.{key} must be {description}, got {value!r}")
+        _check_field(f"{name}.{key}", value, spec[key])
     return section
 
 
@@ -104,6 +122,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, spec in _TOP_LEVEL_FIELDS.items():
+        if key in data:
+            _check_field(key, data[key], spec)
 
     catalog_path = data.get("catalog")
     profile_path = data.get("task_profile")
@@ -125,9 +148,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if any(b <= 0 for b in budgets):
         raise ConfigError("budgets must be > 0")
 
-    seed = int(data.get("seed", 42))
+    seed = data.get("seed", 42)
     if getattr(args, "seed", None) is not None:
-        seed = int(args.seed)
+        seed = args.seed
 
     limits = ExecutionLimits(**_section(data, "limits", _LIMITS_FIELDS))
     reward_cfg = RewardConfig(**_section(data, "reward", _REWARD_FIELDS))
@@ -138,14 +161,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         budgets=budgets,
         out_dir=args.out if getattr(args, "out", None) else data.get("out_dir", "out"),
         seed=seed,
-        mock=bool(getattr(args, "mock", False) or data.get("mock", False)),
-        jobs=int(args.jobs) if getattr(args, "jobs", None) else int(data.get("jobs", 1)),
-        instance_cap=int(data.get("instance_cap", 5)),
-        min_agents=int(data.get("min_agents", 2)),
+        mock=getattr(args, "mock", False) or data.get("mock", False),
+        jobs=args.jobs if getattr(args, "jobs", None) else data.get("jobs", 1),
+        instance_cap=data.get("instance_cap", 5),
+        min_agents=data.get("min_agents", 2),
         reward=reward_cfg,
         trainer=_section(data, "trainer", _TRAINER_FIELDS),
         limits=limits,
-        stamp=bool(data.get("stamp", False)),
+        stamp=data.get("stamp", False),
     )
     return config
 
@@ -256,13 +279,7 @@ def _load_pools(config: RunConfig, catalog: ModelCatalog) -> dict[float, list]:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not doc["feasible"]:
             raise ConfigError(f"provisioning for budget {budget:g} was infeasible: {doc['reason']}")
-        solution = provision.ProvisionSolution(
-            counts=tuple(doc["counts"]),
-            total_weight=doc["total_weight"],
-            total_cost=doc["total_cost"],
-            feasible=True,
-        )
-        pools[budget] = topology.expand_pool(catalog, solution)
+        pools[budget] = topology.expand_pool(catalog, doc["counts"])
     return pools
 
 
@@ -353,10 +370,9 @@ def _run_single(
         topo = override
     else:
         topo = Topology(policy.select_topology(params, task, budget, mode="greedy", allowed=staffable))
-    assignment = topology.assign_roles(pool, topo)
     return topology.execute(
         task,
-        assignment,
+        pool,
         topo,
         budget,
         factory(),
@@ -371,6 +387,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.budgets:
         raise ConfigError("no budget configured (use --budget)")
+    if len(config.budgets) > 1:
+        raise ConfigError(
+            f"{len(config.budgets)} budgets are configured and 'run' serves one; pass --budget"
+        )
     catalog = ModelCatalog.load(config.catalog_path)
     profile = load_profile(config.profile_path)
     factory = _build_backends(config, catalog, profile)
@@ -400,7 +420,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _, solution = _solve_for_budget(config, catalog, profile, budget)
     if not solution.feasible:
         raise ConfigError(f"provisioning infeasible for budget {budget:g}: {solution.reason}")
-    pool = topology.expand_pool(catalog, solution)
+    pool = topology.expand_pool(catalog, solution.counts)
     staffable = topology.staffable_topologies(pool)
     if not staffable:
         raise ConfigError(f"the pool for budget {budget:g} has {len(pool)} agent(s), too few for any topology")
@@ -434,7 +454,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             continue
         try:
             traces.append(topology.RunTrace.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from None
 
     if not traces:

@@ -26,7 +26,6 @@ from .topology import (
     AgentInstance,
     ExecutionLimits,
     Topology,
-    assign_roles,
     execute,
 )
 
@@ -108,10 +107,9 @@ def collect(
     def run_one(combo: tuple[TaskSpec, float, Topology]) -> Experience:
         task, budget, topo = combo
         try:
-            assignment = assign_roles(list(pools[budget]), topo)
             trace = execute(
                 task,
-                assignment,
+                pools[budget],
                 topo,
                 budget,
                 backend_factory(),

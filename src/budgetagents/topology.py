@@ -15,7 +15,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .backend import Backend, BackendError, CallRequest
 from .catalog import ModelSpec, estimate_cost
@@ -54,17 +54,6 @@ def topology_from_name(name: str) -> Topology:
 class AgentInstance:
     model: ModelSpec
     label: str
-
-
-@dataclass(frozen=True)
-class RoleAssignment:
-    """Instances in descending tier-weight order with their assigned roles."""
-
-    instances: tuple[AgentInstance, ...]
-    roles: tuple[str, ...]
-
-    def members(self, role: str) -> list[AgentInstance]:
-        return [inst for inst, r in zip(self.instances, self.roles) if r == role]
 
 
 @dataclass(frozen=True)
@@ -133,35 +122,12 @@ class RunTrace:
         )
 
 
-def expand_pool(catalog, solution) -> list[AgentInstance]:
-    """Turn a provisioning solution's per-tier counts into concrete agents."""
+def expand_pool(catalog, counts) -> list[AgentInstance]:
+    """Turn per-tier instance counts into concrete agents, strongest first."""
     return [
         AgentInstance(model=model, label=label)
-        for model, label in catalog.instances_for_counts(list(solution.counts))
+        for model, label in catalog.instances_for_counts(list(counts))
     ]
-
-
-def assign_roles(instances: list[AgentInstance], topology: Topology) -> RoleAssignment:
-    """Map pool instances to roles for one topology.
-
-    Instances must arrive in descending tier-weight order (strongest first);
-    the strongest members take the critic/planner seats.
-    """
-    n, fewest = len(instances), min(MIN_POOL_SIZE)
-    if n < fewest:
-        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least {fewest} instances, pool has {n}")
-    if n < MIN_POOL_SIZE[topology]:
-        raise ValueError(
-            f"planner topology needs at least {MIN_POOL_SIZE[topology]} instances "
-            f"(planner + critic + executor), pool has {n}"
-        )
-    if topology in (Topology.LINEAR, Topology.STAR):
-        roles = [ROLE_EXECUTOR] * n
-    elif topology == Topology.FEEDBACK:
-        roles = [ROLE_CRITIC] + [ROLE_EXECUTOR] * (n - 1)
-    else:  # PLANNER_DRIVEN
-        roles = [ROLE_PLANNER, ROLE_CRITIC] + [ROLE_EXECUTOR] * (n - 2)
-    return RoleAssignment(instances=tuple(instances), roles=tuple(roles))
 
 
 def staffable_topologies(instances: list[AgentInstance]) -> tuple[Topology, ...]:
@@ -218,7 +184,7 @@ class _Runner:
     def __init__(
         self,
         task: TaskSpec,
-        assignment: RoleAssignment,
+        pool: Sequence[AgentInstance],
         topology: Topology,
         budget: float,
         backends: Mapping[str, Backend],
@@ -228,8 +194,7 @@ class _Runner:
         planned_t_in: int,
     ):
         self.task = task
-        self.assignment = assignment
-        self.topology = topology
+        self.pool = pool
         self.ledger = _CostLedger(budget)
         self.backends = backends
         self.evaluator = evaluator
@@ -284,8 +249,10 @@ class _Runner:
         return response.text
 
     # -- topology flows -----------------------------------------------------
+    # Each flow seats the pool by position. The pool arrives strongest first,
+    # so the strongest instances take the planner and critic seats.
 
-    def _relay(self, executors: list[AgentInstance]) -> str | None:
+    def _relay(self, executors: Sequence[AgentInstance]) -> str | None:
         """Each executor builds on the previous one's output; returns the last."""
         previous = None
         for inst in executors:
@@ -297,10 +264,10 @@ class _Runner:
         return previous
 
     def run_linear(self) -> None:
-        self._relay(self.assignment.members(ROLE_EXECUTOR))
+        self._relay(self.pool)
 
     def run_star(self) -> None:
-        for idx, inst in enumerate(self.assignment.members(ROLE_EXECUTOR)):
+        for idx, inst in enumerate(self.pool):
             text = self.call(
                 inst,
                 ROLE_EXECUTOR,
@@ -326,8 +293,7 @@ class _Runner:
         return dict(self.star_outputs)[winner_idx]
 
     def run_feedback(self) -> None:
-        executors = self.assignment.members(ROLE_EXECUTOR)
-        critic = self.assignment.members(ROLE_CRITIC)[0]
+        critic, *executors = self.pool
         draft = self._relay(executors)
         reviser = executors[-1]
         for round_no in range(1, self.limits.max_feedback_rounds + 1):
@@ -351,9 +317,7 @@ class _Runner:
             )
 
     def run_planner(self) -> None:
-        planner = self.assignment.members(ROLE_PLANNER)[0]
-        critic = self.assignment.members(ROLE_CRITIC)[0]
-        executors = self.assignment.members(ROLE_EXECUTOR)
+        planner, critic, *executors = self.pool
         critique = None
         for attempt in range(1, self.limits.max_replans + 2):
             user = f"Task:\n{self.task.text}\n\nWrite a numbered step plan (1., 2., ...)."
@@ -391,7 +355,7 @@ class _Runner:
 
 def execute(
     task: TaskSpec,
-    assignment: RoleAssignment,
+    pool: Sequence[AgentInstance],
     topology: Topology,
     budget: float,
     backends: Mapping[str, Backend],
@@ -402,16 +366,25 @@ def execute(
 ) -> RunTrace:
     """Run one task through one topology, ledgering every call's cost.
 
-    The trace records each call's backend-reported token usage and unit cost;
-    oob is set exactly when the final cumulative cost exceeds the budget, and
-    no call is initiated once the ledger has crossed it.
+    The pool must be in descending tier-weight order (strongest first); each
+    flow seats it by position. The trace records each call's backend-reported
+    token usage and unit cost; oob is set exactly when the final cumulative
+    cost exceeds the budget, and no call is initiated once the ledger has
+    crossed it.
     """
+    n, fewest = len(pool), min(MIN_POOL_SIZE)
+    if n < fewest:
+        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least {fewest} instances, pool has {n}")
+    if n < MIN_POOL_SIZE[topology]:
+        raise ValueError(
+            f"planner topology needs at least {MIN_POOL_SIZE[topology]} instances "
+            f"(planner + critic + executor), pool has {n}"
+        )
     if budget <= 0:
         raise ValueError(f"budget must be > 0, got {budget}")
-    _validate_assignment(assignment, topology)
     runner = _Runner(
         task=task,
-        assignment=assignment,
+        pool=pool,
         topology=topology,
         budget=budget,
         backends=backends,
@@ -448,15 +421,3 @@ def execute(
             trace.success = False
             trace.note = f"evaluator failure: {exc}"
     return trace
-
-
-def _validate_assignment(assignment: RoleAssignment, topology: Topology) -> None:
-    roles = set(assignment.roles)
-    if not assignment.members(ROLE_EXECUTOR):
-        raise ValueError("assignment has no executor")
-    if topology in (Topology.LINEAR, Topology.STAR) and roles != {ROLE_EXECUTOR}:
-        raise ValueError(f"{TOPOLOGY_NAMES[topology]} expects executors only, got {sorted(roles)}")
-    if topology == Topology.FEEDBACK and (ROLE_CRITIC not in roles or ROLE_PLANNER in roles):
-        raise ValueError("feedback expects one critic plus executors")
-    if topology == Topology.PLANNER_DRIVEN and (ROLE_PLANNER not in roles or ROLE_CRITIC not in roles):
-        raise ValueError("planner topology expects a planner, a critic, and executors")

@@ -33,7 +33,6 @@ from budgetagents.reward import Outcome, RewardConfig, compute_reward
 from budgetagents.topology import (
     AgentInstance,
     Topology,
-    assign_roles,
     execute,
 )
 
@@ -198,7 +197,7 @@ def test_criterion_7_budget_enforcement():
             )
         backends = {"openai": ScriptedBackend(rules)}
         task = TaskSpec(f"run{run}", "compute something", answer="42")
-        trace = execute(task, assign_roles(pool, topo), topo, budget, backends, EVAL)
+        trace = execute(task, pool, topo, budget, backends, EVAL)
 
         running = 0.0
         for call in trace.calls:
@@ -223,13 +222,13 @@ def test_criterion_8_topology_semantics():
         traces = []
         for _ in range(2):
             backends = {"openai": ScriptedBackend(rules)}
-            traces.append(execute(task, assign_roles(pool, topo), topo, 10_000.0, backends, EVAL))
+            traces.append(execute(task, pool, topo, 10_000.0, backends, EVAL))
         assert traces[0].to_json().encode() == traces[1].to_json().encode()
         return traces[0], ScriptedBackend(rules)
 
     # linear chaining
     backends = {"openai": (logger := ScriptedBackend([ScriptRule(role="executor", text="carry 42", completion_tokens=5)]))}
-    trace = execute(task, assign_roles(nano_pool[:2], Topology.LINEAR), Topology.LINEAR, 10_000.0, backends, EVAL)
+    trace = execute(task, nano_pool[:2], Topology.LINEAR, 10_000.0, backends, EVAL)
     assert "carry 42" in logger.calls[1].user and len(trace.calls) == 2
 
     # star majority merge

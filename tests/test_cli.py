@@ -160,6 +160,18 @@ def test_run_infeasible_budget_errors_before_any_task(workdir, capsys):
     assert captured.out == ""
 
 
+def test_run_with_several_budgets_needs_budget_flag(workdir, capsys):
+    config = json.loads((workdir / "config.json").read_text())
+    config["budgets"] = [2000.0, 500.0]
+    (workdir / "config.json").write_text(json.dumps(config))
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "2 budgets are configured" in captured.err and "--budget" in captured.err
+    assert captured.out == ""
+    assert not (workdir / "out" / "traces.jsonl").exists()
+
+
 def test_run_pool_too_small_for_any_topology_errors(workdir, capsys):
     config = json.loads((workdir / "config.json").read_text())
     config["min_agents"] = 1  # budget 300 then provisions one cheap agent
@@ -276,6 +288,29 @@ def test_report_math(workdir, capsys):
     assert "OOB 1/4" in out
 
 
+def _trace_line(**overrides):
+    trace = {
+        "task_id": "t0", "topology": "linear", "budget": 500.0, "calls": [],
+        "cumulative_cost": 100.0, "final_answer": "x", "success": True,
+        "oob": False, "terminated_early": False, "note": None,
+    }
+    return json.dumps(dict(trace, **overrides))
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["[1, 2]", _trace_line(calls=None), _trace_line(budget="lots")],
+    ids=["array", "null_calls", "budget_string"],
+)
+def test_report_malformed_trace_names_its_line(workdir, capsys, bad_line):
+    path = workdir / "tr.jsonl"
+    path.write_text(_trace_line() + "\n" + bad_line + "\n")
+    assert run("report", str(path)) == 1
+    captured = capsys.readouterr()
+    assert f"{path}: line 2: " in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_file(capsys):
     assert run("provision", "--config", "/nonexistent/config.json") == 1
 
@@ -297,6 +332,32 @@ def test_malformed_config_section_rejected_before_any_work(workdir, capsys, sect
     (workdir / "config.json").write_text(json.dumps(config))
     assert run("provision", "--config", str(workdir / "config.json")) == 1
     assert named in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("budgets", "25"),
+        ("budgets", [2000.0, True]),
+        ("mock", "false"),
+        ("stamp", "false"),
+        ("instance_cap", 2.9),
+        ("min_agents", 2.0),
+        ("seed", "42"),
+        ("jobs", "2"),
+        ("catalog", 7),
+        ("out_dir", ["out"]),
+    ],
+    ids=["budgets_string", "budgets_bool", "mock_string", "stamp_string", "instance_cap_float",
+         "min_agents_float", "seed_string", "jobs_string", "catalog_number", "out_dir_list"],
+)
+def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key, value):
+    config = json.loads((workdir / "config.json").read_text())
+    config[key] = value
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert run("provision", "--config", str(workdir / "config.json")) == 1
+    assert f"{key} must be" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 

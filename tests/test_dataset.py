@@ -59,7 +59,10 @@ def test_collect_records_pool_deficit_as_failure():
     )
     planner_row = dataset.groups()[("a", 500.0)][3]
     assert planner_row.outcome.success is False
-    assert "at least 3" in planner_row.error
+    # the message is written verbatim into dataset.jsonl's error field
+    assert planner_row.error == (
+        "planner topology needs at least 3 instances (planner + critic + executor), pool has 2"
+    )
 
 
 def test_collect_reward_join():

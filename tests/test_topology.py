@@ -4,7 +4,6 @@ from budgetagents.backend import HttpBackend, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
-from budgetagents.provision import ProvisionSolution
 from budgetagents.topology import (
     AgentInstance,
     ExecutionLimits,
@@ -12,7 +11,6 @@ from budgetagents.topology import (
     RunTrace,
     Topology,
     TOPOLOGY_NAMES,
-    assign_roles,
     count_oob,
     execute,
     expand_pool,
@@ -35,37 +33,76 @@ def registry(rules, default_prompt_tokens=500):
     return {"openai": backend, "deepseek": backend}, backend
 
 
-# -- role assignment ----------------------------------------------------------
+# -- seating ------------------------------------------------------------------
+
+
+def seats(trace):
+    return [(c.role, c.instance) for c in trace.calls]
 
 
 def test_assign_feedback_strongest_is_critic():
     pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1")] + nano_pool(3)
-    assignment = assign_roles(pool, Topology.FEEDBACK)
-    assert assignment.roles == ("critic", "executor", "executor", "executor")
-    assert assignment.instances[0].model is DEEPSEEK
+    backends, _ = registry(
+        [
+            ScriptRule(role="executor", text="42", completion_tokens=10),
+            ScriptRule(role="critic", text="ACCEPT", completion_tokens=2),
+        ]
+    )
+    trace = execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL)
+    assert seats(trace) == [
+        ("executor", "gpt-4.1-nano#1"),
+        ("executor", "gpt-4.1-nano#2"),
+        ("executor", "gpt-4.1-nano#3"),
+        ("critic", "deepseek-v3#1"),
+    ]
 
 
 def test_assign_linear_all_executors_in_order():
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
-    assert assignment.roles == ("executor", "executor")
-    assert [i.label for i in assignment.instances] == ["gpt-4.1-nano#1", "gpt-4.1-nano#2"]
+    backends, _ = registry([ScriptRule(role="executor", text="42", completion_tokens=10)])
+    trace = execute(TASK, nano_pool(3), Topology.LINEAR, 10_000.0, backends, EVAL)
+    assert seats(trace) == [
+        ("executor", "gpt-4.1-nano#1"),
+        ("executor", "gpt-4.1-nano#2"),
+        ("executor", "gpt-4.1-nano#3"),
+    ]
 
 
 def test_assign_planner_needs_three():
     pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1"), AgentInstance(NANO, "gpt-4.1-nano#1")]
-    with pytest.raises(ValueError, match="at least 3"):
-        assign_roles(pool, Topology.PLANNER_DRIVEN)
+    backends, _ = registry([ScriptRule(text="x")])
+    message = "planner topology needs at least 3 instances (planner + critic + executor), pool has 2"
+    with pytest.raises(ValueError) as info:
+        execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
+    assert str(info.value) == message
+    # the pool is checked before the budget
+    with pytest.raises(ValueError) as info:
+        execute(TASK, pool, Topology.PLANNER_DRIVEN, 0.0, backends, EVAL)
+    assert str(info.value) == message
 
 
 def test_assign_planner_roles():
     pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1")] + nano_pool(2)
-    assignment = assign_roles(pool, Topology.PLANNER_DRIVEN)
-    assert assignment.roles == ("planner", "critic", "executor")
+    backends, _ = registry(
+        [
+            ScriptRule(role="planner", text="1. multiply 6 by 7\n2. report the product", completion_tokens=20),
+            ScriptRule(role="executor", text="42", completion_tokens=10),
+            ScriptRule(role="critic", text="ACCEPT", completion_tokens=2),
+        ]
+    )
+    trace = execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
+    assert seats(trace) == [
+        ("planner", "deepseek-v3#1"),
+        ("executor", "gpt-4.1-nano#2"),
+        ("executor", "gpt-4.1-nano#2"),
+        ("critic", "gpt-4.1-nano#1"),
+    ]
 
 
 def test_assign_needs_two():
-    with pytest.raises(ValueError, match="at least 2"):
-        assign_roles(nano_pool(1), Topology.LINEAR)
+    backends, _ = registry([ScriptRule(text="x")])
+    with pytest.raises(ValueError) as info:
+        execute(TASK, nano_pool(1), Topology.LINEAR, 10_000.0, backends, EVAL)
+    assert str(info.value) == "linear needs at least 2 instances, pool has 1"
 
 
 def test_staffable_topologies_follow_pool_minimums():
@@ -75,15 +112,15 @@ def test_staffable_topologies_follow_pool_minimums():
     for topo in Topology:
         pool = nano_pool(MIN_POOL_SIZE[topo])
         assert topo in staffable_topologies(pool)
-        assign_roles(pool, topo)
+        backends, _ = registry([ScriptRule(text="1. answer 42")])
+        execute(TASK, pool, topo, 10_000.0, backends, EVAL)
         with pytest.raises(ValueError, match="at least"):
-            assign_roles(pool[:-1], topo)
+            execute(TASK, pool[:-1], topo, 10_000.0, backends, EVAL)
 
 
 def test_expand_pool_orders_by_tier():
     catalog = ModelCatalog([DEEPSEEK, NANO])
-    solution = ProvisionSolution(counts=(1, 3), total_weight=12, total_cost=1985.0, feasible=True)
-    pool = expand_pool(catalog, solution)
+    pool = expand_pool(catalog, (1, 3))
     assert [i.label for i in pool] == [
         "deepseek-v3#1",
         "gpt-4.1-nano#1",
@@ -102,11 +139,11 @@ def test_topology_names_round_trip():
 
 
 def test_linear_two_executor_trace_cost():
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backends, backend = registry(
         [ScriptRule(role="executor", text="The answer is 42", completion_tokens=100)]
     )
-    trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.LINEAR, 1000.0, backends, EVAL)
     assert len(trace.calls) == 2
     assert trace.cumulative_cost == pytest.approx(180.0)
     assert trace.success is True
@@ -117,11 +154,11 @@ def test_linear_two_executor_trace_cost():
 
 
 def test_linear_budget_crossing_terminates():
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backends, _ = registry(
         [ScriptRule(role="executor", text="The answer is 42", completion_tokens=100)]
     )
-    trace = execute(TASK, assignment, Topology.LINEAR, 100.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.LINEAR, 100.0, backends, EVAL)
     # first call costs 90 <= 100; the second completes and crosses at 180
     assert len(trace.calls) == 2
     assert trace.cumulative_cost == pytest.approx(180.0)
@@ -130,7 +167,7 @@ def test_linear_budget_crossing_terminates():
 
 
 def test_ledger_matches_shadow_sum():
-    assignment = assign_roles(nano_pool(3), Topology.LINEAR)
+    pool = nano_pool(3)
     backends, _ = registry(
         [
             ScriptRule(role="executor", step=1, text="a 1", completion_tokens=37, prompt_tokens=411),
@@ -138,7 +175,7 @@ def test_ledger_matches_shadow_sum():
             ScriptRule(role="executor", step=3, text="c 3", completion_tokens=5, prompt_tokens=123),
         ]
     )
-    trace = execute(TASK, assignment, Topology.LINEAR, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.LINEAR, 10_000.0, backends, EVAL)
     shadow = 0.0
     for call in trace.calls:
         shadow += estimate_cost(NANO, call.t_in, call.t_out).unit_cost
@@ -156,9 +193,9 @@ def star_rules(texts):
 
 
 def test_star_majority_vote():
-    assignment = assign_roles(nano_pool(3), Topology.STAR)
+    pool = nano_pool(3)
     backends, _ = registry(star_rules(["I get 41", "It is 42", "Answer: 42"]))
-    trace = execute(TASK, assignment, Topology.STAR, 1000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.STAR, 1000.0, backends, EVAL)
     assert trace.final_answer == "It is 42"
     assert trace.success is True
     assert len(trace.calls) == 3
@@ -166,23 +203,22 @@ def test_star_majority_vote():
 
 def test_star_unanimous_answer_wins_regardless_of_weights():
     pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1")] + nano_pool(2)
-    assignment = assign_roles(pool, Topology.STAR)
     backends, _ = registry(star_rules(["42", "total 42", "-> 42"]))
-    trace = execute(TASK, assignment, Topology.STAR, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.STAR, 10_000.0, backends, EVAL)
     assert EVAL.normalize(trace.final_answer) == "42.0"
 
 
 def test_star_tie_breaks_to_highest_weight():
-    assignment = assign_roles(nano_pool(4), Topology.STAR)
+    pool = nano_pool(4)
     backends, _ = registry(star_rules(["says 7", "says 9", "says 9", "says 7"]))
-    trace = execute(TASK, assignment, Topology.STAR, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.STAR, 10_000.0, backends, EVAL)
     assert trace.final_answer == "says 7"  # executor #1 outranks #2
 
 
 def test_star_all_unparseable_falls_back_to_first():
-    assignment = assign_roles(nano_pool(2), Topology.STAR)
+    pool = nano_pool(2)
     backends, _ = registry(star_rules(["no idea", "cannot tell"]))
-    trace = execute(TASK, assignment, Topology.STAR, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.STAR, 10_000.0, backends, EVAL)
     assert trace.final_answer == "no idea"
     assert trace.success is False
 
@@ -191,20 +227,20 @@ def test_star_all_unparseable_falls_back_to_first():
 
 
 def test_feedback_accept_on_first_audit():
-    assignment = assign_roles(nano_pool(2), Topology.FEEDBACK)
+    pool = nano_pool(2)
     backends, _ = registry(
         [
             ScriptRule(role="executor", text="42", completion_tokens=10),
             ScriptRule(role="critic", text="ACCEPT", completion_tokens=2),
         ]
     )
-    trace = execute(TASK, assignment, Topology.FEEDBACK, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL)
     assert [c.role for c in trace.calls] == ["executor", "critic"]
     assert trace.success is True
 
 
 def test_feedback_reject_then_accept():
-    assignment = assign_roles(nano_pool(2), Topology.FEEDBACK)
+    pool = nano_pool(2)
     backends, backend = registry(
         [
             ScriptRule(role="executor", step=1, text="41", completion_tokens=10),
@@ -213,7 +249,7 @@ def test_feedback_reject_then_accept():
             ScriptRule(role="critic", step=2, text="ACCEPT", completion_tokens=2),
         ]
     )
-    trace = execute(TASK, assignment, Topology.FEEDBACK, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL)
     assert [c.role for c in trace.calls] == ["executor", "critic", "executor", "critic"]
     assert trace.final_answer == "42"
     assert trace.success is True
@@ -222,7 +258,7 @@ def test_feedback_reject_then_accept():
 
 
 def test_feedback_round_cap():
-    assignment = assign_roles(nano_pool(2), Topology.FEEDBACK)
+    pool = nano_pool(2)
     backends, _ = registry(
         [
             ScriptRule(role="executor", text="41", completion_tokens=10),
@@ -230,7 +266,7 @@ def test_feedback_round_cap():
         ]
     )
     trace = execute(
-        TASK, assignment, Topology.FEEDBACK, 10_000.0, backends, EVAL,
+        TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL,
         limits=ExecutionLimits(max_feedback_rounds=3),
     )
     # rounds: (exec, critic), (exec, critic), (exec, critic-final) -> 6 calls
@@ -242,26 +278,26 @@ def test_feedback_round_cap():
 
 
 def test_feedback_critic_never_answers():
-    assignment = assign_roles(nano_pool(2), Topology.FEEDBACK)
+    pool = nano_pool(2)
     backends, _ = registry(
         [
             ScriptRule(role="executor", text="no numbers here", completion_tokens=10),
             ScriptRule(role="critic", text="ACCEPT 12345", completion_tokens=4),
         ]
     )
-    trace = execute(TASK, assignment, Topology.FEEDBACK, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL)
     assert trace.final_answer == "no numbers here"  # critic text is never the answer
 
 
 def test_feedback_multi_executor_relay_then_audit():
-    assignment = assign_roles(nano_pool(3), Topology.FEEDBACK)
+    pool = nano_pool(3)
     backends, _ = registry(
         [
             ScriptRule(role="executor", text="draft 42", completion_tokens=10),
             ScriptRule(role="critic", text="ACCEPT", completion_tokens=2),
         ]
     )
-    trace = execute(TASK, assignment, Topology.FEEDBACK, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL)
     assert [c.role for c in trace.calls] == ["executor", "executor", "critic"]
 
 
@@ -273,7 +309,7 @@ def planner_pool():
 
 
 def test_planner_happy_path():
-    assignment = assign_roles(planner_pool(), Topology.PLANNER_DRIVEN)
+    pool = planner_pool()
     backends, backend = registry(
         [
             ScriptRule(role="planner", text="1. multiply 6 by 7\n2. report the product", completion_tokens=20),
@@ -281,7 +317,7 @@ def test_planner_happy_path():
             ScriptRule(role="critic", text="ACCEPT", completion_tokens=2),
         ]
     )
-    trace = execute(TASK, assignment, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
     assert [c.role for c in trace.calls] == ["planner", "executor", "executor", "critic"]
     assert trace.success is True
     # planner never executes steps; executors receive the step text
@@ -289,16 +325,16 @@ def test_planner_happy_path():
 
 
 def test_planner_invalid_plans_capped_at_two_replannings():
-    assignment = assign_roles(planner_pool(), Topology.PLANNER_DRIVEN)
+    pool = planner_pool()
     backends, _ = registry([ScriptRule(role="planner", text="no steps in sight", completion_tokens=8)])
-    trace = execute(TASK, assignment, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
     assert [c.role for c in trace.calls] == ["planner", "planner", "planner"]
     assert trace.final_answer is None
     assert trace.success is False
 
 
 def test_planner_replans_on_rejection():
-    assignment = assign_roles(planner_pool(), Topology.PLANNER_DRIVEN)
+    pool = planner_pool()
     backends, backend = registry(
         [
             ScriptRule(role="planner", step=1, text="1. guess", completion_tokens=10),
@@ -309,7 +345,7 @@ def test_planner_replans_on_rejection():
             ScriptRule(role="critic", step=2, text="ACCEPT", completion_tokens=2),
         ]
     )
-    trace = execute(TASK, assignment, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
     assert [c.role for c in trace.calls] == [
         "planner", "executor", "critic", "planner", "executor", "critic",
     ]
@@ -321,19 +357,19 @@ def test_planner_replans_on_rejection():
 
 
 def test_no_call_after_ledger_exceeds_budget():
-    assignment = assign_roles(nano_pool(3), Topology.LINEAR)
+    pool = nano_pool(3)
     backends, _ = registry([ScriptRule(role="executor", text="x 1", completion_tokens=1000)])
     # each call costs 500*0.1 + 384*0.4 = 203.6 (384 = max_tokens cap)
-    trace = execute(TASK, assignment, Topology.LINEAR, 300.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.LINEAR, 300.0, backends, EVAL)
     assert len(trace.calls) == 2  # the second call crosses; the third never starts
     assert trace.oob and trace.terminated_early
 
 
 def test_precall_guard_skips_when_enabled():
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backends, _ = registry([ScriptRule(role="executor", text="answer 42", completion_tokens=100)])
     limits = ExecutionLimits(precall_slack=0.0)
-    trace = execute(TASK, assignment, Topology.LINEAR, 100.0, backends, EVAL, limits=limits)
+    trace = execute(TASK, pool, Topology.LINEAR, 100.0, backends, EVAL, limits=limits)
     # worst case 500*0.1 + 384*0.4 = 203.6 > 100: nothing ever runs
     assert len(trace.calls) == 0
     assert not trace.oob and not trace.terminated_early
@@ -341,9 +377,9 @@ def test_precall_guard_skips_when_enabled():
 
 
 def test_nonretryable_backend_failure_halts_without_retry():
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backend = ScriptedBackend([ScriptRule(role="critic", text="never matches")])
-    trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
+    trace = execute(TASK, pool, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
     assert trace.success is False
     assert "backend failure" in trace.note
     assert len(backend.calls) == 1  # a ScriptError is not retryable
@@ -356,8 +392,8 @@ def test_http_failure_posts_once_plus_backend_retry(fake_server, status, posts):
     for _ in range(4):
         fake_server.enqueue(status, {"error": "no"})
     backend = HttpBackend(fake_server.url, backoff_base=0.01)
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
-    trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
+    pool = nano_pool(2)
+    trace = execute(TASK, pool, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
     assert trace.success is False
     assert f"HTTP {status}" in trace.note
     assert len(fake_server.requests) == posts
@@ -373,32 +409,25 @@ def test_evaluator_failure_marks_unsuccessful():
         def grade(self, text, task):
             raise RuntimeError("grader crashed")
 
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backends, _ = registry([ScriptRule(role="executor", text="42", completion_tokens=5)])
-    trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, backends, ExplodingEvaluator())
+    trace = execute(TASK, pool, Topology.LINEAR, 1000.0, backends, ExplodingEvaluator())
     assert trace.success is False
     assert "evaluator failure" in trace.note
 
 
 def test_success_undetermined_without_ground_truth():
     task = TaskSpec("t2", "free-form question")
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backends, _ = registry([ScriptRule(role="executor", text="whatever", completion_tokens=5)])
-    trace = execute(task, assignment, Topology.LINEAR, 1000.0, backends, EVAL)
+    trace = execute(task, pool, Topology.LINEAR, 1000.0, backends, EVAL)
     assert trace.success is None
 
 
-def test_execute_rejects_mismatched_assignment():
-    assignment = assign_roles(nano_pool(2), Topology.FEEDBACK)
-    backends, _ = registry([ScriptRule(text="x")])
-    with pytest.raises(ValueError, match="executors only"):
-        execute(TASK, assignment, Topology.LINEAR, 1000.0, backends, EVAL)
-
-
 def test_trace_json_round_trip():
-    assignment = assign_roles(nano_pool(2), Topology.LINEAR)
+    pool = nano_pool(2)
     backends, _ = registry([ScriptRule(role="executor", text="42", completion_tokens=5)])
-    trace = execute(TASK, assignment, Topology.LINEAR, 1000.0, backends, EVAL)
+    trace = execute(TASK, pool, Topology.LINEAR, 1000.0, backends, EVAL)
     import json
 
     restored = RunTrace.from_dict(json.loads(trace.to_json()))
@@ -406,10 +435,10 @@ def test_trace_json_round_trip():
 
 
 def test_byte_determinism():
-    assignment = assign_roles(nano_pool(3), Topology.STAR)
+    pool = nano_pool(3)
     rules = star_rules(["one 1", "two 2", "two 2"])
-    t1 = execute(TASK, assignment, Topology.STAR, 1000.0, registry(rules)[0], EVAL)
-    t2 = execute(TASK, assignment, Topology.STAR, 1000.0, registry(rules)[0], EVAL)
+    t1 = execute(TASK, pool, Topology.STAR, 1000.0, registry(rules)[0], EVAL)
+    t2 = execute(TASK, pool, Topology.STAR, 1000.0, registry(rules)[0], EVAL)
     assert t1.to_json().encode() == t2.to_json().encode()
 
 
