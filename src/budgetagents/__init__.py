@@ -9,11 +9,10 @@ ledgering and hard budget enforcement.
 from .backend import CallRequest, CallResponse, HttpBackend, ScriptedBackend
 from .catalog import CostEstimate, ModelCatalog, ModelSpec, estimate_cost, estimate_output_tokens
 from .dataset import Experience, ExperienceDataset, ExperienceOutcome, collect
-from .embedder import EMBED_DIM, TaskEmbedding, embed
+from .embedder import EMBED_DIM, embed
 from .evaluators import Evaluator, LiteralEvaluator, NumericEvaluator, get_evaluator
 from .policy import (
     PolicyParams,
-    PolicyState,
     TrainerConfig,
     TrainResult,
     evaluate,

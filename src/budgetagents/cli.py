@@ -94,6 +94,7 @@ _TRAINER_FIELDS = {
     "adam_eps": _NUMBER,
     "budget_ref": (lambda v: v is None or _is_number(v), "null or a finite number"),
 }
+_SECTIONS = {"limits": _LIMITS_FIELDS, "reward": _REWARD_FIELDS, "trainer": _TRAINER_FIELDS}
 
 
 def _check_field(name: str, value, spec: tuple) -> None:
@@ -102,9 +103,10 @@ def _check_field(name: str, value, spec: tuple) -> None:
         raise ConfigError(f"{name} must be {description}, got {value!r}")
 
 
-def _section(data: dict, name: str, spec: dict) -> dict:
+def _section(data: dict, name: str) -> dict:
     """The config section `name`, rejected with the offending field named
     unless every key is known and every value has the right type."""
+    spec = _SECTIONS[name]
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' must be an object, got {section!r}")
@@ -124,9 +126,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-    for key, spec in _TOP_LEVEL_FIELDS.items():
-        if key in data:
-            _check_field(key, data[key], spec)
+    for key, value in data.items():
+        if key in _TOP_LEVEL_FIELDS:
+            _check_field(key, value, _TOP_LEVEL_FIELDS[key])
+        elif key not in _SECTIONS:
+            known = ", ".join([*_TOP_LEVEL_FIELDS, *_SECTIONS])
+            raise ConfigError(f"unknown field {key}; expected one of {known}")
 
     catalog_path = data.get("catalog")
     profile_path = data.get("task_profile")
@@ -152,8 +157,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         seed = args.seed
 
-    limits = ExecutionLimits(**_section(data, "limits", _LIMITS_FIELDS))
-    reward_cfg = RewardConfig(**_section(data, "reward", _REWARD_FIELDS))
+    limits = ExecutionLimits(**_section(data, "limits"))
+    reward_cfg = RewardConfig(**_section(data, "reward"))
 
     config = RunConfig(
         catalog_path=catalog_path,
@@ -166,7 +171,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         instance_cap=data.get("instance_cap", 5),
         min_agents=data.get("min_agents", 2),
         reward=reward_cfg,
-        trainer=_section(data, "trainer", _TRAINER_FIELDS),
+        trainer=_section(data, "trainer"),
         limits=limits,
         stamp=data.get("stamp", False),
     )
@@ -354,35 +359,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_single(
-    config: RunConfig,
-    profile: TaskProfile,
-    task: TaskSpec,
-    budget: float,
-    pool: list[topology.AgentInstance],
-    staffable: tuple[Topology, ...],
-    factory,
-    evaluator,
-    params,
-    override: Topology | None,
-) -> topology.RunTrace:
-    if override is not None:
-        topo = override
-    else:
-        topo = Topology(policy.select_topology(params, task, budget, mode="greedy", allowed=staffable))
-    return topology.execute(
-        task,
-        pool,
-        topo,
-        budget,
-        factory(),
-        evaluator,
-        limits=config.limits,
-        max_tokens=profile.max_tokens,
-        planned_t_in=profile.t_in,
-    )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.budgets:
@@ -424,10 +400,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     staffable = topology.staffable_topologies(pool)
     if not staffable:
         raise ConfigError(f"the pool for budget {budget:g} has {len(pool)} agent(s), too few for any topology")
+    if override is None:
+        topologies = [Topology(t) for t in policy.select_topology(params, tasks, budget, allowed=staffable)]
+    else:
+        topologies = [override] * len(tasks)
     traces = []
-    for task in tasks:
-        trace = _run_single(
-            config, profile, task, budget, pool, staffable, factory, evaluator, params, override
+    for task, topo in zip(tasks, topologies):
+        trace = topology.execute(
+            task,
+            pool,
+            topo,
+            budget,
+            factory(),
+            evaluator,
+            limits=config.limits,
+            max_tokens=profile.max_tokens,
+            planned_t_in=profile.t_in,
         )
         traces.append(trace)
         print(

@@ -7,9 +7,9 @@ keyed, not Python's randomized hash()).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,22 +18,18 @@ EMBED_DIM = 384
 _WORD_RE = re.compile(r"\w+")
 
 
-@dataclass(frozen=True, eq=False)
-class TaskEmbedding:
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-
+# Task texts share most of their words and bigrams, so each token is hashed
+# once while it stays among the 2**15 most recent. An entry holds about 270
+# bytes plus its token's characters: about 9 MB when full of 24-character
+# tokens.
+@functools.lru_cache(maxsize=2**15)
 def _bucket_and_sign(token: str, dim: int) -> tuple[int, float]:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     h = int.from_bytes(digest, "big")
     return h % dim, 1.0 if (h >> 63) & 1 == 0 else -1.0
 
 
-def embed(text: str, dim: int = EMBED_DIM) -> TaskEmbedding:
+def embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     """Deterministic signed-hash embedding, L2-normalized.
 
     Identical text always yields a bitwise-identical vector; empty text (no
@@ -48,5 +44,5 @@ def embed(text: str, dim: int = EMBED_DIM) -> TaskEmbedding:
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
-    return TaskEmbedding(values=vec)
+    return vec
 

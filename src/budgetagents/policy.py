@@ -17,12 +17,13 @@ reference rides along with the weights.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -60,16 +61,6 @@ class PolicyParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-
-@dataclass(frozen=True)
-class PolicyState:
-    embedding: np.ndarray  # (EMBED_DIM,)
-    budget: float          # normalized, >= 0
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError(f"normalized budget must be >= 0, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -123,16 +114,12 @@ def init_params(seed: int, num_actions: int = NUM_TOPOLOGIES, budget_ref: float 
     )
 
 
-def make_state(params: PolicyParams, text: str, budget: float) -> PolicyState:
-    """Embed the task and normalize the budget by the policy's reference."""
-    return PolicyState(embedding=embed(text).values, budget=budget / params.budget_ref)
-
-
-def _forward_batch(params: PolicyParams, emb: np.ndarray, bud: np.ndarray) -> dict[str, np.ndarray]:
+def forward(params: PolicyParams, emb: np.ndarray, bud: np.ndarray) -> dict[str, np.ndarray]:
     """Batched forward pass; returns intermediates needed for backprop.
 
-    emb: (M, EMBED_DIM), bud: (M,). Log-probabilities are computed via a
-    stabilized log-softmax so they stay finite for any finite logits.
+    emb: (M, EMBED_DIM), bud: (M,) normalized budgets. Log-probabilities are
+    computed via a stabilized log-softmax so they stay finite for any finite
+    logits; out["probs"] rows sum to 1.
     """
     a1 = emb @ params.embed_w.T + params.embed_b          # (M, 64)
     h1 = np.maximum(a1, 0.0)
@@ -151,44 +138,7 @@ def _forward_batch(params: PolicyParams, emb: np.ndarray, bud: np.ndarray) -> di
     }
 
 
-def forward(params: PolicyParams, state: PolicyState) -> tuple[np.ndarray, np.ndarray]:
-    """(probabilities, logits) for one state. Probabilities sum to 1."""
-    emb = np.asarray(state.embedding, dtype=np.float64)
-    if emb.shape != (params.embed_w.shape[1],):
-        raise ValueError(f"embedding must have shape ({params.embed_w.shape[1]},), got {emb.shape}")
-    if not np.all(np.isfinite(emb)) or not math.isfinite(state.budget):
-        raise ValueError("non-finite input")
-    for name, arr in params.arrays().items():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite parameter in {name}")
-    out = _forward_batch(params, emb[None, :], np.array([state.budget]))
-    return out["probs"][0], out["logits"][0]
-
-
 def loss(
-    params: PolicyParams,
-    batch: list[tuple[PolicyState, int, float]],
-    beta: float,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Offline policy-gradient loss with entropy bonus, plus exact gradients.
-
-    value = -(1/M) sum log pi(action|state) * reward - beta * (1/M) sum H(pi),
-    with H the Shannon entropy in nats. Gradients are averaged over the batch
-    and keyed like PolicyParams' arrays.
-    """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    num_actions = params.num_actions
-    emb = np.stack([np.asarray(s.embedding, dtype=np.float64) for s, _, _ in batch])
-    bud = np.array([s.budget for s, _, _ in batch], dtype=np.float64)
-    actions = np.array([a for _, a, _ in batch], dtype=np.int64)
-    rewards = np.array([r for _, _, r in batch], dtype=np.float64)
-    if actions.min() < 0 or actions.max() >= num_actions:
-        raise ValueError(f"action index out of range [0, {num_actions})")
-    return _loss_batch(params, emb, bud, actions, rewards, beta)
-
-
-def _loss_batch(
     params: PolicyParams,
     emb: np.ndarray,
     bud: np.ndarray,
@@ -196,8 +146,19 @@ def _loss_batch(
     rewards: np.ndarray,
     beta: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
+    """Offline policy-gradient loss with entropy bonus, plus exact gradients.
+
+    value = -(1/M) sum log pi(action|state) * reward - beta * (1/M) sum H(pi),
+    with H the Shannon entropy in nats, over the M rows of emb, bud, actions
+    and rewards. Gradients are averaged over the batch and keyed like
+    PolicyParams' arrays.
+    """
     m = emb.shape[0]
-    out = _forward_batch(params, emb, bud)
+    if m == 0:
+        raise ValueError("batch must be non-empty")
+    if actions.min() < 0 or actions.max() >= params.num_actions:
+        raise ValueError(f"action index out of range [0, {params.num_actions})")
+    out = forward(params, emb, bud)
     probs, logp = out["probs"], out["logp"]
     rows = np.arange(m)
 
@@ -250,7 +211,7 @@ def _dataset_tensors(
     emb_rows = []
     for exp in dataset.experiences:
         if exp.task_text not in cache:
-            cache[exp.task_text] = embed(exp.task_text).values
+            cache[exp.task_text] = embed(exp.task_text)
         emb_rows.append(cache[exp.task_text])
     emb = np.stack(emb_rows)
     bud = np.array([exp.budget / budget_ref for exp in dataset.experiences])
@@ -286,7 +247,7 @@ def _expected_reward(
     params: PolicyParams, emb: np.ndarray, bud: np.ndarray, group_rewards: np.ndarray
 ) -> float:
     """Mean over groups of sum_t pi(t|state) * reward_t; one row per group."""
-    probs = _forward_batch(params, emb, bud)["probs"]
+    probs = forward(params, emb, bud)["probs"]
     return float((probs * group_rewards).sum(axis=1).mean())
 
 
@@ -367,7 +328,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, grads = _loss_batch(
+            _, grads = loss(
                 params, emb[idx], bud[idx], actions[idx], rewards[idx], config.entropy_coeff
             )
             optimizer.step(params, grads)
@@ -385,40 +346,51 @@ def train(
 
 def select_topology(
     params: PolicyParams,
-    task: TaskSpec,
+    tasks: Sequence[TaskSpec],
     budget: float,
-    mode: str = "greedy",
-    seed: int = 0,
     allowed: Collection[int] | None = None,
-) -> int:
-    """Pick a topology for a task and budget.
+) -> list[int]:
+    """Greedy topology for each task at one budget, from one forward pass.
 
-    greedy: argmax probability (ties resolve to the lowest index);
-    sample: one seeded draw from the categorical distribution.
-    allowed restricts the choice to those topology indices (default: all);
-    sampling renormalizes the probabilities over them.
+    Each pick is the argmax probability (ties resolve to the lowest index)
+    among the allowed topology indices (default: all). Raises ValueError on a
+    non-finite budget, embedding or weight.
     """
-    probs, _ = forward(params, make_state(params, task.text, budget))
-    mask = np.ones(len(probs), dtype=bool) if allowed is None else np.isin(np.arange(len(probs)), list(allowed))
+    mask = np.ones(params.num_actions, dtype=bool)
+    if allowed is not None:
+        mask = np.isin(np.arange(params.num_actions), list(allowed))
     if not mask.any():
         raise ValueError("allowed names no topology")
-    if mode == "greedy":
-        return int(np.argmax(np.where(mask, probs, -1.0)))
-    if mode == "sample":
-        probs = np.where(mask, probs, 0.0)
-        return int(np.random.default_rng(seed).choice(len(probs), p=probs / probs.sum()))
-    raise ValueError(f"unknown mode {mode!r}; expected 'greedy' or 'sample'")
+    if not math.isfinite(budget):
+        raise ValueError(f"non-finite budget {budget!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget!r}")
+    for name, arr in params.arrays().items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite parameter in {name}")
+    emb = np.zeros((len(tasks), params.embed_w.shape[1]))
+    for row, task in zip(emb, tasks):
+        row[...] = embed(task.text)
+    if not np.all(np.isfinite(emb)):
+        raise ValueError("non-finite embedding")
+    bud = np.full(len(tasks), budget / params.budget_ref)
+    probs = forward(params, emb, bud)["probs"]
+    return np.argmax(np.where(mask, probs, -1.0), axis=1).tolist()
 
 
 def save_params(params: PolicyParams, path: str | Path, seed: int | None = None) -> None:
-    """Persist weights as JSON: layer shapes, row-major values, and the
-    compatibility snapshot (topology list, dims, budget reference)."""
+    """Persist weights as JSON (format 2): per layer its shape and its
+    row-major values as base64 little-endian float64, plus the compatibility
+    snapshot (topology list, dims, budget reference)."""
     layers = {
-        name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+        name: {
+            "shape": list(arr.shape),
+            "values": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+        }
         for name, arr in params.arrays().items()
     }
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "meta": {
             "topologies": list(TOPOLOGY_NAMES[: params.num_actions]),
             "embed_dim": int(params.embed_w.shape[1]),
@@ -430,10 +402,33 @@ def save_params(params: PolicyParams, path: str | Path, seed: int | None = None)
     Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
 
 
+def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.ndarray:
+    """One layer's array; version 1 holds a list of floats, version 2 base64
+    little-endian float64."""
+    shape = tuple(layer["shape"])
+    if version == 1:
+        arr = np.array(layer["values"], dtype=np.float64).reshape(shape)
+    else:
+        try:
+            raw = base64.b64decode(layer["values"], validate=True)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: layer {name} is not valid base64") from None
+        size = 8 * math.prod(shape)
+        if len(raw) != size:
+            raise ValueError(f"{path}: layer {name} holds {len(raw)} bytes, its shape {list(shape)} needs {size}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)  # a writable copy
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: layer {name} has non-finite values")
+    return arr
+
+
 def load_params(path: str | Path) -> PolicyParams:
+    """Weights saved by save_params, in format 2 or the older format 1
+    (values as a JSON list of floats)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != 1:
-        raise ValueError(f"{path}: unsupported weights format {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if version not in (1, 2):
+        raise ValueError(f"{path}: unsupported weights format {version!r}")
     meta = doc["meta"]
     expected = list(TOPOLOGY_NAMES[: len(meta["topologies"])])
     if meta["topologies"] != expected:
@@ -441,13 +436,10 @@ def load_params(path: str | Path) -> PolicyParams:
             f"{path}: weights were trained for topologies {meta['topologies']}, "
             f"this build has {expected}"
         )
-    arrays = {}
-    for name in PARAM_FIELDS:
-        layer = doc["layers"][name]
-        arr = np.array(layer["values"], dtype=np.float64).reshape(layer["shape"])
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: layer {name} has non-finite values")
-        arrays[name] = arr
+    budget_ref = meta["budget_ref"]
+    if not isinstance(budget_ref, (int, float)) or not math.isfinite(budget_ref) or budget_ref <= 0:
+        raise ValueError(f"{path}: budget_ref must be a finite number > 0, got {budget_ref!r}")
+    arrays = {name: _decode_layer(path, name, doc["layers"][name], version) for name in PARAM_FIELDS}
     if arrays["embed_w"].shape[1] != meta["embed_dim"]:
         raise ValueError(f"{path}: embed_dim mismatch")
-    return PolicyParams(budget_ref=float(meta["budget_ref"]), **arrays)
+    return PolicyParams(budget_ref=float(budget_ref), **arrays)

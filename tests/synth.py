@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from budgetagents.dataset import Experience, ExperienceDataset, ExperienceOutcome
-from budgetagents.policy import PolicyState, loss
+from budgetagents.policy import loss
 
 
 def dominant_topology_dataset(
@@ -36,18 +36,24 @@ def dominant_topology_dataset(
     return ExperienceDataset(experiences=tuple(experiences))
 
 
-def random_states(rng: np.random.Generator, count: int, dim: int = 384) -> list[PolicyState]:
-    return [
-        PolicyState(embedding=rng.normal(size=dim) / 20.0, budget=float(abs(rng.normal()) + 0.1))
-        for _ in range(count)
-    ]
+def random_batch(rng: np.random.Generator, count: int, num_actions: int = 4, reward_scale: float = 1.0):
+    """(emb, bud, actions, rewards) for loss: random states, each with a
+    random action and a normal reward scaled by reward_scale."""
+    states = [(rng.normal(size=384) / 20.0, float(abs(rng.normal()) + 0.1)) for _ in range(count)]
+    draws = [(int(rng.integers(num_actions)), reward_scale * float(rng.normal())) for _ in range(count)]
+    emb = np.stack([e for e, _ in states])
+    bud = np.array([b for _, b in states])
+    actions = np.array([a for a, _ in draws], dtype=np.int64)
+    rewards = np.array([r for _, r in draws])
+    return emb, bud, actions, rewards
 
 
 def finite_difference_check(params, batch, beta, coords_per_layer=20, h=1e-5, seed=0):
     """Worst relative error between analytic gradients and central differences,
-    probed at randomly chosen coordinates of every layer."""
+    probed at randomly chosen coordinates of every layer. batch is
+    (emb, bud, actions, rewards) as loss takes them."""
     rng = np.random.default_rng(seed)
-    _, grads = loss(params, batch, beta)
+    _, grads = loss(params, *batch, beta)
     worst = 0.0
     for name, arr in params.arrays().items():
         flat = arr.ravel()
@@ -55,9 +61,9 @@ def finite_difference_check(params, batch, beta, coords_per_layer=20, h=1e-5, se
         for i in rng.choice(flat.size, size=count, replace=False):
             original = flat[i]
             flat[i] = original + h
-            up, _ = loss(params, batch, beta)
+            up, _ = loss(params, *batch, beta)
             flat[i] = original - h
-            down, _ = loss(params, batch, beta)
+            down, _ = loss(params, *batch, beta)
             flat[i] = original
             numeric = (up - down) / (2.0 * h)
             analytic = grads[name].ravel()[i]

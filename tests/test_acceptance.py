@@ -14,12 +14,13 @@ import pytest
 from budgetagents.backend import ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelSpec, estimate_cost
 from budgetagents.cli import main as cli_main
+from budgetagents.embedder import embed
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.policy import (
     TrainerConfig,
     forward,
     init_params,
-    make_state,
+    select_topology,
     train,
 )
 from budgetagents.profile import TaskSpec
@@ -107,16 +108,13 @@ def test_criterion_3_budget_floor():
 
 
 def test_criterion_4_gradient_correctness():
-    from synth import random_states
+    from synth import random_batch
 
     worst_overall = 0.0
     for seed, beta, reward_scale in ((41, 0.0, 1.0), (42, 1.0, 0.0), (43, 0.7, 1.0)):
         rng = np.random.default_rng(seed)
         params = init_params(seed=seed)
-        batch = [
-            (state, int(rng.integers(4)), reward_scale * float(rng.normal()))
-            for state in random_states(rng, 6)
-        ]
+        batch = random_batch(rng, 6, reward_scale=reward_scale)
         worst = finite_difference_check(params, batch, beta, coords_per_layer=20)
         worst_overall = max(worst_overall, worst)
         assert worst < 1e-4
@@ -133,11 +131,8 @@ def test_criterion_5_offline_training_convergence():
         )
         result = train(dataset, config)
         texts = sorted({e.task_text for e in dataset.experiences})
-        hits = sum(
-            int(np.argmax(forward(result.params, make_state(result.params, t, 500.0))[0]) == 2)
-            for t in texts
-        )
-        accuracies.append(hits / len(texts))
+        picks = select_topology(result.params, [TaskSpec(f"t{i}", t) for i, t in enumerate(texts)], 500.0)
+        accuracies.append(picks.count(2) / len(texts))
     elapsed = time.monotonic() - start
     assert all(acc >= 0.95 for acc in accuracies), accuracies
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -153,11 +148,9 @@ def test_criterion_6_entropy_regularization_direction():
     )
     result = train(dataset, config)
     texts = sorted({e.task_text for e in dataset.experiences})
-    entropies = []
-    for text in texts:
-        probs, _ = forward(result.params, make_state(result.params, text, 500.0))
-        entropies.append(float(-(probs * np.log(probs)).sum()))
-    mean_entropy = float(np.mean(entropies))
+    emb = np.stack([embed(text) for text in texts])
+    probs = forward(result.params, emb, np.full(len(texts), 500.0 / result.params.budget_ref))["probs"]
+    mean_entropy = float(np.mean(-(probs * np.log(probs)).sum(axis=1)))
     assert mean_entropy > 1.2
     print(f"\n[PASS] criterion 6: beta=10 keeps mean policy entropy at {mean_entropy:.3f} nats (> 1.2)")
 

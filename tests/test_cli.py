@@ -188,8 +188,8 @@ def test_greedy_planner_on_two_agent_pool_picks_a_staffable_topology(workdir):
     # pool is two cheap agents: too few for planner's three seats.
     config = policy.TrainerConfig(learning_rate=0.0015, batch_size=64, epochs=10, seed=0)
     params = policy.train(dominant_topology_dataset(dominant=3, budget=8000), config).params
-    for task in PROFILE["tasks"]:
-        assert policy.select_topology(params, TaskSpec(task["id"], task["text"]), 500.0) == 3
+    tasks = [TaskSpec(task["id"], task["text"]) for task in PROFILE["tasks"]]
+    assert policy.select_topology(params, tasks, 500.0) == [3, 3]
     (workdir / "out").mkdir()
     policy.save_params(params, workdir / "out" / "policy.json", seed=0)
 
@@ -199,6 +199,35 @@ def test_greedy_planner_on_two_agent_pool_picks_a_staffable_topology(workdir):
     assert len(traces) == 2
     assert all(t["topology"] != "planner" for t in traces)
     assert all(len({c["instance"] for c in t["calls"]}) == 2 for t in traces)
+
+
+def test_run_selects_every_topology_in_one_call(workdir, monkeypatch):
+    (workdir / "out").mkdir()
+    policy.save_params(policy.init_params(seed=0, budget_ref=2000.0), workdir / "out" / "policy.json")
+    calls = []
+    real_select = policy.select_topology
+
+    def counting_select(params, tasks, budget, allowed=None):
+        calls.append([task.task_id for task in tasks])
+        return real_select(params, tasks, budget, allowed)
+
+    monkeypatch.setattr(policy, "select_topology", counting_select)
+    assert run("run", "--config", str(workdir / "config.json")) == 0
+    assert calls == [["t1", "t2"]]
+
+
+def test_run_with_corrupt_weights_errors_before_any_task(workdir, capsys):
+    (workdir / "out").mkdir()
+    path = workdir / "out" / "policy.json"
+    policy.save_params(policy.init_params(seed=0, budget_ref=2000.0), path)
+    doc = json.loads(path.read_text())
+    doc["layers"]["core_b"]["values"] = doc["layers"]["core_b"]["values"][:-8]
+    path.write_text(json.dumps(doc))
+    assert run("run", "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert "layer core_b" in captured.err
+    assert captured.out == ""
+    assert not (workdir / "out" / "traces.jsonl").exists()
 
 
 def test_run_without_weights_errors(workdir, capsys):
@@ -358,6 +387,18 @@ def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key
     (workdir / "config.json").write_text(json.dumps(config))
     assert run("provision", "--config", str(workdir / "config.json")) == 1
     assert f"{key} must be" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("instance_caps", 1), ("budget", 500.0)], ids=["instance_caps", "budget"]
+)
+def test_unknown_top_level_field_rejected_before_any_work(workdir, capsys, key, value):
+    config = json.loads((workdir / "config.json").read_text())
+    config[key] = value
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert run("provision", "--config", str(workdir / "config.json")) == 1
+    assert f"unknown field {key};" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 

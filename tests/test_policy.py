@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 from collections import Counter
 
@@ -8,14 +10,12 @@ from budgetagents import policy
 from budgetagents.embedder import embed
 from budgetagents.policy import (
     NUM_TOPOLOGIES,
-    PolicyState,
     TrainerConfig,
     evaluate,
     forward,
     init_params,
     load_params,
     loss,
-    make_state,
     save_params,
     select_topology,
     train,
@@ -23,7 +23,7 @@ from budgetagents.policy import (
 from budgetagents.dataset import Experience, ExperienceDataset, ExperienceOutcome
 from budgetagents.profile import TaskSpec
 from budgetagents.reward import RewardConfig, compute_reward
-from synth import dominant_topology_dataset, finite_difference_check, random_states
+from synth import dominant_topology_dataset, finite_difference_check, random_batch
 
 
 def zero_params():
@@ -34,52 +34,61 @@ def zero_params():
 
 
 def some_state(seed=0, budget=0.8):
+    """(emb, bud) of one random state, as forward takes them."""
     rng = np.random.default_rng(seed)
-    return PolicyState(embedding=rng.normal(size=384) / 20.0, budget=budget)
+    return rng.normal(size=(1, 384)) / 20.0, np.array([budget])
+
+
+def probs_for(params, texts, budget):
+    """(len(texts), K) probabilities at one budget, from one forward pass."""
+    emb = np.stack([embed(text) for text in texts])
+    return forward(params, emb, np.full(len(texts), budget / params.budget_ref))["probs"]
 
 
 # -- forward ------------------------------------------------------------------
 
 
 def test_zero_params_give_uniform_distribution():
-    probs, logits = forward(zero_params(), some_state())
-    assert np.allclose(probs, 0.25)
-    assert np.all(logits == 0.0)
+    out = forward(zero_params(), *some_state())
+    assert np.allclose(out["probs"], 0.25)
+    assert np.all(out["logits"] == 0.0)
 
 
 def test_probabilities_sum_to_one_and_positive():
     params = init_params(seed=3)
-    probs, _ = forward(params, some_state(1))
+    probs = forward(params, *some_state(1))["probs"]
     assert abs(probs.sum() - 1.0) < 1e-9
     assert np.all(probs > 0.0)
 
 
 def test_softmax_shift_invariance():
     params = init_params(seed=3)
-    probs, _ = forward(params, some_state(2))
+    probs = forward(params, *some_state(2))["probs"]
     shifted = params.copy()
     shifted.head_b[...] += 17.5  # constant shift on every logit
-    probs2, _ = forward(shifted, some_state(2))
+    probs2 = forward(shifted, *some_state(2))["probs"]
     assert np.allclose(probs, probs2, atol=1e-12)
 
 
 def test_forward_deterministic_bitwise():
     params = init_params(seed=9)
     state = some_state(4)
-    p1, l1 = forward(params, state)
-    p2, l2 = forward(params, state)
-    assert p1.tobytes() == p2.tobytes()
-    assert l1.tobytes() == l2.tobytes()
+    first, second = forward(params, *state), forward(params, *state)
+    assert first["probs"].tobytes() == second["probs"].tobytes()
+    assert first["logits"].tobytes() == second["logits"].tobytes()
 
 
-def test_forward_rejects_non_finite():
+def test_forward_rejects_non_finite(monkeypatch):
+    tasks = [TaskSpec("t1", "first ticket"), TaskSpec("t2", "second ticket")]
+    with pytest.raises(ValueError, match="non-finite budget"):
+        select_topology(init_params(seed=1), tasks, math.inf)
     params = init_params(seed=1)
-    bad = PolicyState(embedding=np.full(384, np.nan), budget=1.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        forward(params, bad)
-    params.core_w[0, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        forward(params, some_state())
+    params.core_w[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite parameter in core_w"):
+        select_topology(params, tasks, 1.0)
+    monkeypatch.setattr(policy, "embed", lambda text: np.full(384, np.nan if text == "second ticket" else 0.0))
+    with pytest.raises(ValueError, match="non-finite embedding"):
+        select_topology(init_params(seed=1), tasks, 1.0)
 
 
 # -- loss and gradients -------------------------------------------------------
@@ -87,43 +96,40 @@ def test_forward_rejects_non_finite():
 
 def test_loss_zero_reward_zero_beta():
     params = init_params(seed=5)
-    value, grads = loss(params, [(some_state(), 1, 0.0)], beta=0.0)
+    value, grads = loss(params, *some_state(), np.array([1]), np.array([0.0]), beta=0.0)
     assert value == 0.0
     assert all(np.all(g == 0.0) for g in grads.values())
 
 
 def test_loss_uniform_policy_value():
-    value, _ = loss(zero_params(), [(some_state(), 2, 1.0)], beta=0.0)
+    value, _ = loss(zero_params(), *some_state(), np.array([2]), np.array([1.0]), beta=0.0)
     assert value == pytest.approx(-math.log(0.25), rel=1e-12)
 
 
 def test_loss_rejects_bad_action():
     params = init_params(seed=5)
     with pytest.raises(ValueError, match="out of range"):
-        loss(params, [(some_state(), 4, 1.0)], beta=0.0)
+        loss(params, *some_state(), np.array([4]), np.array([1.0]), beta=0.0)
     with pytest.raises(ValueError, match="non-empty"):
-        loss(params, [], beta=0.0)
+        loss(params, np.zeros((0, 384)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), beta=0.0)
 
 
 def test_gradients_match_finite_differences_policy_term():
     rng = np.random.default_rng(12)
     params = init_params(seed=12)
-    batch = [(s, int(rng.integers(NUM_TOPOLOGIES)), float(rng.normal())) for s in random_states(rng, 6)]
-    assert finite_difference_check(params, batch, beta=0.0) < 1e-4
+    assert finite_difference_check(params, random_batch(rng, 6), beta=0.0) < 1e-4
 
 
 def test_gradients_match_finite_differences_entropy_term():
     rng = np.random.default_rng(13)
     params = init_params(seed=13)
-    batch = [(s, int(rng.integers(NUM_TOPOLOGIES)), 0.0) for s in random_states(rng, 6)]
-    assert finite_difference_check(params, batch, beta=1.0) < 1e-4
+    assert finite_difference_check(params, random_batch(rng, 6, reward_scale=0.0), beta=1.0) < 1e-4
 
 
 def test_gradients_match_finite_differences_combined():
     rng = np.random.default_rng(14)
     params = init_params(seed=14)
-    batch = [(s, int(rng.integers(NUM_TOPOLOGIES)), float(rng.normal())) for s in random_states(rng, 8)]
-    assert finite_difference_check(params, batch, beta=0.7) < 1e-4
+    assert finite_difference_check(params, random_batch(rng, 8), beta=0.7) < 1e-4
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -183,11 +189,8 @@ def test_evaluate_rejects_missing_topology():
 
 def greedy_accuracy(params, dataset, dominant, budget):
     texts = sorted({e.task_text for e in dataset.experiences})
-    hits = sum(
-        int(np.argmax(forward(params, make_state(params, text, budget))[0]) == dominant)
-        for text in texts
-    )
-    return hits / len(texts)
+    picks = select_topology(params, [TaskSpec(f"t{i}", text) for i, text in enumerate(texts)], budget)
+    return picks.count(dominant) / len(texts)
 
 
 def test_train_learns_dominant_topology():
@@ -198,7 +201,7 @@ def test_train_learns_dominant_topology():
     assert acc > 0.9
     # dominant probability itself is high on a sample task
     text = dataset.experiences[0].task_text
-    probs, _ = forward(result.params, make_state(result.params, text, 500.0))
+    probs = probs_for(result.params, [text], 500.0)[0]
     assert probs[1] > 0.9
 
 
@@ -207,7 +210,7 @@ def test_train_large_entropy_flattens_policy():
     config = TrainerConfig(learning_rate=0.0015, entropy_coeff=10.0, batch_size=64, epochs=10, seed=0)
     result = train(dataset, config)
     text = dataset.experiences[0].task_text
-    probs, _ = forward(result.params, make_state(result.params, text, 500.0))
+    probs = probs_for(result.params, [text], 500.0)[0]
     entropy = float(-(probs * np.log(probs)).sum())
     assert entropy > 1.2
 
@@ -284,11 +287,7 @@ def test_dominant_probability_rises_monotonically_without_entropy():
 
         def greedy_mean_prob(params, dataset):
             texts = sorted({e.task_text for e in dataset.experiences})
-            return float(
-                np.mean(
-                    [forward(params, make_state(params, t, 500.0))[0][2] for t in texts]
-                )
-            )
+            return float(np.mean(probs_for(params, texts, 500.0)[:, 2]))
 
         config = TrainerConfig(learning_rate=0.0015, entropy_coeff=0.0, batch_size=20000, epochs=10, seed=seed)
         train(dataset, config, on_epoch=track)
@@ -301,51 +300,57 @@ def test_dominant_probability_rises_monotonically_without_entropy():
 
 def test_select_greedy_tie_breaks_low_index():
     params = zero_params()
-    task = TaskSpec("t", "anything")
-    assert select_topology(params, task, budget=1.0, mode="greedy") == 0
+    assert select_topology(params, [TaskSpec("t", "anything")], budget=1.0) == [0]
 
 
 def test_select_greedy_argmax():
     params = zero_params()
     params.head_b[...] = np.array([0.1, 0.7, 0.1, 0.1])
-    task = TaskSpec("t", "anything")
-    assert select_topology(params, task, budget=1.0, mode="greedy") == 1
-
-
-def test_select_sampling_reproducible():
-    params = init_params(seed=21)
-    task = TaskSpec("t", "pick me a topology")
-    draws = [select_topology(params, task, budget=1.0, mode="sample", seed=99) for _ in range(5)]
-    assert len(set(draws)) == 1
-    assert select_topology(params, task, budget=1.0, mode="sample", seed=100) in range(4)
+    assert select_topology(params, [TaskSpec("t", "anything")], budget=1.0) == [1]
 
 
 def test_select_greedy_skips_disallowed_topologies():
     params = zero_params()
     params.head_b[...] = np.array([0.1, 0.2, 0.1, 0.7])
-    task = TaskSpec("t", "anything")
-    assert select_topology(params, task, budget=1.0, mode="greedy") == 3
-    assert select_topology(params, task, budget=1.0, mode="greedy", allowed=(0, 1, 2)) == 1
-
-
-def test_select_sampling_renormalizes_over_allowed():
-    params = init_params(seed=21)
-    task = TaskSpec("t", "pick me a topology")
-    draws = {select_topology(params, task, 1.0, mode="sample", seed=s, allowed=(0, 2)) for s in range(40)}
-    assert draws == {0, 2}
-    for s in range(20):
-        everything = select_topology(params, task, 1.0, mode="sample", seed=s, allowed=range(4))
-        assert everything == select_topology(params, task, 1.0, mode="sample", seed=s)
+    tasks = [TaskSpec("t", "anything")]
+    assert select_topology(params, tasks, budget=1.0) == [3]
+    assert select_topology(params, tasks, budget=1.0, allowed=(0, 1, 2)) == [1]
 
 
 def test_select_rejects_empty_allowed():
     with pytest.raises(ValueError, match="allowed"):
-        select_topology(init_params(seed=0), TaskSpec("t", "x"), budget=1.0, allowed=())
+        select_topology(init_params(seed=0), [TaskSpec("t", "x")], budget=1.0, allowed=())
 
 
-def test_select_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        select_topology(init_params(seed=0), TaskSpec("t", "x"), budget=1.0, mode="softmax")
+def test_select_without_tasks_picks_nothing():
+    assert select_topology(init_params(seed=0), [], budget=1.0) == []
+
+
+def seeded_ticket_texts(count, seed):
+    rng = np.random.default_rng(seed)
+    words = ["ledger", "invoice", "refund", "vendor", "audit", "route", "pallet", "margin", "order", "depot"]
+    return [
+        f"Ticket {i}. Context: {' '.join(rng.choice(words, size=rng.integers(3, 30)).tolist())}. "
+        f"What is {rng.integers(1, 99)} plus {rng.integers(1, 99)}?"
+        for i in range(count)
+    ]
+
+
+def test_select_batched_matches_row_by_row():
+    params = init_params(seed=8, budget_ref=1000.0)
+    params.head_w *= 4.0  # sharpen the policy so that the picks vary
+    tasks = [TaskSpec(f"t{i}", text) for i, text in enumerate(seeded_ticket_texts(240, seed=3))]
+    seen = set()
+    for budget in (120.0, 700.0, 1000.0, 2600.0):
+        for allowed in (None, (0, 1, 2), (1, 3)):
+            mask = np.isin(np.arange(NUM_TOPOLOGIES), list(allowed if allowed is not None else range(4)))
+            expected = []
+            for task in tasks:
+                probs = forward(params, embed(task.text)[None, :], np.array([budget / 1000.0]))["probs"][0]
+                expected.append(int(np.argmax(np.where(mask, probs, -1.0))))
+            assert select_topology(params, tasks, budget, allowed=allowed) == expected
+            seen.update(expected)
+    assert seen == {0, 1, 2, 3}
 
 
 # -- persistence --------------------------------------------------------------
@@ -353,17 +358,74 @@ def test_select_rejects_unknown_mode():
 
 def test_save_load_round_trip(tmp_path):
     params = init_params(seed=31, budget_ref=875.0)
+    params.core_b[:3] = [-0.0, 5e-324, np.nextafter(0.0, -1.0) * 7]  # negative zero and subnormals
     path = tmp_path / "policy.json"
     save_params(params, path, seed=31)
+    assert json.loads(path.read_text())["format_version"] == 2
     loaded = load_params(path)
     assert loaded.budget_ref == 875.0
     for a, b in zip(params.arrays().values(), loaded.arrays().values()):
+        assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 
 
-def test_load_rejects_tampered_topologies(tmp_path):
-    import json
+def test_load_reads_format_1(tmp_path):
+    params = init_params(seed=32, budget_ref=640.0)
+    params.embed_b[:2] = [-0.0, 5e-324]
+    doc = {
+        "format_version": 1,
+        "meta": {"topologies": ["linear", "star", "feedback", "planner"], "embed_dim": 384,
+                 "budget_ref": 640.0, "seed": 32},
+        "layers": {
+            name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+            for name, arr in params.arrays().items()
+        },
+    }
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_params(path)
+    assert loaded.budget_ref == 640.0
+    for a, b in zip(params.arrays().values(), loaded.arrays().values()):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
+
+def _tampered_weights(tmp_path, layer, values):
+    path = tmp_path / "policy.json"
+    save_params(init_params(seed=33), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][layer]["values"] = values
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "layer, values, message",
+    [
+        ("head_b", base64.b64encode(np.zeros(3).tobytes()).decode(), "layer head_b holds 24 bytes"),
+        ("core_w", "not base64!", "layer core_w is not valid base64"),
+        ("budget_b", base64.b64encode(np.full(64, np.inf).tobytes()).decode(), "layer budget_b has non-finite"),
+        ("embed_b", base64.b64encode(np.full(64, np.nan).tobytes()).decode(), "layer embed_b has non-finite"),
+    ],
+    ids=["short", "not_base64", "inf", "nan"],
+)
+def test_load_rejects_corrupt_layer(tmp_path, layer, values, message):
+    with pytest.raises(ValueError, match=message):
+        load_params(_tampered_weights(tmp_path, layer, values))
+
+
+@pytest.mark.parametrize("budget_ref", [0.0, -500.0, None], ids=["zero", "negative", "null"])
+def test_load_rejects_bad_budget_ref(tmp_path, budget_ref):
+    path = tmp_path / "policy.json"
+    save_params(init_params(seed=34), path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["budget_ref"] = budget_ref
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="budget_ref must be a finite number > 0"):
+        load_params(path)
+
+
+def test_load_rejects_tampered_topologies(tmp_path):
     params = init_params(seed=31)
     path = tmp_path / "policy.json"
     save_params(params, path)
@@ -374,8 +436,24 @@ def test_load_rejects_tampered_topologies(tmp_path):
         load_params(path)
 
 
-def test_embedding_feeds_state():
+def test_embedding_feeds_state(monkeypatch):
     params = init_params(seed=1, budget_ref=500.0)
-    state = make_state(params, "double check the wiring", 250.0)
-    assert state.budget == pytest.approx(0.5)
-    assert np.array_equal(state.embedding, embed("double check the wiring").values)
+    embedded, seen = [], {}
+    real_embed, real_forward = policy.embed, policy.forward
+
+    def counting_embed(text):
+        embedded.append(text)
+        return real_embed(text)
+
+    def spying_forward(params, emb, bud):
+        seen["emb"], seen["bud"] = emb, bud
+        return real_forward(params, emb, bud)
+
+    monkeypatch.setattr(policy, "embed", counting_embed)
+    monkeypatch.setattr(policy, "forward", spying_forward)
+    texts = ["double check the wiring", "count the pallets", "double check the wiring"]
+    select_topology(params, [TaskSpec(f"t{i}", text) for i, text in enumerate(texts)], 250.0)
+    assert embedded == texts  # one module-level embed per task
+    assert seen["bud"].tolist() == [0.5, 0.5, 0.5]
+    for row, text in zip(seen["emb"], texts):
+        assert np.array_equal(row, embed(text))
