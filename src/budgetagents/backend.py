@@ -112,8 +112,8 @@ class ScriptedBackend:
     """Deterministic mock backend driven by an ordered rule list.
 
     Token counts come from the rules, not from text length. The instance is
-    stateful (it counts per-role occurrences); use a fresh instance or call
-    reset() for each independent run.
+    stateful (it counts per-role occurrences); use a fresh instance for each
+    independent run.
     """
 
     def __init__(self, rules: list[ScriptRule], default_prompt_tokens: int = 500):
@@ -136,10 +136,6 @@ class ScriptedBackend:
             for entry in config.get("rules", [])
         ]
         return cls(rules, default_prompt_tokens=int(config.get("default_prompt_tokens", 500)))
-
-    def reset(self) -> None:
-        self.calls = []
-        self._role_counts = {}
 
     def invoke(self, request: CallRequest) -> CallResponse:
         self.calls.append(request)

@@ -34,14 +34,7 @@ class ModelSpec:
             raise ValueError(f"model {self.name!r}: prices must be >= 0")
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    t_in: int
-    t_out: int
-    unit_cost: float
-
-
-def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> CostEstimate:
+def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
     """Estimated cost of a single call, in rescaled units.
 
     Per-token prices are price/1e6 and the metric is rescaled by 1e6, so the
@@ -50,15 +43,7 @@ def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> CostEstimate:
     """
     if t_in < 0 or t_out < 0:
         raise ValueError("token counts must be >= 0")
-    unit_cost = t_in * model.price_in + t_out * model.price_out
-    return CostEstimate(t_in=t_in, t_out=t_out, unit_cost=unit_cost)
-
-
-def estimate_output_tokens(sampled_lengths: list[int]) -> int:
-    """Upper bound on output tokens: the maximum observed sample length."""
-    if not sampled_lengths:
-        raise ValueError("no samples")
-    return max(sampled_lengths)
+    return t_in * model.price_in + t_out * model.price_out
 
 
 class ModelCatalog:
@@ -66,8 +51,8 @@ class ModelCatalog:
 
     Tiers must be contiguous from 1 with at least one model each. When a tier
     declares several models, its unit cost is the most expensive member
-    (conservative for budgeting) and instances are created by cycling through
-    the members in declaration order.
+    (conservative for budgeting) and its instances cycle through the members
+    in declaration order (see topology.expand_pool).
     """
 
     def __init__(self, models: list[ModelSpec]):
@@ -94,31 +79,13 @@ class ModelCatalog:
             raise ValueError(f"no models in tier {tier}")
         return found
 
-    def tier_cost(self, tier: int, t_in: int, t_out: int) -> float:
-        """Per-call unit cost of a tier (max over members)."""
-        return max(estimate_cost(m, t_in, t_out).unit_cost for m in self.tier_models(tier))
-
     def tier_costs(self, t_in: int = DEFAULT_INPUT_TOKENS, t_out: int = DEFAULT_OUTPUT_TOKENS) -> list[float]:
-        """Per-tier unit costs, strongest tier first."""
-        return [self.tier_cost(t, t_in, t_out) for t in range(1, self._num_tiers + 1)]
-
-    def instances_for_counts(self, counts: list[int]) -> list[tuple[ModelSpec, str]]:
-        """Expand per-tier instance counts into labeled (model, label) pairs.
-
-        Output is ordered tier 1 first; within a tier, declaration order,
-        cycling when the count exceeds the number of declared members.
-        """
-        if len(counts) != self._num_tiers:
-            raise ValueError(f"expected {self._num_tiers} counts, got {len(counts)}")
-        instances: list[tuple[ModelSpec, str]] = []
-        for tier, count in enumerate(counts, start=1):
-            members = self.tier_models(tier)
-            seen: dict[str, int] = {}
-            for k in range(count):
-                model = members[k % len(members)]
-                seen[model.name] = seen.get(model.name, 0) + 1
-                instances.append((model, f"{model.name}#{seen[model.name]}"))
-        return instances
+        """Per-tier unit costs, strongest tier first; a tier costs as much as
+        its most expensive member."""
+        return [
+            max(estimate_cost(m, t_in, t_out) for m in self.tier_models(t))
+            for t in range(1, self._num_tiers + 1)
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -141,24 +108,26 @@ class ModelCatalog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelCatalog":
-        try:
-            entries = data["models"]
-        except (KeyError, TypeError):
-            raise ValueError("catalog config must contain a 'models' list") from None
+        entries = data.get("models") if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError("catalog config must contain a 'models' list")
         models = []
         for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"catalog model #{i}: must be an object, got {entry!r}")
             try:
-                models.append(
-                    ModelSpec(
-                        name=entry["name"],
-                        tier=int(entry["tier"]),
-                        price_in=float(entry["price_in_per_mtok"]),
-                        price_out=float(entry["price_out_per_mtok"]),
-                        backend_id=entry["backend_id"],
-                    )
+                spec = dict(
+                    name=entry["name"],
+                    tier=int(entry["tier"]),
+                    price_in=float(entry["price_in_per_mtok"]),
+                    price_out=float(entry["price_out_per_mtok"]),
+                    backend_id=entry["backend_id"],
                 )
             except KeyError as exc:
                 raise ValueError(f"catalog model #{i}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"catalog model #{i}: {exc}") from None
+            models.append(ModelSpec(**spec))
         return cls(models)
 
     @classmethod

@@ -95,6 +95,12 @@ _TRAINER_FIELDS = {
     "budget_ref": (lambda v: v is None or _is_number(v), "null or a finite number"),
 }
 _SECTIONS = {"limits": _LIMITS_FIELDS, "reward": _REWARD_FIELDS, "trainer": _TRAINER_FIELDS}
+# Checked fields of one entry in the catalog's 'backends' section (real runs only).
+_BACKEND_FIELDS = {
+    "base_url": _STRING,
+    "timeout": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "requests_per_second": (lambda v: v is None or (_is_number(v) and v > 0), "null or a finite number > 0"),
+}
 
 
 def _check_field(name: str, value, spec: tuple) -> None:
@@ -201,14 +207,19 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
     endpoints = {}
     catalog_doc = json.loads(Path(config.catalog_path).read_text(encoding="utf-8"))
     backend_cfg = catalog_doc.get("backends", {})
+    if not isinstance(backend_cfg, dict):
+        raise ConfigError(f"the catalog's 'backends' must be an object, got {backend_cfg!r}")
     for model in catalog.models:
         if model.backend_id in endpoints:
             continue
         entry = backend_cfg.get(model.backend_id)
-        if not entry or "base_url" not in entry:
+        if not isinstance(entry, dict) or "base_url" not in entry:
             raise ConfigError(
                 f"backend {model.backend_id!r} has no 'base_url' in the catalog's 'backends' section"
             )
+        for key, spec in _BACKEND_FIELDS.items():
+            if key in entry:
+                _check_field(f"backends.{model.backend_id}.{key}", entry[key], spec)
         api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
         endpoints[model.backend_id] = backend.HttpBackend(
             base_url=entry["base_url"],
@@ -248,7 +259,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
     any_infeasible = False
     for budget in config.budgets:
         problem, solution = _solve_for_budget(config, catalog, profile, budget)
-        weights = provision.compute_weights(problem).weights
+        weights = provision.compute_weights(problem)
         doc = {
             "budget": budget,
             "tier_costs": list(problem.tier_costs),
@@ -453,7 +464,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     n = len(traces)
     successes = sum(1 for t in traces if t.success)
     avg_cost = sum(t.cumulative_cost for t in traces) / n
-    oob = topology.count_oob(traces)
+    oob = sum(1 for t in traces if t.oob)
     print(f"Acc {100.0 * successes / n:.1f}%  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
     counts = {name: 0 for name in topology.TOPOLOGY_NAMES}
     for t in traces:
@@ -522,3 +533,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -33,24 +33,19 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ExperienceOutcome:
-    success: bool
-    actual_cost: float
-
-
-@dataclass(frozen=True)
 class Experience:
     task_id: str
     task_text: str
     budget: float
     topology: int
-    outcome: ExperienceOutcome
+    success: bool
+    actual_cost: float
     error: str | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.topology < len(Topology):
             raise ValueError(f"topology index {self.topology} out of range")
-        if self.outcome.actual_cost < 0:
+        if self.actual_cost < 0:
             raise ValueError("actual_cost must be >= 0")
 
 
@@ -123,10 +118,8 @@ def collect(
                 task_text=task.text,
                 budget=budget,
                 topology=int(topo),
-                outcome=ExperienceOutcome(
-                    success=bool(trace.success),
-                    actual_cost=trace.cumulative_cost,
-                ),
+                success=bool(trace.success),
+                actual_cost=trace.cumulative_cost,
                 error=trace.note if trace.note and trace.note.startswith(("backend failure", "evaluator failure")) else None,
             )
         except Exception as exc:  # noqa: BLE001 - every combo must yield a row
@@ -135,7 +128,8 @@ def collect(
                 task_text=task.text,
                 budget=budget,
                 topology=int(topo),
-                outcome=ExperienceOutcome(success=False, actual_cost=0.0),
+                success=False,
+                actual_cost=0.0,
                 error=str(exc),
             )
 
@@ -157,8 +151,8 @@ def save(dataset: ExperienceDataset, path: str | Path) -> None:
             "task_text": exp.task_text,
             "budget": exp.budget,
             "topology": exp.topology,
-            "success": exp.outcome.success,
-            "actual_cost": exp.outcome.actual_cost,
+            "success": exp.success,
+            "actual_cost": exp.actual_cost,
         }
         if exp.error is not None:
             record["error"] = exp.error
@@ -192,10 +186,8 @@ def load(path: str | Path) -> ExperienceDataset:
                     task_text=record["task_text"],
                     budget=float(record["budget"]),
                     topology=int(record["topology"]),
-                    outcome=ExperienceOutcome(
-                        success=bool(record["success"]),
-                        actual_cost=float(record["actual_cost"]),
-                    ),
+                    success=bool(record["success"]),
+                    actual_cost=float(record["actual_cost"]),
                     error=record.get("error"),
                 )
             )

@@ -194,8 +194,8 @@ def loss(
 def _reward_for(exp, reward_config: RewardConfig) -> float:
     return compute_reward(
         Outcome(
-            success=exp.outcome.success,
-            actual_cost=exp.outcome.actual_cost,
+            success=exp.success,
+            actual_cost=exp.actual_cost,
             budget=exp.budget,
         ),
         reward_config,
@@ -402,15 +402,23 @@ def save_params(params: PolicyParams, path: str | Path, seed: int | None = None)
     Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
 
 
+def _require(path: str | Path, obj, key: str, where: str):
+    """obj[key], or a ValueError naming the file and the missing part."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{path}: {where} has no {key!r}")
+    return obj[key]
+
+
 def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.ndarray:
     """One layer's array; version 1 holds a list of floats, version 2 base64
     little-endian float64."""
-    shape = tuple(layer["shape"])
+    shape = tuple(_require(path, layer, "shape", f"layer {name}"))
+    values = _require(path, layer, "values", f"layer {name}")
     if version == 1:
-        arr = np.array(layer["values"], dtype=np.float64).reshape(shape)
+        arr = np.array(values, dtype=np.float64).reshape(shape)
     else:
         try:
-            raw = base64.b64decode(layer["values"], validate=True)
+            raw = base64.b64decode(values, validate=True)
         except (TypeError, ValueError):
             raise ValueError(f"{path}: layer {name} is not valid base64") from None
         size = 8 * math.prod(shape)
@@ -426,20 +434,27 @@ def load_params(path: str | Path) -> PolicyParams:
     """Weights saved by save_params, in format 2 or the older format 1
     (values as a JSON list of floats)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: weights file must hold a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version not in (1, 2):
         raise ValueError(f"{path}: unsupported weights format {version!r}")
-    meta = doc["meta"]
-    expected = list(TOPOLOGY_NAMES[: len(meta["topologies"])])
-    if meta["topologies"] != expected:
+    meta = _require(path, doc, "meta", "the file")
+    topologies = _require(path, meta, "topologies", "meta")
+    expected = list(TOPOLOGY_NAMES[: len(topologies)])
+    if topologies != expected:
         raise ValueError(
-            f"{path}: weights were trained for topologies {meta['topologies']}, "
+            f"{path}: weights were trained for topologies {topologies}, "
             f"this build has {expected}"
         )
-    budget_ref = meta["budget_ref"]
+    budget_ref = _require(path, meta, "budget_ref", "meta")
     if not isinstance(budget_ref, (int, float)) or not math.isfinite(budget_ref) or budget_ref <= 0:
         raise ValueError(f"{path}: budget_ref must be a finite number > 0, got {budget_ref!r}")
-    arrays = {name: _decode_layer(path, name, doc["layers"][name], version) for name in PARAM_FIELDS}
-    if arrays["embed_w"].shape[1] != meta["embed_dim"]:
+    layers = _require(path, doc, "layers", "the file")
+    arrays = {
+        name: _decode_layer(path, name, _require(path, layers, name, "layers"), version)
+        for name in PARAM_FIELDS
+    }
+    if arrays["embed_w"].shape[1] != _require(path, meta, "embed_dim", "meta"):
         raise ValueError(f"{path}: embed_dim mismatch")
     return PolicyParams(budget_ref=float(budget_ref), **arrays)

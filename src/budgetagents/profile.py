@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS, estimate_output_tokens
+from .catalog import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS
 
 DEFAULT_MAX_TOKENS = {"planner": 384, "executor": 384, "critic": 384}
 
@@ -40,8 +40,12 @@ def load_profile(path: str | Path) -> TaskProfile:
 
 
 def profile_from_dict(data: dict) -> TaskProfile:
+    if not isinstance(data, dict):
+        raise ValueError(f"task profile must be an object, got {type(data).__name__}")
     tasks = []
     for i, entry in enumerate(data.get("tasks", [])):
+        if not isinstance(entry, dict):
+            raise ValueError(f"task #{i}: must be an object, got {entry!r}")
         try:
             tasks.append(
                 TaskSpec(
@@ -57,15 +61,21 @@ def profile_from_dict(data: dict) -> TaskProfile:
     if "t_out" in data:
         t_out = int(data["t_out"])
     elif data.get("output_token_samples"):
-        t_out = estimate_output_tokens([int(v) for v in data["output_token_samples"]])
+        # Upper bound on output tokens: the longest sampled output.
+        t_out = max(int(v) for v in data["output_token_samples"])
     else:
         t_out = DEFAULT_OUTPUT_TOKENS
 
     max_tokens = dict(DEFAULT_MAX_TOKENS)
-    for role, value in data.get("max_tokens", {}).items():
+    limits = data.get("max_tokens", {})
+    if not isinstance(limits, dict):
+        raise ValueError(f"max_tokens must be an object, got {limits!r}")
+    for role, value in limits.items():
         if role not in max_tokens:
             raise ValueError(f"unknown role {role!r} in max_tokens")
-        max_tokens[role] = int(value)
+        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            raise ValueError(f"max_tokens.{role} must be an integer > 0, got {value!r}")
+        max_tokens[role] = value
 
     return TaskProfile(
         tasks=tuple(tasks),

@@ -14,7 +14,8 @@ the unique weight optimum. Feasibility here is judged in float, where rounding
 can break that dominance (two vectors can tie in weight); the answer is still
 the lexicographic vector. `compute_weights` only reports the weights. `solve`
 finds the vector by a depth-first search that stops at its first feasible
-leaf; an exhaustive enumerator with the same contract is the test oracle.
+leaf; an exhaustive enumerator with the same contract is the test oracle, in
+`tests/oracle.py`.
 
 Weights are plain Python ints (they grow multiplicatively and overflow 64-bit
 quickly); floor divisions of budget by cost go through Fraction so the floors
@@ -25,9 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-BRUTE_FORCE_MAX_TIERS = 6
-BRUTE_FORCE_MAX_COUNT = 20
 
 
 @dataclass(frozen=True)
@@ -55,15 +53,6 @@ class ProvisionProblem:
 
 
 @dataclass(frozen=True)
-class DecisionWeights:
-    """Per-tier integer weights; the lowest tier has weight 1 and each higher
-    tier outweighs every budget-affordable bundle of strictly lower tiers.
-    Strictly decreasing whenever each lower tier is affordable at least once."""
-
-    weights: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ProvisionSolution:
     counts: tuple[int, ...]
     total_weight: int
@@ -77,10 +66,12 @@ def _affordable(budget: float, cost: float) -> int:
     return int(Fraction(budget) / Fraction(cost))
 
 
-def compute_weights(problem: ProvisionProblem) -> DecisionWeights:
-    """Build the dominance weights bottom-up: weight 1 for the weakest tier,
-    then 1 plus the weight of every affordable lower-tier unit for each tier
-    above it."""
+def compute_weights(problem: ProvisionProblem) -> tuple[int, ...]:
+    """Per-tier dominance weights, built bottom-up: weight 1 for the weakest
+    tier, then 1 plus the weight of every affordable lower-tier unit for each
+    tier above it. Each tier outweighs every budget-affordable bundle of
+    strictly lower tiers, so the weights strictly decrease whenever each
+    lower tier is affordable at least once."""
     costs = problem.tier_costs
     num_tiers = len(costs)
     weights = [0] * num_tiers
@@ -90,7 +81,7 @@ def compute_weights(problem: ProvisionProblem) -> DecisionWeights:
         for j in range(i + 1, num_tiers):
             total += weights[j] * _affordable(problem.budget, costs[j])
         weights[i] = total
-    return DecisionWeights(weights=tuple(weights))
+    return tuple(weights)
 
 
 def _max_units(spent: float, cost: float, cap: int, budget: float) -> int:
@@ -130,7 +121,7 @@ def _infeasible(problem: ProvisionProblem) -> ProvisionSolution:
 
 
 def _solution(problem: ProvisionProblem, counts: tuple[int, ...], cost: float) -> ProvisionSolution:
-    weights = compute_weights(problem).weights
+    weights = compute_weights(problem)
     return ProvisionSolution(
         counts=counts,
         total_weight=sum(n * w for n, w in zip(counts, weights)),
@@ -172,38 +163,3 @@ def solve(problem: ProvisionProblem) -> ProvisionSolution:
 
     found = dfs(0, 0.0, 0, [])
     return _infeasible(problem) if found is None else _solution(problem, *found)
-
-
-def brute_force_solve(problem: ProvisionProblem) -> ProvisionSolution:
-    """Exhaustive enumeration of all feasible count vectors, keeping the
-    lexicographically largest; same contract and float feasibility as solve.
-    Test oracle for small instances only."""
-    costs = problem.tier_costs
-    num_tiers = len(costs)
-    if num_tiers > BRUTE_FORCE_MAX_TIERS:
-        raise ValueError(f"instance too large: {num_tiers} tiers > {BRUTE_FORCE_MAX_TIERS}")
-    per_tier_max = [
-        _max_units(0.0, c, problem.instance_cap, problem.budget) for c in costs
-    ]
-    if any(m > BRUTE_FORCE_MAX_COUNT for m in per_tier_max):
-        raise ValueError(
-            f"instance too large: per-tier count bound {max(per_tier_max)} > {BRUTE_FORCE_MAX_COUNT}"
-        )
-
-    feasible: list[tuple[tuple[int, ...], float]] = []
-
-    def enumerate_counts(tier: int, spent: float, agents: int, counts: list[int]) -> None:
-        if tier == num_tiers:
-            if agents >= problem.min_agents:
-                feasible.append((tuple(counts), spent))
-            return
-        for n in range(per_tier_max[tier] + 1):
-            total = spent + n * costs[tier]
-            if total > problem.budget:
-                break
-            enumerate_counts(tier + 1, total, agents + n, counts + [n])
-
-    enumerate_counts(0, 0.0, 0, [])
-    if not feasible:
-        return _infeasible(problem)
-    return _solution(problem, *max(feasible))

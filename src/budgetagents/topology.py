@@ -3,22 +3,22 @@
 Four workflow patterns over a provisioned agent pool: linear relay, star
 fan-out with majority merge, generate-critique-revise feedback, and
 planner-driven stepwise execution with bounded replanning. Every call is
-costed from backend-reported token usage into a serialized ledger; execution
-halts the moment the running total crosses the budget (a call's cost is only
-known after it completes, so the final call may be the one that crosses).
+costed from backend-reported token usage and added to the run's total;
+execution halts the moment that total crosses the budget (a call's cost is
+only known after it completes, so the final call may be the one that
+crosses).
 """
 
 from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .backend import Backend, BackendError, CallRequest
-from .catalog import ModelSpec, estimate_cost
+from .catalog import ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
 from .profile import DEFAULT_MAX_TOKENS, TaskSpec
 
@@ -122,12 +122,19 @@ class RunTrace:
         )
 
 
-def expand_pool(catalog, counts) -> list[AgentInstance]:
-    """Turn per-tier instance counts into concrete agents, strongest first."""
-    return [
-        AgentInstance(model=model, label=label)
-        for model, label in catalog.instances_for_counts(list(counts))
-    ]
+def expand_pool(catalog: ModelCatalog, counts: Sequence[int]) -> list[AgentInstance]:
+    """Turn per-tier instance counts into concrete agents, strongest tier
+    first. A tier's instances cycle through its members in declaration order;
+    each is labeled name#k, its model's k-th instance."""
+    if len(counts) != catalog.num_tiers:
+        raise ValueError(f"expected {catalog.num_tiers} counts, got {len(counts)}")
+    pool = []
+    for tier, count in enumerate(counts, start=1):
+        members = catalog.tier_models(tier)
+        for k in range(count):
+            model = members[k % len(members)]
+            pool.append(AgentInstance(model=model, label=f"{model.name}#{k // len(members) + 1}"))
+    return pool
 
 
 def staffable_topologies(instances: list[AgentInstance]) -> tuple[Topology, ...]:
@@ -135,30 +142,8 @@ def staffable_topologies(instances: list[AgentInstance]) -> tuple[Topology, ...]
     return tuple(t for t in Topology if len(instances) >= MIN_POOL_SIZE[t])
 
 
-def count_oob(traces: list[RunTrace]) -> int:
-    """Number of traces whose actual cost exceeded their budget."""
-    return sum(1 for t in traces if t.oob)
-
-
 class _Halt(Exception):
     """Internal control flow: stop issuing calls, keep what we have."""
-
-
-class _CostLedger:
-    """Serialized accumulation point for call costs."""
-
-    def __init__(self, budget: float):
-        self.budget = budget
-        self.total = 0.0
-        self._lock = threading.Lock()
-
-    def commit(self, cost: float) -> float:
-        with self._lock:
-            self.total += cost
-            return self.total
-
-    def exceeded(self) -> bool:
-        return self.total > self.budget
 
 
 def _parse_verdict(text: str) -> tuple[bool, str]:
@@ -195,7 +180,8 @@ class _Runner:
     ):
         self.task = task
         self.pool = pool
-        self.ledger = _CostLedger(budget)
+        self.budget = budget
+        self.spent = 0.0
         self.backends = backends
         self.evaluator = evaluator
         self.limits = limits
@@ -209,8 +195,8 @@ class _Runner:
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
         limit = self.max_tokens.get(role, DEFAULT_MAX_TOKENS[role])
         if self.limits.precall_slack is not None:
-            worst = estimate_cost(instance.model, self.planned_t_in, limit).unit_cost
-            if self.ledger.total + worst > self.ledger.budget + self.limits.precall_slack:
+            worst = estimate_cost(instance.model, self.planned_t_in, limit)
+            if self.spent + worst > self.budget + self.limits.precall_slack:
                 self.trace.note = f"budget guard: skipped {role} call on {instance.label}"
                 raise _Halt
         request = CallRequest(
@@ -228,7 +214,7 @@ class _Runner:
             self.failed = True
             self.trace.note = f"backend failure ({role} on {instance.label}): {exc}"
             raise _Halt from exc
-        cost = estimate_cost(instance.model, response.prompt_tokens, response.completion_tokens).unit_cost
+        cost = estimate_cost(instance.model, response.prompt_tokens, response.completion_tokens)
         self.trace.calls.append(
             CallRecord(
                 model=instance.model.name,
@@ -239,10 +225,10 @@ class _Runner:
                 cost=cost,
             )
         )
-        self.ledger.commit(cost)
+        self.spent += cost
         if role == ROLE_EXECUTOR:
             self.latest_executor_output = response.text
-        if self.ledger.exceeded():
+        if self.spent > self.budget:
             self.trace.oob = True
             self.trace.terminated_early = True
             raise _Halt
@@ -364,13 +350,13 @@ def execute(
     max_tokens: Mapping[str, int] | None = None,
     planned_t_in: int = 500,
 ) -> RunTrace:
-    """Run one task through one topology, ledgering every call's cost.
+    """Run one task through one topology, adding up every call's cost.
 
     The pool must be in descending tier-weight order (strongest first); each
     flow seats it by position. The trace records each call's backend-reported
     token usage and unit cost; oob is set exactly when the final cumulative
-    cost exceeds the budget, and no call is initiated once the ledger has
-    crossed it.
+    cost exceeds the budget, and no call is initiated once the running total
+    has crossed it.
     """
     n, fewest = len(pool), min(MIN_POOL_SIZE)
     if n < fewest:
@@ -405,8 +391,8 @@ def execute(
         pass
 
     trace = runner.trace
-    trace.cumulative_cost = runner.ledger.total
-    trace.oob = runner.ledger.total > budget
+    trace.cumulative_cost = runner.spent
+    trace.oob = runner.spent > budget
     if topology == Topology.STAR:
         trace.final_answer = runner._merge_star()
     else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from budgetagents.dataset import Experience, ExperienceDataset, ExperienceOutcome
+from budgetagents.dataset import Experience, ExperienceDataset
 from budgetagents.policy import loss
 
 
@@ -27,10 +27,8 @@ def dominant_topology_dataset(
                     task_text=text,
                     budget=budget,
                     topology=topo,
-                    outcome=ExperienceOutcome(
-                        success=success,
-                        actual_cost=dominant_cost if success else other_cost,
-                    ),
+                    success=success,
+                    actual_cost=dominant_cost if success else other_cost,
                 )
             )
     return ExperienceDataset(experiences=tuple(experiences))

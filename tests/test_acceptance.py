@@ -24,12 +24,7 @@ from budgetagents.policy import (
     train,
 )
 from budgetagents.profile import TaskSpec
-from budgetagents.provision import (
-    ProvisionProblem,
-    brute_force_solve,
-    compute_weights,
-    solve,
-)
+from budgetagents.provision import ProvisionProblem, compute_weights, solve
 from budgetagents.reward import Outcome, RewardConfig, compute_reward
 from budgetagents.topology import (
     AgentInstance,
@@ -37,6 +32,7 @@ from budgetagents.topology import (
     execute,
 )
 
+from oracle import brute_force_solve
 from synth import dominant_topology_dataset, finite_difference_check, max_lower_tier_weight_dp
 
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
@@ -78,7 +74,7 @@ def test_criterion_2_weight_dominance():
     # sanity-check the DP maximizer against direct enumeration on tiny cases
     for costs, budget in (([500, 200, 100], 1000.0), ([1235, 250], 2000.0)):
         problem = ProvisionProblem(budget=budget, tier_costs=tuple(float(c) for c in costs))
-        weights = list(compute_weights(problem).weights)
+        weights = list(compute_weights(problem))
         dp = max_lower_tier_weight_dp(costs, weights, budget)
         for i in range(len(costs)):
             bounds = [int(budget // c) for c in costs]
@@ -91,7 +87,7 @@ def test_criterion_2_weight_dominance():
 
     violations = 0
     for problem in _random_instances():
-        weights = list(compute_weights(problem).weights)
+        weights = list(compute_weights(problem))
         costs_int = [int(c) for c in problem.tier_costs]
         best = max_lower_tier_weight_dp(costs_int, weights, problem.budget)
         for i in range(len(weights)):
@@ -102,7 +98,7 @@ def test_criterion_2_weight_dominance():
 
 
 def test_criterion_3_budget_floor():
-    one_call = estimate_cost(NANO, 500, 500).unit_cost
+    one_call = estimate_cost(NANO, 500, 500)
     assert 2 * one_call == pytest.approx(500.0, abs=1e-9)
     print("\n[PASS] criterion 3: two-agent floor at nano pricing is 500.0 units (tol 1e-9)")
 

@@ -4,29 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from budgetagents.catalog import (
-    ModelCatalog,
-    ModelSpec,
-    estimate_cost,
-    estimate_output_tokens,
-)
+from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
+from budgetagents.profile import profile_from_dict
 
 DEEPSEEK = ModelSpec("deepseek-v3", 1, 0.27, 1.10, "deepseek")
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
 
 
 def test_cost_deepseek_pricing():
-    est = estimate_cost(DEEPSEEK, t_in=500, t_out=1000)
-    assert est.unit_cost == pytest.approx(1235.0, abs=1e-9)
-    assert (est.t_in, est.t_out) == (500, 1000)
+    assert estimate_cost(DEEPSEEK, t_in=500, t_out=1000) == pytest.approx(1235.0, abs=1e-9)
 
 
 def test_cost_zero_tokens():
-    assert estimate_cost(DEEPSEEK, 0, 0).unit_cost == 0.0
+    assert estimate_cost(DEEPSEEK, 0, 0) == 0.0
 
 
 def test_cost_nano_two_agent_floor():
-    one_call = estimate_cost(NANO, 500, 500).unit_cost
+    one_call = estimate_cost(NANO, 500, 500)
     assert one_call == pytest.approx(250.0, abs=1e-9)
     assert 2 * one_call == pytest.approx(500.0, abs=1e-9)
 
@@ -42,43 +36,36 @@ def test_cost_rejects_negative_tokens():
     k=st.integers(min_value=0, max_value=50),
 )
 def test_cost_linear_in_each_token_count(t_in, t_out, k):
-    base = estimate_cost(NANO, t_in, t_out).unit_cost
-    assert estimate_cost(NANO, t_in + k, t_out).unit_cost == pytest.approx(
+    base = estimate_cost(NANO, t_in, t_out)
+    assert estimate_cost(NANO, t_in + k, t_out) == pytest.approx(
         base + k * NANO.price_in, rel=1e-12, abs=1e-12
     )
-    assert estimate_cost(NANO, t_in, t_out + k).unit_cost == pytest.approx(
+    assert estimate_cost(NANO, t_in, t_out + k) == pytest.approx(
         base + k * NANO.price_out, rel=1e-12, abs=1e-12
     )
 
 
 def test_cost_monotone_in_tier_price_at_default_t_in():
-    cheap = estimate_cost(NANO, 500, 500).unit_cost
-    pricey = estimate_cost(DEEPSEEK, 500, 500).unit_cost
+    cheap = estimate_cost(NANO, 500, 500)
+    pricey = estimate_cost(DEEPSEEK, 500, 500)
     assert pricey >= cheap
 
 
+def _t_out(samples):
+    """The output-token bound a profile derives from its samples."""
+    return profile_from_dict({"tasks": [], "output_token_samples": samples}).t_out
+
+
 def test_output_tokens_max():
-    assert estimate_output_tokens([120, 480, 333]) == 480
-    assert estimate_output_tokens([7]) == 7
+    assert _t_out([120, 480, 333]) == 480
+    assert _t_out([7]) == 7
 
 
 def test_output_tokens_scripted_samples():
     # 50 scripted outputs with a known maximum of 512
     lengths = [((i * 37) % 400) + 50 for i in range(49)] + [512]
     assert max(lengths) == 512
-    assert estimate_output_tokens(lengths) == 512
-
-
-def test_output_tokens_empty_errors():
-    with pytest.raises(ValueError, match="no samples"):
-        estimate_output_tokens([])
-
-
-@given(st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=60))
-def test_output_tokens_is_max_and_member(lengths):
-    result = estimate_output_tokens(lengths)
-    assert result in lengths
-    assert all(result >= x for x in lengths)
+    assert _t_out(lengths) == 512
 
 
 def test_model_spec_validation():
@@ -104,14 +91,7 @@ def test_catalog_tier_costs():
 def test_catalog_multi_model_tier_uses_max_cost():
     costly = ModelSpec("nano-alt", 2, 0.20, 0.80, "openai")
     catalog = ModelCatalog([DEEPSEEK, NANO, costly])
-    assert catalog.tier_cost(2, 500, 500) == pytest.approx(500.0)
-
-
-def test_instances_cycle_declaration_order():
-    alt = ModelSpec("nano-alt", 2, 0.10, 0.40, "openai")
-    catalog = ModelCatalog([DEEPSEEK, NANO, alt])
-    labels = [label for _, label in catalog.instances_for_counts([1, 3])]
-    assert labels == ["deepseek-v3#1", "gpt-4.1-nano#1", "nano-alt#1", "gpt-4.1-nano#2"]
+    assert catalog.tier_costs(500, 500) == pytest.approx([685.0, 500.0])
 
 
 def test_catalog_json_round_trip(tmp_path):
@@ -121,3 +101,22 @@ def test_catalog_json_round_trip(tmp_path):
     loaded = ModelCatalog.load(path)
     assert loaded.models == catalog.models
     assert loaded.content_hash() == catalog.content_hash()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"models": ["a"]}, "catalog model #0: must be an object"),
+        ({"models": "a"}, "must contain a 'models' list"),
+        ([], "must contain a 'models' list"),
+        (
+            {"models": [{"name": "m", "tier": None, "price_in_per_mtok": 1,
+                         "price_out_per_mtok": 1, "backend_id": "x"}]},
+            "catalog model #0: ",
+        ),
+    ],
+    ids=["entry_not_object", "models_not_list", "doc_not_object", "tier_null"],
+)
+def test_from_dict_rejects_malformed_entries(doc, message):
+    with pytest.raises(ValueError, match=message):
+        ModelCatalog.from_dict(doc)

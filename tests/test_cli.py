@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import budgetagents
 from budgetagents import policy, provision
 from budgetagents.cli import main
 from budgetagents.profile import TaskSpec
@@ -400,6 +405,56 @@ def test_unknown_top_level_field_rejected_before_any_work(workdir, capsys, key, 
     assert run("provision", "--config", str(workdir / "config.json")) == 1
     assert f"unknown field {key};" in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "models, named",
+    [(["a"], "catalog model #0: must be an object"), ("a", "'models' list")],
+    ids=["entry_not_object", "models_not_list"],
+)
+def test_malformed_catalog_rejected_before_any_work(workdir, capsys, models, named):
+    (workdir / "catalog.json").write_text(json.dumps(dict(CATALOG, models=models)))
+    assert run("provision", "--config", str(workdir / "config.json")) == 1
+    assert named in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("requests_per_second", "5"),
+        ("requests_per_second", 0),
+        ("timeout", "30"),
+        ("timeout", None),
+        ("timeout", -1.0),
+        ("base_url", 7),
+    ],
+    ids=["rps_string", "rps_zero", "timeout_string", "timeout_null", "timeout_negative", "base_url_number"],
+)
+def test_malformed_backend_entry_rejected_before_any_call(workdir, capsys, key, value):
+    catalog = json.loads(json.dumps(CATALOG))
+    catalog["backends"]["strong"][key] = value
+    (workdir / "catalog.json").write_text(json.dumps(catalog))
+    config = json.loads((workdir / "config.json").read_text())
+    config["mock"] = False
+    (workdir / "config.json").write_text(json.dumps(config))
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear", "--task", "x")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"backends.strong.{key} must be" in captured.err
+    assert captured.out == ""
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    src = str(Path(budgetagents.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    missing = tmp_path / "missing.jsonl"
+    result = subprocess.run(
+        [sys.executable, "-m", "budgetagents.cli", "report", str(missing)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 1
+    assert f"trace file not found: {missing}" in result.stderr
 
 
 def test_explicit_config_sections_accepted(workdir):

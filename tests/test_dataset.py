@@ -5,7 +5,6 @@ from budgetagents.catalog import ModelSpec
 from budgetagents.dataset import (
     Experience,
     ExperienceDataset,
-    ExperienceOutcome,
     collect,
     load,
     save,
@@ -58,7 +57,7 @@ def test_collect_records_pool_deficit_as_failure():
         NumericEvaluator(),
     )
     planner_row = dataset.groups()[("a", 500.0)][3]
-    assert planner_row.outcome.success is False
+    assert planner_row.success is False
     # the message is written verbatim into dataset.jsonl's error field
     assert planner_row.error == (
         "planner topology needs at least 3 instances (planner + critic + executor), pool has 2"
@@ -80,10 +79,10 @@ def test_collect_reward_join():
     )
     feedback_row = dataset.groups()[("a", 500.0)][2]
     # executor call: 2000*0.1 + 250*0.4 = 300 units; critic call free
-    assert feedback_row.outcome.actual_cost == pytest.approx(300.0)
-    assert feedback_row.outcome.success is True
+    assert feedback_row.actual_cost == pytest.approx(300.0)
+    assert feedback_row.success is True
     reward = compute_reward(
-        Outcome(feedback_row.outcome.success, feedback_row.outcome.actual_cost, 500.0),
+        Outcome(feedback_row.success, feedback_row.actual_cost, 500.0),
         RewardConfig(),
     )
     assert reward == pytest.approx(1.2)
@@ -130,7 +129,8 @@ def sample_dataset():
                     task_text=f"text of {task_id}",
                     budget=500.0,
                     topology=topo,
-                    outcome=ExperienceOutcome(success=topo == 2, actual_cost=100.0 + topo),
+                    success=topo == 2,
+                    actual_cost=100.0 + topo,
                     error=None if topo != 3 else "planner pool too small",
                 )
             )

@@ -20,7 +20,7 @@ from budgetagents.policy import (
     select_topology,
     train,
 )
-from budgetagents.dataset import Experience, ExperienceDataset, ExperienceOutcome
+from budgetagents.dataset import Experience, ExperienceDataset
 from budgetagents.profile import TaskSpec
 from budgetagents.reward import RewardConfig, compute_reward
 from synth import dominant_topology_dataset, finite_difference_check, random_batch
@@ -149,7 +149,8 @@ def one_task_dataset(rewards_by_topology):
                 task_text="the single task",
                 budget=100.0,
                 topology=topo,
-                outcome=ExperienceOutcome(success=reward > 0, actual_cost=100.0),
+                success=reward > 0,
+                actual_cost=100.0,
             )
         )
     return ExperienceDataset(experiences=tuple(experiences))
@@ -390,28 +391,50 @@ def test_load_reads_format_1(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
-def _tampered_weights(tmp_path, layer, values):
-    path = tmp_path / "policy.json"
-    save_params(init_params(seed=33), path)
-    doc = json.loads(path.read_text())
-    doc["layers"][layer]["values"] = values
-    path.write_text(json.dumps(doc))
-    return path
+def _set_values(layer, values):
+    def tamper(doc):
+        doc["layers"][layer]["values"] = values
+        return doc
+
+    return tamper
+
+
+def _drop(*keys):
+    """Delete doc[keys[0]]...[keys[-1]]."""
+
+    def tamper(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return doc
+
+    return tamper
 
 
 @pytest.mark.parametrize(
-    "layer, values, message",
+    "tamper, message",
     [
-        ("head_b", base64.b64encode(np.zeros(3).tobytes()).decode(), "layer head_b holds 24 bytes"),
-        ("core_w", "not base64!", "layer core_w is not valid base64"),
-        ("budget_b", base64.b64encode(np.full(64, np.inf).tobytes()).decode(), "layer budget_b has non-finite"),
-        ("embed_b", base64.b64encode(np.full(64, np.nan).tobytes()).decode(), "layer embed_b has non-finite"),
+        (_set_values("head_b", base64.b64encode(np.zeros(3).tobytes()).decode()), "layer head_b holds 24 bytes"),
+        (_set_values("core_w", "not base64!"), "layer core_w is not valid base64"),
+        (_set_values("budget_b", base64.b64encode(np.full(64, np.inf).tobytes()).decode()), "layer budget_b has non-finite"),
+        (_set_values("embed_b", base64.b64encode(np.full(64, np.nan).tobytes()).decode()), "layer embed_b has non-finite"),
+        (lambda doc: [doc], "weights file must hold a JSON object, got list"),
+        (_drop("meta"), "the file has no 'meta'"),
+        (_drop("layers"), "the file has no 'layers'"),
+        (_drop("layers", "core_w"), "layers has no 'core_w'"),
+        (_drop("layers", "head_w", "shape"), "layer head_w has no 'shape'"),
+        (_drop("layers", "head_w", "values"), "layer head_w has no 'values'"),
     ],
-    ids=["short", "not_base64", "inf", "nan"],
+    ids=["short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values"],
 )
-def test_load_rejects_corrupt_layer(tmp_path, layer, values, message):
-    with pytest.raises(ValueError, match=message):
-        load_params(_tampered_weights(tmp_path, layer, values))
+def test_load_rejects_corrupt_layer(tmp_path, tamper, message):
+    path = tmp_path / "policy.json"
+    save_params(init_params(seed=33), path)
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as excinfo:
+        load_params(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("budget_ref", [0.0, -500.0, None], ids=["zero", "negative", "null"])

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from budgetagents.profile import TaskSpec, load_profile, profile_from_dict
 
@@ -17,6 +19,14 @@ def test_defaults():
 def test_t_out_from_samples():
     profile = profile_from_dict({"tasks": [], "output_token_samples": [120, 480, 333]})
     assert profile.t_out == 480
+    assert profile_from_dict({"tasks": [], "output_token_samples": []}).t_out == 500
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=60))
+def test_t_out_is_max_of_samples(lengths):
+    t_out = profile_from_dict({"tasks": [], "output_token_samples": lengths}).t_out
+    assert t_out in lengths
+    assert all(t_out >= x for x in lengths)
 
 
 def test_explicit_t_out_wins():
@@ -34,6 +44,38 @@ def test_unknown_role_rejected():
 def test_task_without_text_rejected():
     with pytest.raises(ValueError, match="missing 'text'"):
         profile_from_dict({"tasks": [{"id": "a"}]})
+
+
+def test_profile_not_an_object_rejected():
+    with pytest.raises(ValueError, match="task profile must be an object, got list"):
+        profile_from_dict([{"text": "a"}])
+
+
+@pytest.mark.parametrize(
+    "tasks, message",
+    [(["hi"], "task #0: must be an object"), ([{"text": "a"}, 7], "task #1: must be an object")],
+    ids=["string", "number_after_valid"],
+)
+def test_task_not_an_object_rejected(tasks, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict({"tasks": tasks})
+
+
+@pytest.mark.parametrize(
+    "max_tokens, message",
+    [
+        ({"executor": 0}, "max_tokens.executor must be an integer > 0, got 0"),
+        ({"critic": -5}, "max_tokens.critic must be an integer > 0"),
+        ({"planner": "384"}, "max_tokens.planner must be an integer > 0"),
+        ({"planner": 384.5}, "max_tokens.planner must be an integer > 0"),
+        ({"executor": True}, "max_tokens.executor must be an integer > 0"),
+        ([384], "max_tokens must be an object"),
+    ],
+    ids=["zero", "negative", "string", "float", "bool", "list"],
+)
+def test_bad_max_tokens_rejected(max_tokens, message):
+    with pytest.raises(ValueError, match=message):
+        profile_from_dict({"tasks": [], "max_tokens": max_tokens})
 
 
 def test_load_from_file(tmp_path):

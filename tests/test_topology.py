@@ -11,7 +11,6 @@ from budgetagents.topology import (
     RunTrace,
     Topology,
     TOPOLOGY_NAMES,
-    count_oob,
     execute,
     expand_pool,
     staffable_topologies,
@@ -127,6 +126,15 @@ def test_expand_pool_orders_by_tier():
         "gpt-4.1-nano#2",
         "gpt-4.1-nano#3",
     ]
+    # A tier with several members cycles through them in declaration order.
+    alt = ModelSpec("nano-alt", 2, 0.10, 0.40, "openai")
+    pool = expand_pool(ModelCatalog([DEEPSEEK, NANO, alt]), (1, 3))
+    assert [(i.model, i.label) for i in pool] == [
+        (DEEPSEEK, "deepseek-v3#1"),
+        (NANO, "gpt-4.1-nano#1"),
+        (alt, "nano-alt#1"),
+        (NANO, "gpt-4.1-nano#2"),
+    ]
 
 
 def test_topology_names_round_trip():
@@ -178,7 +186,7 @@ def test_ledger_matches_shadow_sum():
     trace = execute(TASK, pool, Topology.LINEAR, 10_000.0, backends, EVAL)
     shadow = 0.0
     for call in trace.calls:
-        shadow += estimate_cost(NANO, call.t_in, call.t_out).unit_cost
+        shadow += estimate_cost(NANO, call.t_in, call.t_out)
     assert trace.cumulative_cost == shadow
 
 
@@ -440,13 +448,3 @@ def test_byte_determinism():
     t1 = execute(TASK, pool, Topology.STAR, 1000.0, registry(rules)[0], EVAL)
     t2 = execute(TASK, pool, Topology.STAR, 1000.0, registry(rules)[0], EVAL)
     assert t1.to_json().encode() == t2.to_json().encode()
-
-
-def test_count_oob():
-    assert count_oob([]) == 0
-    traces = []
-    for cost, budget in ((50.0, 100.0), (150.0, 100.0), (99.0, 100.0)):
-        traces.append(
-            RunTrace(task_id="t", topology="linear", budget=budget, cumulative_cost=cost, oob=cost > budget)
-        )
-    assert count_oob(traces) == 1
