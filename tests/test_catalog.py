@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
 from budgetagents.profile import profile_from_dict
+from budgetagents.topology import expand_pool
 
 DEEPSEEK = ModelSpec("deepseek-v3", 1, 0.27, 1.10, "deepseek")
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
@@ -92,6 +93,18 @@ def test_catalog_multi_model_tier_uses_max_cost():
     costly = ModelSpec("nano-alt", 2, 0.20, 0.80, "openai")
     catalog = ModelCatalog([DEEPSEEK, NANO, costly])
     assert catalog.tier_costs(500, 500) == pytest.approx([685.0, 500.0])
+
+
+def test_instances_cycle_declaration_order():
+    # A tier with several members cycles through them in declaration order.
+    alt = ModelSpec("nano-alt", 2, 0.10, 0.40, "openai")
+    pool = expand_pool(ModelCatalog([DEEPSEEK, NANO, alt]), (1, 3))
+    assert [(i.model, i.label) for i in pool] == [
+        (DEEPSEEK, "deepseek-v3#1"),
+        (NANO, "gpt-4.1-nano#1"),
+        (alt, "nano-alt#1"),
+        (NANO, "gpt-4.1-nano#2"),
+    ]
 
 
 def test_catalog_json_round_trip(tmp_path):

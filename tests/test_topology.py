@@ -126,15 +126,6 @@ def test_expand_pool_orders_by_tier():
         "gpt-4.1-nano#2",
         "gpt-4.1-nano#3",
     ]
-    # A tier with several members cycles through them in declaration order.
-    alt = ModelSpec("nano-alt", 2, 0.10, 0.40, "openai")
-    pool = expand_pool(ModelCatalog([DEEPSEEK, NANO, alt]), (1, 3))
-    assert [(i.model, i.label) for i in pool] == [
-        (DEEPSEEK, "deepseek-v3#1"),
-        (NANO, "gpt-4.1-nano#1"),
-        (alt, "nano-alt#1"),
-        (NANO, "gpt-4.1-nano#2"),
-    ]
 
 
 def test_topology_names_round_trip():
