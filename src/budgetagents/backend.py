@@ -9,13 +9,17 @@ token usage reported by the backend, never local tokenization.
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
+import select
+import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,21 @@ class ScriptRule:
         return " ".join(rng.choice(_FILLER_WORDS) for _ in range(n_words))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The check and its description for each field of a mock_script rule.
+_RULE_FIELDS = {
+    "role": (lambda v: isinstance(v, str), "a string"),
+    "step": (lambda v: v is None or (_is_int(v) and v > 0), "null or an integer > 0"),
+    "text": (lambda v: v is None or isinstance(v, str), "null or a string"),
+    "seed": (lambda v: v is None or _is_int(v), "null or an integer"),
+    "completion_tokens": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "prompt_tokens": (lambda v: v is None or (_is_int(v) and v >= 0), "null or an integer >= 0"),
+}
+
+
 class ScriptedBackend:
     """Deterministic mock backend driven by an ordered rule list.
 
@@ -124,18 +143,30 @@ class ScriptedBackend:
 
     @classmethod
     def from_config(cls, config: dict) -> "ScriptedBackend":
-        rules = [
-            ScriptRule(
-                role=entry.get("role", "*"),
-                step=entry.get("step"),
-                text=entry.get("text"),
-                seed=entry.get("seed"),
-                completion_tokens=int(entry.get("completion_tokens", 10)),
-                prompt_tokens=entry.get("prompt_tokens"),
+        """Builds the backend from a profile's `mock_script`, checking its shape."""
+        if not isinstance(config, dict):
+            raise ValueError(f"mock_script must be an object, got {config!r}")
+        for key in config:
+            if key not in ("rules", "default_prompt_tokens"):
+                raise ValueError(f"mock_script: unknown field {key!r}")
+        default_prompt_tokens = config.get("default_prompt_tokens", 500)
+        if not _is_int(default_prompt_tokens) or default_prompt_tokens < 0:
+            raise ValueError(
+                f"mock_script.default_prompt_tokens must be an integer >= 0, got {default_prompt_tokens!r}"
             )
-            for entry in config.get("rules", [])
-        ]
-        return cls(rules, default_prompt_tokens=int(config.get("default_prompt_tokens", 500)))
+        entries = config.get("rules", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"mock_script.rules must be a list, got {entries!r}")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"mock_script rule #{i}: must be an object, got {entry!r}")
+            for key, value in entry.items():
+                if key not in _RULE_FIELDS:
+                    raise ValueError(f"mock_script rule #{i}: unknown field {key!r}")
+                check, description = _RULE_FIELDS[key]
+                if not check(value):
+                    raise ValueError(f"mock_script rule #{i}: {key} must be {description}, got {value!r}")
+        return cls([ScriptRule(**entry) for entry in entries], default_prompt_tokens=default_prompt_tokens)
 
     def invoke(self, request: CallRequest) -> CallResponse:
         self.calls.append(request)
@@ -158,7 +189,9 @@ class HttpBackend:
 
     Issues POST <base_url>/chat/completions and trusts the provider-reported
     usage fields for token accounting. Retryable failures (transport, 429,
-    5xx) are retried exactly once with exponential backoff.
+    5xx) are retried exactly once, after a pause of `backoff_base` seconds.
+    Each thread keeps one kept-alive connection, because one backend serves
+    every collect worker; `close()` ends them all.
     """
 
     def __init__(
@@ -168,16 +201,25 @@ class HttpBackend:
         timeout: float = 60.0,
         backoff_base: float = 1.0,
         requests_per_second: float | None = None,
-        session: requests.Session | None = None,
     ):
-        self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
         self.backoff_base = backoff_base
         self._min_interval = 1.0 / requests_per_second if requests_per_second else 0.0
         self._last_request = 0.0
         self._throttle_lock = threading.Lock()  # one backend serves every collect worker
-        self._session = session or requests.Session()
+        url = urlsplit(base_url.rstrip("/"))
+        try:
+            self._host, self._port = url.hostname, url.port  # .port raises on a malformed port
+            if url.scheme not in ("http", "https") or not self._host:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {base_url!r}") from None
+        self._path = f"{url.path}/chat/completions"
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []  # every thread's, for close()
+        self._opened_lock = threading.Lock()
 
     def _throttle(self) -> None:
         if self._min_interval <= 0.0:
@@ -188,26 +230,51 @@ class HttpBackend:
                 time.sleep(wait)
             self._last_request = time.monotonic()
 
-    def _post_once(self, payload: dict) -> CallResponse:
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; one the peer closed while idle is reopened."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._tls is None:
+                conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+            else:
+                conn = http.client.HTTPSConnection(
+                    self._host, self._port, timeout=self.timeout, context=self._tls
+                )
+            self._local.conn = conn
+            with self._opened_lock:
+                self._opened.append(conn)
+        elif conn.sock is not None and _readable(conn.sock):
+            # An idle socket that reads is at EOF (or holds bytes nobody asked
+            # for): sending on it would fail only after the POST went out.
+            conn.close()
+        return conn
+
+    def close(self) -> None:
+        """Closes every thread's kept-alive connection. A later call reconnects."""
+        with self._opened_lock:
+            for conn in self._opened:
+                conn.close()
+
+    def _post_once(self, body: bytes) -> CallResponse:
         self._throttle()
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        conn = self._connection()
         try:
-            response = self._session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.Timeout as exc:
+            conn.request("POST", self._path, body=body, headers=headers)
+            response = conn.getresponse()
+            status, raw = response.status, response.read()
+        except TimeoutError as exc:
+            conn.close()
             raise TransportError(f"request timed out after {self.timeout}s") from exc
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if not 200 <= response.status_code < 300:
-            raise HTTPStatusError(response.status_code, response.text[:500])
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(str(exc) or type(exc).__name__) from exc
+        if not 200 <= status < 300:
+            raise HTTPStatusError(status, raw.decode("utf-8", "replace")[:500])
         try:
-            data = response.json()
+            data = json.loads(raw)
             text = data["choices"][0]["message"]["content"]
             usage = data["usage"]
             prompt_tokens = int(usage["prompt_tokens"])
@@ -228,10 +295,18 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        body = json.dumps(payload, allow_nan=False).encode()
         try:
-            return self._post_once(payload)
+            return self._post_once(body)
         except BackendError as exc:
             if not exc.retryable:
                 raise
             time.sleep(self.backoff_base)
-            return self._post_once(payload)
+            return self._post_once(body)
+
+
+def _readable(sock: socket.socket) -> bool:
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed, or a descriptor beyond select's range
+        return True

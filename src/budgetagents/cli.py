@@ -185,12 +185,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
-    """Factory returning a fresh backend registry per run."""
+    """Returns (factory, close): the factory gives a fresh backend registry
+    per run, and close ends the HTTP backends' kept-alive connections."""
     if config.mock:
         script = profile.mock_script
         if script is None:
             raise ConfigError("mock mode requires a 'mock_script' section in the task profile")
-        covered = {rule.get("role", "*") for rule in script.get("rules", [])}
+        parsed = backend.ScriptedBackend.from_config(script)  # checked once, not per run
+        covered = {rule.role for rule in parsed.rules}
         missing = [
             role for role in ("executor", "critic", "planner")
             if role not in covered and "*" not in covered
@@ -199,10 +201,10 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
             raise ConfigError(f"mock_script has no rule for role(s): {', '.join(missing)}")
 
         def factory():
-            mock = backend.ScriptedBackend.from_config(script)
+            mock = backend.ScriptedBackend(parsed.rules, parsed.default_prompt_tokens)
             return {m.backend_id: mock for m in catalog.models}
 
-        return factory
+        return factory, lambda: None
 
     endpoints = {}
     catalog_doc = json.loads(Path(config.catalog_path).read_text(encoding="utf-8"))
@@ -228,10 +230,11 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
             requests_per_second=entry.get("requests_per_second"),
         )
 
-    def factory():
-        return endpoints
+    def close():
+        for endpoint in endpoints.values():
+            endpoint.close()
 
-    return factory
+    return (lambda: endpoints), close
 
 
 def _provision_path(config: RunConfig, budget: float) -> Path:
@@ -306,7 +309,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
     catalog = ModelCatalog.load(config.catalog_path)
     profile = load_profile(config.profile_path)
     pools = _load_pools(config, catalog)
-    factory = _build_backends(config, catalog, profile)
+    factory, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
 
     header = {"catalog_hash": catalog.content_hash(), "seed": config.seed}
@@ -315,18 +318,21 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
         header["collected_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    ds = dataset.collect(
-        list(profile.tasks),
-        config.budgets,
-        pools,
-        factory,
-        evaluator,
-        limits=config.limits,
-        max_tokens=profile.max_tokens,
-        planned_t_in=profile.t_in,
-        header=header,
-        jobs=config.jobs,
-    )
+    try:
+        ds = dataset.collect(
+            list(profile.tasks),
+            config.budgets,
+            pools,
+            factory,
+            evaluator,
+            limits=config.limits,
+            max_tokens=profile.max_tokens,
+            planned_t_in=profile.t_in,
+            header=header,
+            jobs=config.jobs,
+        )
+    finally:
+        close_backends()
     out_path = Path(config.out_dir) / "dataset.jsonl"
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     dataset.save(ds, out_path)
@@ -380,7 +386,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     catalog = ModelCatalog.load(config.catalog_path)
     profile = load_profile(config.profile_path)
-    factory = _build_backends(config, catalog, profile)
+    factory, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
 
     override = topology_from_name(args.topology) if args.topology else None
@@ -416,23 +422,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         topologies = [override] * len(tasks)
     traces = []
-    for task, topo in zip(tasks, topologies):
-        trace = topology.execute(
-            task,
-            pool,
-            topo,
-            budget,
-            factory(),
-            evaluator,
-            limits=config.limits,
-            max_tokens=profile.max_tokens,
-            planned_t_in=profile.t_in,
-        )
-        traces.append(trace)
-        print(
-            f"{task.task_id}: topology={trace.topology} cost={trace.cumulative_cost:g} "
-            f"success={trace.success} oob={trace.oob} answer={trace.final_answer!r}"
-        )
+    try:
+        for task, topo in zip(tasks, topologies):
+            trace = topology.execute(
+                task,
+                pool,
+                topo,
+                budget,
+                factory(),
+                evaluator,
+                limits=config.limits,
+                max_tokens=profile.max_tokens,
+                planned_t_in=profile.t_in,
+            )
+            traces.append(trace)
+            print(
+                f"{task.task_id}: topology={trace.topology} cost={trace.cumulative_cost:g} "
+                f"success={trace.success} oob={trace.oob} answer={trace.final_answer!r}"
+            )
+    finally:
+        close_backends()
 
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     if args.task:

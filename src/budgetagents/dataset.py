@@ -180,13 +180,15 @@ def load(path: str | Path) -> ExperienceDataset:
             continue
         try:
             record = json.loads(line)
+            if not isinstance(record["success"], bool):
+                raise ValueError(f"'success' must be true or false, got {record['success']!r}")
             experiences.append(
                 Experience(
                     task_id=record["task_id"],
                     task_text=record["task_text"],
                     budget=float(record["budget"]),
                     topology=int(record["topology"]),
-                    success=bool(record["success"]),
+                    success=record["success"],
                     actual_cost=float(record["actual_cost"]),
                     error=record.get("error"),
                 )

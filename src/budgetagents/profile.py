@@ -33,6 +33,13 @@ class TaskProfile:
     mock_script: dict | None = None
 
 
+def _count(value, name: str, zero_ok: bool = False) -> int:
+    """A token count: an integer (not a bool) > 0, or >= 0 with `zero_ok`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < (0 if zero_ok else 1):
+        raise ValueError(f"{name} must be an integer {'>= 0' if zero_ok else '> 0'}, got {value!r}")
+    return value
+
+
 def load_profile(path: str | Path) -> TaskProfile:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
@@ -57,12 +64,17 @@ def profile_from_dict(data: dict) -> TaskProfile:
         except KeyError:
             raise ValueError(f"task #{i}: missing 'text'") from None
 
-    t_in = int(data.get("t_in", DEFAULT_INPUT_TOKENS))
+    t_in = _count(data.get("t_in", DEFAULT_INPUT_TOKENS), "t_in")
+    samples = data.get("output_token_samples", [])
+    if not isinstance(samples, list):
+        raise ValueError(f"output_token_samples must be a list, got {samples!r}")
+    # A sampled output may be empty; an explicit estimate may not.
+    samples = [_count(v, f"output_token_samples[{i}]", zero_ok=True) for i, v in enumerate(samples)]
     if "t_out" in data:
-        t_out = int(data["t_out"])
-    elif data.get("output_token_samples"):
+        t_out = _count(data["t_out"], "t_out")
+    elif samples:
         # Upper bound on output tokens: the longest sampled output.
-        t_out = max(int(v) for v in data["output_token_samples"])
+        t_out = max(samples)
     else:
         t_out = DEFAULT_OUTPUT_TOKENS
 
@@ -73,9 +85,7 @@ def profile_from_dict(data: dict) -> TaskProfile:
     for role, value in limits.items():
         if role not in max_tokens:
             raise ValueError(f"unknown role {role!r} in max_tokens")
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ValueError(f"max_tokens.{role} must be an integer > 0, got {value!r}")
-        max_tokens[role] = value
+        max_tokens[role] = _count(value, f"max_tokens.{role}")
 
     return TaskProfile(
         tasks=tuple(tasks),

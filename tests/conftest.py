@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -16,6 +17,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         self.server.requests.append({"path": self.path, "body": body, "headers": dict(self.headers)})
+        if self.server.delay:
+            time.sleep(self.server.delay)
         if not self.server.responses:
             status, payload = 200, {"ok": True}
         else:
@@ -34,11 +37,41 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(_Handler):
+    """HTTP/1.1: the connection stays open between requests until it has been
+    idle for the server's `idle_timeout` seconds."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout
+        super().setup()
+
+
 class FakeServer(ThreadingHTTPServer):
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _Handler)
+    """The default handler speaks HTTP/1.0 and closes after every response."""
+
+    def __init__(self, handler=_Handler):
+        super().__init__(("127.0.0.1", 0), handler)
         self.requests: list[dict] = []
         self.responses: list[tuple[int, dict]] = []
+        self.delay = 0.0  # seconds each POST waits between being logged and answered
+        self.lock = threading.Lock()
+        self.idle_timeout: float | None = None
+        self.connections = 0
+        self.closed = 0  # connections whose handler has finished
+
+    def process_request(self, request, client_address):
+        self.connections += 1  # the serving thread accepts one connection at a time
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.closed += 1
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out leaves the delayed handler a closed socket
 
     @property
     def url(self) -> str:
@@ -48,11 +81,19 @@ class FakeServer(ThreadingHTTPServer):
         self.responses.append((status, payload))
 
 
-@pytest.fixture
-def fake_server():
-    server = FakeServer()
+def _serving(server: FakeServer):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def fake_server():
+    yield from _serving(FakeServer())
+
+
+@pytest.fixture
+def keep_alive_server():
+    yield from _serving(FakeServer(_KeepAliveHandler))

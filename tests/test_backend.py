@@ -1,4 +1,7 @@
+import re
+import sys
 import threading
+import time
 
 import pytest
 
@@ -89,6 +92,35 @@ def test_from_config():
     assert (response.text, response.prompt_tokens, response.completion_tokens) == ("hi", 123, 4)
 
 
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ([{"role": "executor"}], "mock_script must be an object"),
+        ({"rules": {"role": "executor"}}, "mock_script.rules must be a list"),
+        ({"rules": [], "default_prompt_tokens": "500"}, "mock_script.default_prompt_tokens must be an integer"),
+        ({"rules": [], "rule": []}, "mock_script: unknown field 'rule'"),
+        ({"rules": ["x"]}, "mock_script rule #0: must be an object, got 'x'"),
+        ({"rules": [{"text": "a"}, {"completion_tokens": "ten"}]},
+         "mock_script rule #1: completion_tokens must be an integer >= 0, got 'ten'"),
+        ({"rules": [{"completion_tokens": -1}]}, "mock_script rule #0: completion_tokens must be"),
+        ({"rules": [{"role": None}]}, "mock_script rule #0: role must be a string"),
+        ({"rules": [{"step": 0}]}, "mock_script rule #0: step must be null or an integer > 0"),
+        ({"rules": [{"text": 42}]}, "mock_script rule #0: text must be null or a string"),
+        ({"rules": [{"seed": 1.5}]}, "mock_script rule #0: seed must be null or an integer"),
+        ({"rules": [{"prompt_tokens": True}]}, "mock_script rule #0: prompt_tokens must be"),
+        ({"rules": [{"text": "a"}, {"txt": "b"}]}, "mock_script rule #1: unknown field 'txt'"),
+    ],
+    ids=[
+        "script_list", "rules_object", "default_string", "unknown_script_field", "rule_string",
+        "tokens_string", "tokens_negative", "role_null", "step_zero", "text_number", "seed_float",
+        "prompt_bool", "unknown_rule_field",
+    ],
+)
+def test_from_config_rejects_malformed_script(script, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        ScriptedBackend.from_config(script)
+
 def test_request_log_records_prompts():
     backend = ScriptedBackend([ScriptRule(text="ok")])
     backend.invoke(request(role="planner"))
@@ -160,6 +192,103 @@ def test_http_transport_error_retries_then_raises():
     with pytest.raises(TransportError):
         backend.invoke(request())
 
+
+
+def test_http_keep_alive_reuses_one_connection(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, backoff_base=0.01)
+    for _ in range(2):
+        keep_alive_server.enqueue(200, chat_payload())
+        assert backend.invoke(request()).text == "hello"
+    assert len(keep_alive_server.requests) == 2
+    assert keep_alive_server.connections == 1
+    backend.close()
+
+
+def test_http_idle_close_reconnects_without_a_second_post(keep_alive_server):
+    keep_alive_server.idle_timeout = 0.05
+    backend = HttpBackend(keep_alive_server.url, backoff_base=0.01)
+    keep_alive_server.enqueue(200, chat_payload("first"))
+    assert backend.invoke(request()).text == "first"
+    time.sleep(0.5)  # the server drops the idle connection after 0.05 s
+    attempts = []
+    post_once = backend._post_once
+    backend._post_once = lambda body: attempts.append(body) or post_once(body)
+    keep_alive_server.enqueue(200, chat_payload("second"))
+    assert backend.invoke(request()).text == "second"
+    assert len(attempts) == 1  # no failed attempt on the dropped connection, no retry
+    assert len(keep_alive_server.requests) == 2
+    assert keep_alive_server.connections == 2
+    backend.close()
+
+
+def test_http_threads_share_one_backend(keep_alive_server):
+    for _ in range(20):
+        keep_alive_server.enqueue(200, chat_payload())
+    backend = HttpBackend(keep_alive_server.url, backoff_base=0.01)
+    start = threading.Barrier(4)
+    texts = []
+
+    def worker():
+        start.wait()
+        for _ in range(5):
+            texts.append(backend.invoke(request()).text)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert texts == ["hello"] * 20
+    assert len(keep_alive_server.requests) == 20
+    assert keep_alive_server.connections == 4  # one kept-alive connection per thread
+    backend.close()
+
+
+def test_http_close_closes_every_threads_connection(keep_alive_server):
+    backend = HttpBackend(keep_alive_server.url, backoff_base=0.01)
+    for _ in range(3):
+        keep_alive_server.enqueue(200, chat_payload())
+    backend.invoke(request())
+    worker = threading.Thread(target=backend.invoke, args=(request(),))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert keep_alive_server.connections == 2
+    backend.close()
+    deadline = time.monotonic() + 5
+    while keep_alive_server.closed < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert keep_alive_server.closed == 2  # the server saw both connections end
+    assert backend.invoke(request()).text == "hello"  # and a later call reconnects
+    assert keep_alive_server.connections == 3
+    backend.close()
+
+
+def test_http_timeout_retries_once_then_raises(fake_server):
+    fake_server.delay = 1.0
+    backend = HttpBackend(fake_server.url, timeout=0.1, backoff_base=0.01)
+    with pytest.raises(TransportError, match="timed out"):
+        backend.invoke(request())
+    assert len(fake_server.requests) == 2
+
+
+def test_http_base_url_path_prefix_is_kept(fake_server):
+    fake_server.enqueue(200, chat_payload())
+    backend = HttpBackend(fake_server.url + "/v1/", backoff_base=0.01)
+    backend.invoke(request())
+    assert fake_server.requests[0]["path"] == "/v1/chat/completions"
+
+
+@pytest.mark.parametrize("url", ["api.example.com/v1", "ftp://example.com", "http://", "http://host:port"])
+def test_http_malformed_base_url_rejected(url):
+    with pytest.raises(ValueError, match="base_url must be an http"):
+        HttpBackend(url)
 
 def test_throttle_spaces_requests_across_threads():
     stamps = []

@@ -420,6 +420,26 @@ def test_malformed_catalog_rejected_before_any_work(workdir, capsys, models, nam
 
 
 @pytest.mark.parametrize(
+    "script, message",
+    [
+        ({"rules": ["x"]}, "mock_script rule #0: must be an object"),
+        ([], "mock_script must be an object"),
+        ({"rules": [{"role": "*", "completion_tokens": "ten"}]}, "mock_script rule #0: completion_tokens"),
+    ],
+    ids=["rule_string", "script_list", "tokens_string"],
+)
+def test_malformed_mock_script_rejected_before_any_work(workdir, capsys, script, message):
+    profile = json.loads(json.dumps(PROFILE))
+    profile["mock_script"] = script
+    (workdir / "profile.json").write_text(json.dumps(profile))
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear", "--task", "x")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("requests_per_second", "5"),
@@ -445,16 +465,24 @@ def test_malformed_backend_entry_rejected_before_any_call(workdir, capsys, key, 
     assert captured.out == ""
 
 
-def test_module_entry_point_runs_the_command(tmp_path):
+def python_with_src(*args):
+    """Runs a fresh interpreter that imports the package from this checkout."""
     src = str(Path(budgetagents.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
     missing = tmp_path / "missing.jsonl"
-    result = subprocess.run(
-        [sys.executable, "-m", "budgetagents.cli", "report", str(missing)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = python_with_src("-m", "budgetagents.cli", "report", str(missing))
     assert result.returncode == 1
     assert f"trace file not found: {missing}" in result.stderr
+
+
+def test_cli_start_up_does_not_import_requests():
+    result = python_with_src("-c", "import budgetagents.cli, sys; print('requests' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_explicit_config_sections_accepted(workdir):

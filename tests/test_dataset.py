@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from budgetagents.backend import ScriptedBackend, ScriptRule
@@ -185,6 +187,20 @@ def test_load_rejects_out_of_range_topology(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load(path)
 
+
+
+@pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
+def test_load_rejects_non_boolean_success(tmp_path, value):
+    path = tmp_path / "success.jsonl"
+    path.write_text(
+        '{"version": 1}\n'
+        '{"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 0, '
+        '"success": true, "actual_cost": 1.0}\n'
+        '{"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 1, '
+        f'"success": {value}, "actual_cost": 1.0}}\n'
+    )
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: 'success' must be true or false"):
+        load(path)
 
 def test_rewards_not_stored(tmp_path):
     path = tmp_path / "data.jsonl"

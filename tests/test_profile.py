@@ -78,6 +78,33 @@ def test_bad_max_tokens_rejected(max_tokens, message):
         profile_from_dict({"tasks": [], "max_tokens": max_tokens})
 
 
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"t_in": None}, "t_in must be an integer > 0, got None"),
+        ({"t_in": 0}, "t_in must be an integer > 0, got 0"),
+        ({"t_in": "500"}, "t_in must be an integer > 0, got '500'"),
+        ({"t_out": None}, "t_out must be an integer > 0, got None"),
+        ({"t_out": 2.9}, "t_out must be an integer > 0, got 2.9"),
+        ({"t_out": -1}, "t_out must be an integer > 0, got -1"),
+        ({"t_out": True}, "t_out must be an integer > 0, got True"),
+        ({"output_token_samples": [120, 2.5]}, r"output_token_samples\[1\] must be an integer >= 0, got 2.5"),
+        ({"output_token_samples": [-3]}, r"output_token_samples\[0\] must be an integer >= 0, got -3"),
+        ({"output_token_samples": [False]}, r"output_token_samples\[0\] must be an integer >= 0, got False"),
+        ({"output_token_samples": 400}, "output_token_samples must be a list, got 400"),
+        ({"t_out": 300, "output_token_samples": ["x"]}, r"output_token_samples\[0\] must be an integer"),
+    ],
+    ids=[
+        "t_in_null", "t_in_zero", "t_in_string", "t_out_null", "t_out_float", "t_out_negative",
+        "t_out_bool", "sample_float", "sample_negative", "sample_bool", "samples_not_list",
+        "samples_checked_beside_t_out",
+    ],
+)
+def test_bad_token_estimates_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        profile_from_dict({"tasks": [], **fields})
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({
