@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Protocol
 from urllib.parse import urlsplit
 
+from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive
+
 
 @dataclass(frozen=True)
 class CallRequest:
@@ -112,19 +114,16 @@ class ScriptRule:
         return " ".join(rng.choice(_FILLER_WORDS) for _ in range(n_words))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# The check and its description for each field of a mock_script rule.
+# The spec of each field of a mock_script rule, and of the script itself.
 _RULE_FIELDS = {
-    "role": (lambda v: isinstance(v, str), "a string"),
-    "step": (lambda v: v is None or (_is_int(v) and v > 0), "null or an integer > 0"),
-    "text": (lambda v: v is None or isinstance(v, str), "null or a string"),
-    "seed": (lambda v: v is None or _is_int(v), "null or an integer"),
-    "completion_tokens": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "prompt_tokens": (lambda v: v is None or (_is_int(v) and v >= 0), "null or an integer >= 0"),
+    "role": STRING,
+    "step": nullable(positive(INT)),
+    "text": nullable(STRING),
+    "seed": nullable(INT),
+    "completion_tokens": non_negative(INT),
+    "prompt_tokens": nullable(non_negative(INT)),
 }
+_SCRIPT_FIELDS = {"rules": each(obj(_RULE_FIELDS)), "default_prompt_tokens": non_negative(INT)}
 
 
 class ScriptedBackend:
@@ -144,29 +143,11 @@ class ScriptedBackend:
     @classmethod
     def from_config(cls, config: dict) -> "ScriptedBackend":
         """Builds the backend from a profile's `mock_script`, checking its shape."""
-        if not isinstance(config, dict):
-            raise ValueError(f"mock_script must be an object, got {config!r}")
-        for key in config:
-            if key not in ("rules", "default_prompt_tokens"):
-                raise ValueError(f"mock_script: unknown field {key!r}")
-        default_prompt_tokens = config.get("default_prompt_tokens", 500)
-        if not _is_int(default_prompt_tokens) or default_prompt_tokens < 0:
-            raise ValueError(
-                f"mock_script.default_prompt_tokens must be an integer >= 0, got {default_prompt_tokens!r}"
-            )
-        entries = config.get("rules", [])
-        if not isinstance(entries, list):
-            raise ValueError(f"mock_script.rules must be a list, got {entries!r}")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"mock_script rule #{i}: must be an object, got {entry!r}")
-            for key, value in entry.items():
-                if key not in _RULE_FIELDS:
-                    raise ValueError(f"mock_script rule #{i}: unknown field {key!r}")
-                check, description = _RULE_FIELDS[key]
-                if not check(value):
-                    raise ValueError(f"mock_script rule #{i}: {key} must be {description}, got {value!r}")
-        return cls([ScriptRule(**entry) for entry in entries], default_prompt_tokens=default_prompt_tokens)
+        check(config, _SCRIPT_FIELDS, "mock_script")
+        return cls(
+            [ScriptRule(**entry) for entry in config.get("rules", [])],
+            default_prompt_tokens=config.get("default_prompt_tokens", 500),
+        )
 
     def invoke(self, request: CallRequest) -> CallResponse:
         self.calls.append(request)

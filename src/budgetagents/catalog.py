@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .schema import INT, NUMBER, STRING, check, each, obj
+
 DEFAULT_INPUT_TOKENS = 500
 DEFAULT_OUTPUT_TOKENS = 500
 
@@ -44,6 +46,21 @@ def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
     if t_in < 0 or t_out < 0:
         raise ValueError("token counts must be >= 0")
     return t_in * model.price_in + t_out * model.price_out
+
+
+# One entry of the catalog's 'models' list; ranges are checked by ModelSpec.
+_MODEL_FIELDS = {
+    "name": STRING,
+    "tier": INT,
+    "price_in_per_mtok": NUMBER,
+    "price_out_per_mtok": NUMBER,
+    "backend_id": STRING,
+}
+# Each 'backends' entry is checked where it is used (cli, real runs only).
+_CATALOG_FIELDS = {
+    "models": each(obj(_MODEL_FIELDS, required=tuple(_MODEL_FIELDS))),
+    "backends": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 class ModelCatalog:
@@ -108,27 +125,17 @@ class ModelCatalog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelCatalog":
-        entries = data.get("models") if isinstance(data, dict) else None
-        if not isinstance(entries, list):
-            raise ValueError("catalog config must contain a 'models' list")
-        models = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"catalog model #{i}: must be an object, got {entry!r}")
-            try:
-                spec = dict(
-                    name=entry["name"],
-                    tier=int(entry["tier"]),
-                    price_in=float(entry["price_in_per_mtok"]),
-                    price_out=float(entry["price_out_per_mtok"]),
-                    backend_id=entry["backend_id"],
-                )
-            except KeyError as exc:
-                raise ValueError(f"catalog model #{i}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"catalog model #{i}: {exc}") from None
-            models.append(ModelSpec(**spec))
-        return cls(models)
+        check(data, _CATALOG_FIELDS, required=("models",), name="catalog")
+        return cls([
+            ModelSpec(
+                name=entry["name"],
+                tier=entry["tier"],
+                price_in=float(entry["price_in_per_mtok"]),
+                price_out=float(entry["price_out_per_mtok"]),
+                backend_id=entry["backend_id"],
+            )
+            for entry in data["models"]
+        ])
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelCatalog":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -21,6 +20,7 @@ from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import TaskProfile, TaskSpec, load_profile
 from .reward import RewardConfig
+from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive
 from .topology import ExecutionLimits, Topology, topology_from_name
 
 EXIT_OK = 0
@@ -49,78 +49,43 @@ class RunConfig:
     stamp: bool = False  # include a collection timestamp in dataset headers
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-_INT = (_is_int, "an integer")
-_NUMBER = (_is_number, "a finite number")
-_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_STRING = (lambda v: isinstance(v, str), "a string")
-
-# Shape of the config file and of each section: field -> (check,
-# description). Value ranges beyond these are checked where a field is used.
-_TOP_LEVEL_FIELDS = {
-    "catalog": _STRING,
-    "task_profile": _STRING,
-    "out_dir": _STRING,
-    "budgets": (lambda v: isinstance(v, list) and all(_is_number(b) for b in v), "a list of finite numbers"),
-    "seed": _INT,
-    "jobs": _INT,
-    "instance_cap": _INT,
-    "min_agents": _INT,
-    "mock": _BOOL,
-    "stamp": _BOOL,
+# Shape of the config file: field -> spec (see schema). Value ranges beyond
+# these are checked where a field is used. The trainer's seed is the
+# top-level 'seed'.
+_CONFIG_FIELDS = {
+    "catalog": STRING,
+    "task_profile": STRING,
+    "out_dir": STRING,
+    "budgets": (lambda v: isinstance(v, list) and all(NUMBER[0](b) for b in v), "a list of finite numbers"),
+    "seed": INT,
+    "jobs": INT,
+    "instance_cap": INT,
+    "min_agents": INT,
+    "mock": BOOL,
+    "stamp": BOOL,
+    "limits": obj({
+        "max_feedback_rounds": non_negative(INT),
+        "max_replans": non_negative(INT),
+        "precall_slack": nullable(non_negative(NUMBER)),
+    }),
+    "reward": obj({f.name: NUMBER for f in fields(RewardConfig)}),
+    "trainer": obj({
+        "learning_rate": NUMBER,
+        "entropy_coeff": NUMBER,
+        "batch_size": INT,
+        "epochs": INT,
+        "adam_beta1": NUMBER,
+        "adam_beta2": NUMBER,
+        "adam_eps": NUMBER,
+        "budget_ref": nullable(NUMBER),
+    }),
 }
-_LIMITS_FIELDS = {
-    "max_feedback_rounds": _COUNT,
-    "max_replans": _COUNT,
-    "precall_slack": (lambda v: v is None or (_is_number(v) and v >= 0), "null or a finite number >= 0"),
-}
-_REWARD_FIELDS = {f.name: _NUMBER for f in fields(RewardConfig)}
-# The trainer's seed is the top-level 'seed'.
-_TRAINER_FIELDS = {
-    "learning_rate": _NUMBER,
-    "entropy_coeff": _NUMBER,
-    "batch_size": _INT,
-    "epochs": _INT,
-    "adam_beta1": _NUMBER,
-    "adam_beta2": _NUMBER,
-    "adam_eps": _NUMBER,
-    "budget_ref": (lambda v: v is None or _is_number(v), "null or a finite number"),
-}
-_SECTIONS = {"limits": _LIMITS_FIELDS, "reward": _REWARD_FIELDS, "trainer": _TRAINER_FIELDS}
-# Checked fields of one entry in the catalog's 'backends' section (real runs only).
+# One entry of the catalog's 'backends' section (real runs only).
 _BACKEND_FIELDS = {
-    "base_url": _STRING,
-    "timeout": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
-    "requests_per_second": (lambda v: v is None or (_is_number(v) and v > 0), "null or a finite number > 0"),
+    "base_url": STRING,
+    "timeout": positive(NUMBER),
+    "requests_per_second": nullable(positive(NUMBER)),
 }
-
-
-def _check_field(name: str, value, spec: tuple) -> None:
-    check, description = spec
-    if not check(value):
-        raise ConfigError(f"{name} must be {description}, got {value!r}")
-
-
-def _section(data: dict, name: str) -> dict:
-    """The config section `name`, rejected with the offending field named
-    unless every key is known and every value has the right type."""
-    spec = _SECTIONS[name]
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' must be an object, got {section!r}")
-    for key, value in section.items():
-        if key not in spec:
-            raise ConfigError(f"unknown field {name}.{key}; expected one of {', '.join(spec)}")
-        _check_field(f"{name}.{key}", value, spec[key])
-    return section
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -129,22 +94,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-    for key, value in data.items():
-        if key in _TOP_LEVEL_FIELDS:
-            _check_field(key, value, _TOP_LEVEL_FIELDS[key])
-        elif key not in _SECTIONS:
-            known = ", ".join([*_TOP_LEVEL_FIELDS, *_SECTIONS])
-            raise ConfigError(f"unknown field {key}; expected one of {known}")
+        data = check(json.loads(path.read_text(encoding="utf-8")), _CONFIG_FIELDS, name=f"config file {path}")
 
-    catalog_path = data.get("catalog")
-    profile_path = data.get("task_profile")
-    if getattr(args, "catalog", None):
-        catalog_path = args.catalog
-    if getattr(args, "profile", None):
-        profile_path = args.profile
+    catalog_path = args.catalog or data.get("catalog")
+    profile_path = args.profile or data.get("task_profile")
     if not catalog_path:
         raise ConfigError("no catalog configured (use --catalog or 'catalog' in the config file)")
     if not profile_path:
@@ -154,34 +107,26 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"file not found: {p}")
 
     budgets = [float(b) for b in data.get("budgets", [])]
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         budgets = [float(args.budget)]
     if any(b <= 0 for b in budgets):
         raise ConfigError("budgets must be > 0")
 
-    seed = data.get("seed", 42)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-
-    limits = ExecutionLimits(**_section(data, "limits"))
-    reward_cfg = RewardConfig(**_section(data, "reward"))
-
-    config = RunConfig(
+    return RunConfig(
         catalog_path=catalog_path,
         profile_path=profile_path,
         budgets=budgets,
-        out_dir=args.out if getattr(args, "out", None) else data.get("out_dir", "out"),
-        seed=seed,
-        mock=getattr(args, "mock", False) or data.get("mock", False),
-        jobs=args.jobs if getattr(args, "jobs", None) else data.get("jobs", 1),
+        out_dir=args.out or data.get("out_dir", "out"),
+        seed=data.get("seed", 42) if args.seed is None else args.seed,
+        mock=args.mock or data.get("mock", False),
+        jobs=args.jobs or data.get("jobs", 1),
         instance_cap=data.get("instance_cap", 5),
         min_agents=data.get("min_agents", 2),
-        reward=reward_cfg,
-        trainer=_section(data, "trainer"),
-        limits=limits,
+        reward=RewardConfig(**data.get("reward", {})),
+        trainer=data.get("trainer", {}),
+        limits=ExecutionLimits(**data.get("limits", {})),
         stamp=data.get("stamp", False),
     )
-    return config
 
 
 def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
@@ -207,21 +152,13 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
         return factory, lambda: None
 
     endpoints = {}
-    catalog_doc = json.loads(Path(config.catalog_path).read_text(encoding="utf-8"))
-    backend_cfg = catalog_doc.get("backends", {})
-    if not isinstance(backend_cfg, dict):
-        raise ConfigError(f"the catalog's 'backends' must be an object, got {backend_cfg!r}")
+    # ModelCatalog.load has checked that 'backends', if present, is an object.
+    backend_cfg = json.loads(Path(config.catalog_path).read_text(encoding="utf-8")).get("backends", {})
     for model in catalog.models:
         if model.backend_id in endpoints:
             continue
-        entry = backend_cfg.get(model.backend_id)
-        if not isinstance(entry, dict) or "base_url" not in entry:
-            raise ConfigError(
-                f"backend {model.backend_id!r} has no 'base_url' in the catalog's 'backends' section"
-            )
-        for key, spec in _BACKEND_FIELDS.items():
-            if key in entry:
-                _check_field(f"backends.{model.backend_id}.{key}", entry[key], spec)
+        where = f"backends.{model.backend_id}"
+        entry = check(backend_cfg.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
         api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
         endpoints[model.backend_id] = backend.HttpBackend(
             base_url=entry["base_url"],
@@ -461,8 +398,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not line.strip():
             continue
         try:
-            traces.append(topology.RunTrace.from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+            traces.append(
+                check(json.loads(line), topology.TRACE_FIELDS, required=topology.TRACE_REQUIRED, name="trace")
+            )
+        except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from None
 
     if not traces:
@@ -471,13 +410,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     n = len(traces)
-    successes = sum(1 for t in traces if t.success)
-    avg_cost = sum(t.cumulative_cost for t in traces) / n
-    oob = sum(1 for t in traces if t.oob)
+    successes = sum(1 for t in traces if t.get("success"))
+    avg_cost = sum(t["cumulative_cost"] for t in traces) / n
+    oob = sum(1 for t in traces if t["oob"])
     print(f"Acc {100.0 * successes / n:.1f}%  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
     counts = {name: 0 for name in topology.TOPOLOGY_NAMES}
     for t in traces:
-        counts[t.topology] = counts.get(t.topology, 0) + 1
+        counts[t["topology"]] += 1
     for name in topology.TOPOLOGY_NAMES:
         print(f"  {name}: {counts[name]}/{n}")
     return EXIT_OK
@@ -532,10 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,6 +22,7 @@ from typing import Callable, Mapping
 from .backend import Backend
 from .evaluators import Evaluator
 from .profile import TaskSpec
+from .schema import BOOL, INT, NUMBER, STRING, check, nullable
 from .topology import (
     AgentInstance,
     ExecutionLimits,
@@ -30,6 +31,18 @@ from .topology import (
 )
 
 FORMAT_VERSION = 1
+
+# One experience line; the topology's and the cost's ranges are Experience's.
+_ROW_FIELDS = {
+    "task_id": STRING,
+    "task_text": STRING,
+    "budget": NUMBER,
+    "topology": INT,
+    "success": BOOL,
+    "actual_cost": NUMBER,
+    "error": nullable(STRING),
+}
+_ROW_REQUIRED = tuple(key for key in _ROW_FIELDS if key != "error")
 
 
 @dataclass(frozen=True)
@@ -179,21 +192,19 @@ def load(path: str | Path) -> ExperienceDataset:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            if not isinstance(record["success"], bool):
-                raise ValueError(f"'success' must be true or false, got {record['success']!r}")
+            record = check(json.loads(line), _ROW_FIELDS, required=_ROW_REQUIRED, name="row")
             experiences.append(
                 Experience(
                     task_id=record["task_id"],
                     task_text=record["task_text"],
                     budget=float(record["budget"]),
-                    topology=int(record["topology"]),
+                    topology=record["topology"],
                     success=record["success"],
                     actual_cost=float(record["actual_cost"]),
                     error=record.get("error"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
     dataset = ExperienceDataset(

@@ -31,6 +31,7 @@ from .dataset import ExperienceDataset
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
 from .reward import Outcome, RewardConfig, compute_reward
+from .schema import ANY, INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive
 from .topology import TOPOLOGY_NAMES
 
 PROJ_DIM = 64
@@ -402,18 +403,22 @@ def save_params(params: PolicyParams, path: str | Path, seed: int | None = None)
     Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
 
 
-def _require(path: str | Path, obj, key: str, where: str):
-    """obj[key], or a ValueError naming the file and the missing part."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"{path}: {where} has no {key!r}")
-    return obj[key]
+# The weights file, both formats. A layer's values are a list of floats in
+# format 1 and a base64 string in format 2; _decode_layer checks them.
+_LAYER = obj({"shape": each(non_negative(INT)), "values": ANY}, required=("shape", "values"))
+_META = {"topologies": each(STRING), "embed_dim": INT, "budget_ref": positive(NUMBER), "seed": nullable(INT)}
+_WEIGHTS_FIELDS = {
+    "format_version": (lambda v: v in (1, 2), "1 or 2"),
+    "meta": obj(_META, required=("topologies", "embed_dim", "budget_ref")),
+    "layers": obj({name: _LAYER for name in PARAM_FIELDS}, required=PARAM_FIELDS),
+}
 
 
 def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.ndarray:
     """One layer's array; version 1 holds a list of floats, version 2 base64
     little-endian float64."""
-    shape = tuple(_require(path, layer, "shape", f"layer {name}"))
-    values = _require(path, layer, "values", f"layer {name}")
+    shape = tuple(layer["shape"])
+    values = layer["values"]
     if version == 1:
         arr = np.array(values, dtype=np.float64).reshape(shape)
     else:
@@ -434,27 +439,21 @@ def load_params(path: str | Path) -> PolicyParams:
     """Weights saved by save_params, in format 2 or the older format 1
     (values as a JSON list of floats)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: weights file must hold a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
-    if version not in (1, 2):
-        raise ValueError(f"{path}: unsupported weights format {version!r}")
-    meta = _require(path, doc, "meta", "the file")
-    topologies = _require(path, meta, "topologies", "meta")
-    expected = list(TOPOLOGY_NAMES[: len(topologies)])
-    if topologies != expected:
+    try:
+        check(doc, _WEIGHTS_FIELDS, required=tuple(_WEIGHTS_FIELDS), name="weights file")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    meta = doc["meta"]
+    expected = list(TOPOLOGY_NAMES[: len(meta["topologies"])])
+    if meta["topologies"] != expected:
         raise ValueError(
-            f"{path}: weights were trained for topologies {topologies}, "
+            f"{path}: weights were trained for topologies {meta['topologies']}, "
             f"this build has {expected}"
         )
-    budget_ref = _require(path, meta, "budget_ref", "meta")
-    if not isinstance(budget_ref, (int, float)) or not math.isfinite(budget_ref) or budget_ref <= 0:
-        raise ValueError(f"{path}: budget_ref must be a finite number > 0, got {budget_ref!r}")
-    layers = _require(path, doc, "layers", "the file")
     arrays = {
-        name: _decode_layer(path, name, _require(path, layers, name, "layers"), version)
+        name: _decode_layer(path, name, doc["layers"][name], doc["format_version"])
         for name in PARAM_FIELDS
     }
-    if arrays["embed_w"].shape[1] != _require(path, meta, "embed_dim", "meta"):
+    if arrays["embed_w"].shape[1] != meta["embed_dim"]:
         raise ValueError(f"{path}: embed_dim mismatch")
-    return PolicyParams(budget_ref=float(budget_ref), **arrays)
+    return PolicyParams(budget_ref=float(meta["budget_ref"]), **arrays)

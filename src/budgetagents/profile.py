@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS
+from .schema import ANY, INT, STRING, check, each, non_negative, nullable, obj, positive
 
 DEFAULT_MAX_TOKENS = {"planner": 384, "executor": 384, "critic": 384}
 
@@ -33,11 +34,17 @@ class TaskProfile:
     mock_script: dict | None = None
 
 
-def _count(value, name: str, zero_ok: bool = False) -> int:
-    """A token count: an integer (not a bool) > 0, or >= 0 with `zero_ok`."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < (0 if zero_ok else 1):
-        raise ValueError(f"{name} must be an integer {'>= 0' if zero_ok else '> 0'}, got {value!r}")
-    return value
+_TASK_FIELDS = {"id": STRING, "text": STRING, "answer": nullable(STRING)}
+_PROFILE_FIELDS = {
+    "tasks": each(obj(_TASK_FIELDS, required=("text",))),
+    "t_in": positive(INT),
+    # A sampled output may be empty; an explicit estimate may not.
+    "t_out": positive(INT),
+    "output_token_samples": each(non_negative(INT)),
+    "evaluator": STRING,
+    "max_tokens": obj({role: positive(INT) for role in DEFAULT_MAX_TOKENS}),
+    "mock_script": ANY,  # checked by ScriptedBackend.from_config, in mock runs
+}
 
 
 def load_profile(path: str | Path) -> TaskProfile:
@@ -47,51 +54,24 @@ def load_profile(path: str | Path) -> TaskProfile:
 
 
 def profile_from_dict(data: dict) -> TaskProfile:
-    if not isinstance(data, dict):
-        raise ValueError(f"task profile must be an object, got {type(data).__name__}")
-    tasks = []
-    for i, entry in enumerate(data.get("tasks", [])):
-        if not isinstance(entry, dict):
-            raise ValueError(f"task #{i}: must be an object, got {entry!r}")
-        try:
-            tasks.append(
-                TaskSpec(
-                    task_id=str(entry.get("id", f"task-{i}")),
-                    text=entry["text"],
-                    answer=entry.get("answer"),
-                )
-            )
-        except KeyError:
-            raise ValueError(f"task #{i}: missing 'text'") from None
-
-    t_in = _count(data.get("t_in", DEFAULT_INPUT_TOKENS), "t_in")
+    check(data, _PROFILE_FIELDS, name="task profile")
+    tasks = tuple(
+        TaskSpec(task_id=entry.get("id", f"task-{i}"), text=entry["text"], answer=entry.get("answer"))
+        for i, entry in enumerate(data.get("tasks", []))
+    )
     samples = data.get("output_token_samples", [])
-    if not isinstance(samples, list):
-        raise ValueError(f"output_token_samples must be a list, got {samples!r}")
-    # A sampled output may be empty; an explicit estimate may not.
-    samples = [_count(v, f"output_token_samples[{i}]", zero_ok=True) for i, v in enumerate(samples)]
     if "t_out" in data:
-        t_out = _count(data["t_out"], "t_out")
+        t_out = data["t_out"]
     elif samples:
         # Upper bound on output tokens: the longest sampled output.
         t_out = max(samples)
     else:
         t_out = DEFAULT_OUTPUT_TOKENS
-
-    max_tokens = dict(DEFAULT_MAX_TOKENS)
-    limits = data.get("max_tokens", {})
-    if not isinstance(limits, dict):
-        raise ValueError(f"max_tokens must be an object, got {limits!r}")
-    for role, value in limits.items():
-        if role not in max_tokens:
-            raise ValueError(f"unknown role {role!r} in max_tokens")
-        max_tokens[role] = _count(value, f"max_tokens.{role}")
-
     return TaskProfile(
-        tasks=tuple(tasks),
-        t_in=t_in,
+        tasks=tasks,
+        t_in=data.get("t_in", DEFAULT_INPUT_TOKENS),
         t_out=t_out,
         evaluator_kind=data.get("evaluator", "numeric"),
-        max_tokens=max_tokens,
+        max_tokens={**DEFAULT_MAX_TOKENS, **data.get("max_tokens", {})},
         mock_script=data.get("mock_script"),
     )

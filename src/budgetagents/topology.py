@@ -21,6 +21,7 @@ from .backend import Backend, BackendError, CallRequest
 from .catalog import ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
 from .profile import DEFAULT_MAX_TOKENS, TaskSpec
+from .schema import BOOL, INT, NUMBER, STRING, each, nullable, obj
 
 
 class Topology(IntEnum):
@@ -96,30 +97,29 @@ class RunTrace:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunTrace":
-        return cls(
-            task_id=data["task_id"],
-            topology=data["topology"],
-            budget=float(data["budget"]),
-            calls=[
-                CallRecord(
-                    model=c["model"],
-                    instance=c["instance"],
-                    role=c["role"],
-                    t_in=int(c["t_in"]),
-                    t_out=int(c["t_out"]),
-                    cost=float(c["cost"]),
-                )
-                for c in data.get("calls", [])
-            ],
-            cumulative_cost=float(data["cumulative_cost"]),
-            final_answer=data.get("final_answer"),
-            success=data.get("success"),
-            oob=bool(data["oob"]),
-            terminated_early=bool(data["terminated_early"]),
-            note=data.get("note"),
-        )
+
+# A trace line as RunTrace.to_json writes it, for readers of trace files.
+_CALL_FIELDS = {
+    "model": STRING,
+    "instance": STRING,
+    "role": STRING,
+    "t_in": INT,
+    "t_out": INT,
+    "cost": NUMBER,
+}
+TRACE_FIELDS = {
+    "task_id": STRING,
+    "topology": (lambda v: v in TOPOLOGY_NAMES, f"one of {', '.join(TOPOLOGY_NAMES)}"),
+    "budget": NUMBER,
+    "calls": each(obj(_CALL_FIELDS, required=tuple(_CALL_FIELDS))),
+    "cumulative_cost": NUMBER,
+    "final_answer": nullable(STRING),
+    "success": nullable(BOOL),
+    "oob": BOOL,
+    "terminated_early": BOOL,
+    "note": nullable(STRING),
+}
+TRACE_REQUIRED = ("task_id", "topology", "budget", "cumulative_cost", "oob", "terminated_early")
 
 
 def expand_pool(catalog: ModelCatalog, counts: Sequence[int]) -> list[AgentInstance]:

@@ -99,17 +99,17 @@ def test_from_config():
         ([{"role": "executor"}], "mock_script must be an object"),
         ({"rules": {"role": "executor"}}, "mock_script.rules must be a list"),
         ({"rules": [], "default_prompt_tokens": "500"}, "mock_script.default_prompt_tokens must be an integer"),
-        ({"rules": [], "rule": []}, "mock_script: unknown field 'rule'"),
-        ({"rules": ["x"]}, "mock_script rule #0: must be an object, got 'x'"),
+        ({"rules": [], "rule": []}, "unknown field mock_script.rule; expected one of rules, default_prompt_tokens"),
+        ({"rules": ["x"]}, "mock_script.rules[0] must be an object, got 'x'"),
         ({"rules": [{"text": "a"}, {"completion_tokens": "ten"}]},
-         "mock_script rule #1: completion_tokens must be an integer >= 0, got 'ten'"),
-        ({"rules": [{"completion_tokens": -1}]}, "mock_script rule #0: completion_tokens must be"),
-        ({"rules": [{"role": None}]}, "mock_script rule #0: role must be a string"),
-        ({"rules": [{"step": 0}]}, "mock_script rule #0: step must be null or an integer > 0"),
-        ({"rules": [{"text": 42}]}, "mock_script rule #0: text must be null or a string"),
-        ({"rules": [{"seed": 1.5}]}, "mock_script rule #0: seed must be null or an integer"),
-        ({"rules": [{"prompt_tokens": True}]}, "mock_script rule #0: prompt_tokens must be"),
-        ({"rules": [{"text": "a"}, {"txt": "b"}]}, "mock_script rule #1: unknown field 'txt'"),
+         "mock_script.rules[1].completion_tokens must be an integer >= 0, got 'ten'"),
+        ({"rules": [{"completion_tokens": -1}]}, "mock_script.rules[0].completion_tokens must be"),
+        ({"rules": [{"role": None}]}, "mock_script.rules[0].role must be a string"),
+        ({"rules": [{"step": 0}]}, "mock_script.rules[0].step must be null or an integer > 0"),
+        ({"rules": [{"text": 42}]}, "mock_script.rules[0].text must be null or a string"),
+        ({"rules": [{"seed": 1.5}]}, "mock_script.rules[0].seed must be null or an integer"),
+        ({"rules": [{"prompt_tokens": True}]}, "mock_script.rules[0].prompt_tokens must be"),
+        ({"rules": [{"text": "a"}, {"txt": "b"}]}, "unknown field mock_script.rules[1].txt;"),
     ],
     ids=[
         "script_list", "rules_object", "default_string", "unknown_script_field", "rule_string",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -116,20 +117,37 @@ def test_catalog_json_round_trip(tmp_path):
     assert loaded.content_hash() == catalog.content_hash()
 
 
+def _model(**overrides):
+    entry = {"name": "m", "tier": 1, "price_in_per_mtok": 1.0, "price_out_per_mtok": 1.0, "backend_id": "x"}
+    return {"models": [dict(entry, **overrides)]}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"models": ["a"]}, "catalog model #0: must be an object"),
-        ({"models": "a"}, "must contain a 'models' list"),
-        ([], "must contain a 'models' list"),
-        (
-            {"models": [{"name": "m", "tier": None, "price_in_per_mtok": 1,
-                         "price_out_per_mtok": 1, "backend_id": "x"}]},
-            "catalog model #0: ",
-        ),
+        ({"models": ["a"]}, "models[0] must be an object, got 'a'"),
+        ({"models": "a"}, "models must be a list, got 'a'"),
+        ([], "catalog must be an object, got []"),
+        (_model(tier=None), "models[0].tier must be an integer, got None"),
+        (_model(tier=1.7), "models[0].tier must be an integer, got 1.7"),
+        (_model(tier=True), "models[0].tier must be an integer, got True"),
+        (_model(price_in_per_mtok="0.1"), "models[0].price_in_per_mtok must be a finite number, got '0.1'"),
+        (_model(price_out_per_mtok=float("nan")), "models[0].price_out_per_mtok must be a finite number, got nan"),
+        (_model(name=7), "models[0].name must be a string, got 7"),
+        (_model(backend_id=["x"]), "models[0].backend_id must be a string, got ['x']"),
+        (_model(teir=2), "unknown field models[0].teir; expected one of name, tier, "),
     ],
-    ids=["entry_not_object", "models_not_list", "doc_not_object", "tier_null"],
+    ids=["entry_not_object", "models_not_list", "doc_not_object", "tier_null", "tier_float", "tier_bool",
+         "price_string", "price_nan", "name_number", "backend_id_list", "unknown_model_field"],
 )
 def test_from_dict_rejects_malformed_entries(doc, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         ModelCatalog.from_dict(doc)
+
+
+def test_integer_prices_load_as_floats():
+    as_ints = ModelCatalog.from_dict(_model(price_in_per_mtok=1, price_out_per_mtok=2))
+    as_floats = ModelCatalog.from_dict(_model(price_in_per_mtok=1.0, price_out_per_mtok=2.0))
+    model = as_ints.models[0]
+    assert type(model.price_in) is float and type(model.price_out) is float
+    assert as_ints.content_hash() == as_floats.content_hash()

@@ -331,17 +331,29 @@ def _trace_line(**overrides):
     return json.dumps(dict(trace, **overrides))
 
 
+_CALL = {"model": "m", "instance": "m#1", "role": "executor", "t_in": 10, "t_out": 5, "cost": 1.0}
+
+
 @pytest.mark.parametrize(
-    "bad_line",
-    ["[1, 2]", _trace_line(calls=None), _trace_line(budget="lots")],
-    ids=["array", "null_calls", "budget_string"],
+    "bad_line, named",
+    [
+        ("[1, 2]", "trace must be an object, got [1, 2]"),
+        (_trace_line(calls=None), "calls must be a list, got None"),
+        (_trace_line(budget="lots"), "budget must be a finite number, got 'lots'"),
+        (_trace_line(success="false"), "success must be null or true or false, got 'false'"),
+        (_trace_line(oob="false"), "oob must be true or false, got 'false'"),
+        (_trace_line(topology="ring"), "topology must be one of linear, star, feedback, planner, got 'ring'"),
+        (_trace_line(calls=[dict(_CALL, t_in=1.5)]), "calls[0].t_in must be an integer, got 1.5"),
+    ],
+    ids=["array", "null_calls", "budget_string", "success_string", "oob_string", "unknown_topology",
+         "call_t_in_float"],
 )
-def test_report_malformed_trace_names_its_line(workdir, capsys, bad_line):
+def test_report_malformed_trace_names_its_line(workdir, capsys, bad_line, named):
     path = workdir / "tr.jsonl"
-    path.write_text(_trace_line() + "\n" + bad_line + "\n")
+    path.write_text(_trace_line(calls=[_CALL]) + "\n" + bad_line + "\n")
     assert run("report", str(path)) == 1
     captured = capsys.readouterr()
-    assert f"{path}: line 2: " in captured.err
+    assert f"{path}: line 2: {named}" in captured.err
     assert captured.out == ""
 
 
@@ -409,7 +421,7 @@ def test_unknown_top_level_field_rejected_before_any_work(workdir, capsys, key, 
 
 @pytest.mark.parametrize(
     "models, named",
-    [(["a"], "catalog model #0: must be an object"), ("a", "'models' list")],
+    [(["a"], "models[0] must be an object, got 'a'"), ("a", "models must be a list, got 'a'")],
     ids=["entry_not_object", "models_not_list"],
 )
 def test_malformed_catalog_rejected_before_any_work(workdir, capsys, models, named):
@@ -422,9 +434,9 @@ def test_malformed_catalog_rejected_before_any_work(workdir, capsys, models, nam
 @pytest.mark.parametrize(
     "script, message",
     [
-        ({"rules": ["x"]}, "mock_script rule #0: must be an object"),
+        ({"rules": ["x"]}, "mock_script.rules[0] must be an object"),
         ([], "mock_script must be an object"),
-        ({"rules": [{"role": "*", "completion_tokens": "ten"}]}, "mock_script rule #0: completion_tokens"),
+        ({"rules": [{"role": "*", "completion_tokens": "ten"}]}, "mock_script.rules[0].completion_tokens"),
     ],
     ids=["rule_string", "script_list", "tokens_string"],
 )

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -199,7 +200,29 @@ def test_load_rejects_non_boolean_success(tmp_path, value):
         '{"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 1, '
         f'"success": {value}, "actual_cost": 1.0}}\n'
     )
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: 'success' must be true or false"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: success must be true or false"):
+        load(path)
+
+
+_ROW = {"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 0, "success": True, "actual_cost": 1.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"budget": "500"}, "budget must be a finite number, got '500'"),
+        ({"topology": 2.9}, "topology must be an integer, got 2.9"),
+        ({"actual_cost": "1.5"}, "actual_cost must be a finite number, got '1.5'"),
+        ({"task_id": 5}, "task_id must be a string, got 5"),
+        ({"task_text": None}, "task_text must be a string, got None"),
+        ({"reward": 1.0}, "unknown field reward; expected one of task_id, task_text, "),
+    ],
+    ids=["budget_string", "topology_float", "cost_string", "task_id_number", "task_text_null", "unknown_field"],
+)
+def test_load_rejects_malformed_row(tmp_path, overrides, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"version": 1}\n' + json.dumps(dict(_ROW, **overrides)) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: line 2: {message}')}"):
         load(path)
 
 def test_rewards_not_stored(tmp_path):

@@ -419,12 +419,12 @@ def _drop(*keys):
         (_set_values("core_w", "not base64!"), "layer core_w is not valid base64"),
         (_set_values("budget_b", base64.b64encode(np.full(64, np.inf).tobytes()).decode()), "layer budget_b has non-finite"),
         (_set_values("embed_b", base64.b64encode(np.full(64, np.nan).tobytes()).decode()), "layer embed_b has non-finite"),
-        (lambda doc: [doc], "weights file must hold a JSON object, got list"),
-        (_drop("meta"), "the file has no 'meta'"),
-        (_drop("layers"), "the file has no 'layers'"),
-        (_drop("layers", "core_w"), "layers has no 'core_w'"),
-        (_drop("layers", "head_w", "shape"), "layer head_w has no 'shape'"),
-        (_drop("layers", "head_w", "values"), "layer head_w has no 'values'"),
+        (lambda doc: [doc], r"weights file must be an object, got \["),
+        (_drop("meta"), "missing field meta$"),
+        (_drop("layers"), "missing field layers$"),
+        (_drop("layers", "core_w"), "missing field layers.core_w$"),
+        (_drop("layers", "head_w", "shape"), "missing field layers.head_w.shape$"),
+        (_drop("layers", "head_w", "values"), "missing field layers.head_w.values$"),
     ],
     ids=["short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values"],
 )

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -37,23 +38,23 @@ def test_explicit_t_out_wins():
 
 
 def test_unknown_role_rejected():
-    with pytest.raises(ValueError, match="unknown role"):
+    with pytest.raises(ValueError, match="unknown field max_tokens.oracle; expected one of planner, executor, critic"):
         profile_from_dict({"tasks": [], "max_tokens": {"oracle": 99}})
 
 
 def test_task_without_text_rejected():
-    with pytest.raises(ValueError, match="missing 'text'"):
+    with pytest.raises(ValueError, match=r"missing field tasks\[0\].text"):
         profile_from_dict({"tasks": [{"id": "a"}]})
 
 
 def test_profile_not_an_object_rejected():
-    with pytest.raises(ValueError, match="task profile must be an object, got list"):
+    with pytest.raises(ValueError, match=r"task profile must be an object, got \[\{'text': 'a'\}\]"):
         profile_from_dict([{"text": "a"}])
 
 
 @pytest.mark.parametrize(
     "tasks, message",
-    [(["hi"], "task #0: must be an object"), ([{"text": "a"}, 7], "task #1: must be an object")],
+    [(["hi"], r"tasks\[0\] must be an object, got 'hi'"), ([{"text": "a"}, 7], r"tasks\[1\] must be an object, got 7")],
     ids=["string", "number_after_valid"],
 )
 def test_task_not_an_object_rejected(tasks, message):
@@ -104,6 +105,26 @@ def test_bad_max_tokens_rejected(max_tokens, message):
 def test_bad_token_estimates_rejected(fields, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         profile_from_dict({"tasks": [], **fields})
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"output_tokens_samples": [900]}, "unknown field output_tokens_samples; expected one of tasks, "),
+        ({"max_token": {"executor": 99}}, "unknown field max_token; expected one of tasks, "),
+        ({"tasks": [{"text": "a", "anwser": "4"}]}, "unknown field tasks[0].anwser; expected one of id, text, answer"),
+        ({"tasks": [{"id": 7, "text": "a"}]}, "tasks[0].id must be a string, got 7"),
+        ({"tasks": [{"text": 12}]}, "tasks[0].text must be a string, got 12"),
+        ({"tasks": [{"text": None}]}, "tasks[0].text must be a string, got None"),
+        ({"tasks": [{"text": "a"}, {"text": "b", "answer": 4}]}, "tasks[1].answer must be null or a string, got 4"),
+        ({"evaluator": ["numeric"]}, "evaluator must be a string, got ['numeric']"),
+    ],
+    ids=["samples_typo", "max_tokens_typo", "answer_typo", "id_number", "text_number", "text_null",
+         "answer_number", "evaluator_list"],
+)
+def test_malformed_profile_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        profile_from_dict({"tasks": [], **fields})
+
 
 def test_load_from_file(tmp_path):
     path = tmp_path / "profile.json"

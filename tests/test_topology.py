@@ -1,14 +1,19 @@
+import json
+
 import pytest
 
+from budgetagents import cli
 from budgetagents.backend import HttpBackend, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
+from budgetagents.schema import check
 from budgetagents.topology import (
     AgentInstance,
     ExecutionLimits,
     MIN_POOL_SIZE,
-    RunTrace,
+    TRACE_FIELDS,
+    TRACE_REQUIRED,
     Topology,
     TOPOLOGY_NAMES,
     execute,
@@ -423,14 +428,28 @@ def test_success_undetermined_without_ground_truth():
     assert trace.success is None
 
 
-def test_trace_json_round_trip():
-    pool = nano_pool(2)
-    backends, _ = registry([ScriptRule(role="executor", text="42", completion_tokens=5)])
-    trace = execute(TASK, pool, Topology.LINEAR, 1000.0, backends, EVAL)
-    import json
-
-    restored = RunTrace.from_dict(json.loads(trace.to_json()))
-    assert restored == trace
+def test_trace_json_round_trip(tmp_path, capsys):
+    # Every trace execute writes passes report's check: each topology, an
+    # out-of-budget run and a backend failure.
+    pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1")] + nano_pool(2)
+    rules = [
+        ScriptRule(role="planner", text="1. multiply\n2. report", completion_tokens=20),
+        ScriptRule(role="executor", text="42", completion_tokens=5),
+        ScriptRule(role="critic", text="ACCEPT", completion_tokens=2),
+    ]
+    traces = [execute(TASK, pool, topo, 10_000.0, registry(rules)[0], EVAL) for topo in Topology]
+    traces.append(execute(TASK, pool, Topology.LINEAR, 100.0, registry(rules)[0], EVAL))
+    failing = ScriptedBackend([ScriptRule(role="critic", text="never matches")])
+    traces.append(execute(TASK, pool, Topology.LINEAR, 10_000.0, {"openai": failing, "deepseek": failing}, EVAL))
+    assert traces[4].oob and "backend failure" in traces[5].note
+    for trace in traces:
+        data = json.loads(trace.to_json())
+        assert check(data, TRACE_FIELDS, required=TRACE_REQUIRED) == trace.to_dict()
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(t.to_json() + "\n" for t in traces))
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "OOB 1/6" in out and "linear: 3/6" in out and "planner: 1/6" in out
 
 
 def test_byte_determinism():
