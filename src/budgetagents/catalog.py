@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import INT, NUMBER, STRING, check, each, obj
+from .schema import INT, NUMBER, STRING, check, each, obj, read_json
 
 DEFAULT_INPUT_TOKENS = 500
 DEFAULT_OUTPUT_TOKENS = 500
@@ -69,13 +69,16 @@ class ModelCatalog:
     Tiers must be contiguous from 1 with at least one model each. When a tier
     declares several models, its unit cost is the most expensive member
     (conservative for budgeting) and its instances cycle through the members
-    in declaration order (see topology.expand_pool).
+    in declaration order (see topology.expand_pool). `backends` is the
+    catalog file's endpoint section, keyed by backend_id; it is not part of
+    the content hash.
     """
 
-    def __init__(self, models: list[ModelSpec]):
+    def __init__(self, models: list[ModelSpec], backends: dict | None = None):
         if not models:
             raise ValueError("catalog has no models")
         self._models = tuple(models)
+        self._backends = dict(backends or {})
         declared = sorted({m.tier for m in models})
         self._num_tiers = declared[-1]
         if declared != list(range(1, self._num_tiers + 1)):
@@ -84,6 +87,10 @@ class ModelCatalog:
     @property
     def models(self) -> tuple[ModelSpec, ...]:
         return self._models
+
+    @property
+    def backends(self) -> dict:
+        return self._backends
 
     @property
     def num_tiers(self) -> int:
@@ -135,9 +142,8 @@ class ModelCatalog:
                 backend_id=entry["backend_id"],
             )
             for entry in data["models"]
-        ])
+        ], data.get("backends"))
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelCatalog":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return cls.from_dict(read_json(path))

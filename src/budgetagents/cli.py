@@ -20,7 +20,7 @@ from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import TaskProfile, TaskSpec, load_profile
 from .reward import RewardConfig
-from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive
+from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json
 from .topology import ExecutionLimits, Topology, topology_from_name
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        data = check(json.loads(path.read_text(encoding="utf-8")), _CONFIG_FIELDS, name=f"config file {path}")
+        data = check(read_json(path), _CONFIG_FIELDS, name=f"config file {path}")
 
     catalog_path = args.catalog or data.get("catalog")
     profile_path = args.profile or data.get("task_profile")
@@ -152,13 +152,11 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
         return factory, lambda: None
 
     endpoints = {}
-    # ModelCatalog.load has checked that 'backends', if present, is an object.
-    backend_cfg = json.loads(Path(config.catalog_path).read_text(encoding="utf-8")).get("backends", {})
     for model in catalog.models:
         if model.backend_id in endpoints:
             continue
         where = f"backends.{model.backend_id}"
-        entry = check(backend_cfg.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
+        entry = check(catalog.backends.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
         api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
         endpoints[model.backend_id] = backend.HttpBackend(
             base_url=entry["base_url"],
@@ -232,7 +230,7 @@ def _load_pools(config: RunConfig, catalog: ModelCatalog) -> dict[float, list]:
         path = _provision_path(config, budget)
         if not path.exists():
             raise ConfigError(f"no provisioning output for budget {budget:g}; run 'provision' first")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path)
         if not doc["feasible"]:
             raise ConfigError(f"provisioning for budget {budget:g} was infeasible: {doc['reason']}")
         pools[budget] = topology.expand_pool(catalog, doc["counts"])

@@ -188,6 +188,7 @@ def load(path: str | Path) -> ExperienceDataset:
         raise ValueError(f"{path}: unsupported version {header['version']}")
 
     experiences = []
+    texts: dict[str, str] = {}  # rows repeat each task text; they share one str
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -196,7 +197,7 @@ def load(path: str | Path) -> ExperienceDataset:
             experiences.append(
                 Experience(
                     task_id=record["task_id"],
-                    task_text=record["task_text"],
+                    task_text=texts.setdefault(record["task_text"], record["task_text"]),
                     budget=float(record["budget"]),
                     topology=record["topology"],
                     success=record["success"],

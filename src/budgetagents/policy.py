@@ -31,7 +31,7 @@ from .dataset import ExperienceDataset
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
 from .reward import Outcome, RewardConfig, compute_reward
-from .schema import ANY, INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive
+from .schema import ANY, INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import TOPOLOGY_NAMES
 
 PROJ_DIM = 64
@@ -207,18 +207,23 @@ def _dataset_tensors(
     dataset: ExperienceDataset,
     budget_ref: float,
     reward_config: RewardConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    cache: dict[str, np.ndarray] = {}
-    emb_rows = []
-    for exp in dataset.experiences:
-        if exp.task_text not in cache:
-            cache[exp.task_text] = embed(exp.task_text)
-        emb_rows.append(cache[exp.task_text])
-    emb = np.stack(emb_rows)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(emb, text_row, bud, actions, rewards): emb holds one embedding per
+    distinct task text in first-seen order, and experience i's state is
+    (emb[text_row[i]], bud[i]).
+
+    A dataset repeats each text once per (budget, topology), so a row per
+    experience would hold every embedding that many times over.
+    """
+    rows: dict[str, int] = {}
+    text_row = np.array(
+        [rows.setdefault(exp.task_text, len(rows)) for exp in dataset.experiences], dtype=np.int64
+    )
+    emb = np.stack([embed(text) for text in rows])
     bud = np.array([exp.budget / budget_ref for exp in dataset.experiences])
     actions = np.array([exp.topology for exp in dataset.experiences], dtype=np.int64)
     rewards = np.array([_reward_for(exp, reward_config) for exp in dataset.experiences])
-    return emb, bud, actions, rewards
+    return emb, text_row, bud, actions, rewards
 
 
 def _group_index(dataset: ExperienceDataset) -> np.ndarray:
@@ -264,8 +269,8 @@ def evaluate(
     groups.
     """
     index = _group_index(dataset)
-    emb, bud, _, rewards = _dataset_tensors(dataset, params.budget_ref, reward_config)
-    return _expected_reward(params, emb[index[:, 0]], bud[index[:, 0]], rewards[index])
+    emb, text_row, bud, _, rewards = _dataset_tensors(dataset, params.budget_ref, reward_config)
+    return _expected_reward(params, emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index])
 
 
 class _Adam:
@@ -309,11 +314,14 @@ def train(
     if budget_ref <= 0:
         raise ValueError("budget_ref must be > 0")
 
-    # Every text is embedded and every reward computed once per call; the
-    # per-epoch score reads its group rows out of the same tensors.
-    emb, bud, actions, rewards = _dataset_tensors(dataset, budget_ref, reward_config)
+    # Every text is embedded and every reward computed once per call. Each
+    # batch gathers its embedding rows, so no (experiences x EMBED_DIM) matrix
+    # is held. The per-epoch score's group rows are gathered once: its forward
+    # pass holds them anyway, and re-gathering them every epoch slowed train
+    # by page faults.
+    emb, text_row, bud, actions, rewards = _dataset_tensors(dataset, budget_ref, reward_config)
     index = _group_index(dataset)
-    group_emb, group_bud, group_rewards = emb[index[:, 0]], bud[index[:, 0]], rewards[index]
+    group_emb, group_bud, group_rewards = emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index]
     n = len(dataset)
 
     rng = np.random.default_rng(config.seed)
@@ -330,7 +338,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             _, grads = loss(
-                params, emb[idx], bud[idx], actions[idx], rewards[idx], config.entropy_coeff
+                params, emb[text_row[idx]], bud[idx], actions[idx], rewards[idx], config.entropy_coeff
             )
             optimizer.step(params, grads)
         score = _expected_reward(params, group_emb, group_bud, group_rewards)
@@ -418,17 +426,20 @@ def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.
     """One layer's array; version 1 holds a list of floats, version 2 base64
     little-endian float64."""
     shape = tuple(layer["shape"])
+    size = math.prod(shape)
     values = layer["values"]
     if version == 1:
-        arr = np.array(values, dtype=np.float64).reshape(shape)
+        arr = np.array(values, dtype=np.float64)
+        if arr.size != size:
+            raise ValueError(f"{path}: layer {name} holds {arr.size} values, its shape {list(shape)} needs {size}")
+        arr = arr.reshape(shape)
     else:
         try:
             raw = base64.b64decode(values, validate=True)
         except (TypeError, ValueError):
             raise ValueError(f"{path}: layer {name} is not valid base64") from None
-        size = 8 * math.prod(shape)
-        if len(raw) != size:
-            raise ValueError(f"{path}: layer {name} holds {len(raw)} bytes, its shape {list(shape)} needs {size}")
+        if len(raw) != 8 * size:
+            raise ValueError(f"{path}: layer {name} holds {len(raw)} bytes, its shape {list(shape)} needs {8 * size}")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)  # a writable copy
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: layer {name} has non-finite values")
@@ -438,7 +449,7 @@ def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.
 def load_params(path: str | Path) -> PolicyParams:
     """Weights saved by save_params, in format 2 or the older format 1
     (values as a JSON list of floats)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     try:
         check(doc, _WEIGHTS_FIELDS, required=tuple(_WEIGHTS_FIELDS), name="weights file")
     except ValueError as exc:

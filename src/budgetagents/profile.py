@@ -7,12 +7,11 @@ that drives the scripted backend.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS
-from .schema import ANY, INT, STRING, check, each, non_negative, nullable, obj, positive
+from .schema import ANY, INT, STRING, check, each, non_negative, nullable, obj, positive, read_json
 
 DEFAULT_MAX_TOKENS = {"planner": 384, "executor": 384, "critic": 384}
 
@@ -48,9 +47,7 @@ _PROFILE_FIELDS = {
 
 
 def load_profile(path: str | Path) -> TaskProfile:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    return profile_from_dict(data)
+    return profile_from_dict(read_json(path))
 
 
 def profile_from_dict(data: dict) -> TaskProfile:

@@ -8,7 +8,9 @@ Errors are ValueErrors naming the field's path (`models[0].tier`) and value.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from reprlib import repr as _show  # bounded, so a huge value keeps the message short
 
 
@@ -38,6 +40,16 @@ def nullable(spec: tuple) -> tuple:
 # Callers test a tuple spec inline: a call per field slowed `report` by a quarter.
 def _fail(spec: tuple, value, path: str):
     raise ValueError(f"{path} must be {spec[1]}, got {_show(value)}")
+
+
+def read_json(path: str | Path):
+    """The value a JSON file holds; a ValueError naming the file if it does
+    not parse."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})") from None
 
 
 def check(value, table: dict, path: str = "", required=(), name: str = "value") -> dict:

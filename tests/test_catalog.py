@@ -151,3 +151,12 @@ def test_integer_prices_load_as_floats():
     model = as_ints.models[0]
     assert type(model.price_in) is float and type(model.price_out) is float
     assert as_ints.content_hash() == as_floats.content_hash()
+
+
+def test_backends_section_is_kept_outside_the_content_hash():
+    backends = {"x": {"base_url": "http://localhost:8/v1"}}
+    with_backends = ModelCatalog.from_dict(dict(_model(), backends=backends))
+    assert with_backends.backends == backends
+    assert ModelCatalog.from_dict(_model()).backends == {}
+    assert with_backends.to_dict() == _model()
+    assert with_backends.content_hash() == ModelCatalog.from_dict(_model()).content_hash()

@@ -8,8 +8,10 @@ import pytest
 
 import budgetagents
 from budgetagents import policy, provision
-from budgetagents.cli import main
-from budgetagents.profile import TaskSpec
+from budgetagents.backend import HttpBackend
+from budgetagents.catalog import ModelCatalog
+from budgetagents.cli import RunConfig, _build_backends, main
+from budgetagents.profile import TaskSpec, profile_from_dict
 from synth import dominant_topology_dataset
 
 # tier costs at t_in = t_out = 500 come out to [1235.0, 250.0]
@@ -474,6 +476,46 @@ def test_malformed_backend_entry_rejected_before_any_call(workdir, capsys, key, 
     assert code == 1
     captured = capsys.readouterr()
     assert f"backends.strong.{key} must be" in captured.err
+    assert captured.out == ""
+
+
+def test_backends_are_built_from_the_loaded_catalog(workdir):
+    catalog_doc = json.loads(json.dumps(CATALOG))
+    catalog_doc["backends"]["cheap"] = {"base_url": "http://localhost:8/v1", "timeout": 5.0}
+    path = workdir / "catalog.json"
+    path.write_text(json.dumps(catalog_doc))
+    catalog = ModelCatalog.load(path)
+    path.write_text("{not json")  # a second parse of the file would fail
+    config = RunConfig(catalog_path=str(path), profile_path=str(workdir / "profile.json"), budgets=[2000.0])
+    factory, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
+    try:
+        endpoints = factory()
+        assert sorted(endpoints) == ["cheap", "strong"]
+        assert all(isinstance(endpoint, HttpBackend) for endpoint in endpoints.values())
+        assert (endpoints["strong"]._host, endpoints["strong"].timeout) == ("example.invalid", 60.0)
+        assert (endpoints["cheap"]._host, endpoints["cheap"]._port, endpoints["cheap"].timeout) == ("localhost", 8, 5.0)
+    finally:
+        close()
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("config.json", "provision"),
+        ("catalog.json", "provision"),
+        ("profile.json", "provision"),
+        ("out/provision_2000.json", "collect"),
+        ("out/policy.json", "run"),
+    ],
+    ids=["config", "catalog", "profile", "provision", "weights"],
+)
+def test_invalid_json_names_its_file(workdir, capsys, name, command):
+    path = workdir / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text('{"models": [}')
+    assert run(command, "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: invalid JSON: Expecting value (line 1 column 13)\n"
     assert captured.out == ""
 
 

@@ -147,6 +147,15 @@ def test_round_trip_identity(tmp_path):
     assert load(path) == dataset
 
 
+def test_load_shares_one_string_per_text(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save(sample_dataset(), path)
+    texts = {}
+    for exp in load(path).experiences:
+        assert texts.setdefault(exp.task_text, exp.task_text) is exp.task_text
+    assert len(texts) == 2
+
+
 def test_empty_dataset_round_trips_to_header_only(tmp_path):
     dataset = ExperienceDataset(experiences=(), header={"seed": 7})
     path = tmp_path / "empty.jsonl"

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -278,6 +279,47 @@ def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
     assert sum(rewards.values()) == len(dataset)
 
 
+def test_training_tensors_hold_one_row_per_text():
+    dataset = two_budget_dataset(n_tasks=7)
+    emb, text_row, *_ = policy._dataset_tensors(dataset, 800.0, RewardConfig())
+    assert emb.shape == (7, 384)
+    assert text_row.dtype == np.int64 and text_row.shape == (len(dataset),)
+    for row, exp in zip(text_row, dataset.experiences):
+        assert emb[row].tobytes() == embed(exp.task_text).tobytes()
+
+
+def test_train_peak_memory_scales_with_distinct_texts():
+    # 12 rows per text (3 budgets x 4 topologies): one embedding row per
+    # experience would take dense_bytes on its own.
+    budgets = (300.0, 500.0, 800.0)
+    dataset = ExperienceDataset(experiences=tuple(
+        exp for budget in budgets for exp in dominant_topology_dataset(n_tasks=1000, budget=budget).experiences
+    ))
+    dense_bytes = len(dataset) * 384 * 8
+    for text in {exp.task_text for exp in dataset.experiences}:
+        embed(text)  # fill the embedder's token cache outside the traced window
+    tracemalloc.start()
+    try:
+        train(dataset, TrainerConfig(learning_rate=0.0015, batch_size=256, epochs=1, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+
+
+def test_gathered_batch_loss_matches_dense_rows():
+    dataset = two_budget_dataset(n_tasks=9)
+    emb, text_row, bud, actions, rewards = policy._dataset_tensors(dataset, 800.0, RewardConfig())
+    dense = np.stack([embed(exp.task_text) for exp in dataset.experiences])
+    params = init_params(seed=8, budget_ref=800.0)
+    idx = np.random.default_rng(8).permutation(len(dataset))[:40]
+    gathered_value, gathered_grads = loss(params, emb[text_row[idx]], bud[idx], actions[idx], rewards[idx], 0.01)
+    dense_value, dense_grads = loss(params, dense[idx], bud[idx], actions[idx], rewards[idx], 0.01)
+    assert gathered_value.hex() == dense_value.hex()
+    for name, grad in dense_grads.items():
+        assert gathered_grads[name].tobytes() == grad.tobytes()
+
+
 def test_dominant_probability_rises_monotonically_without_entropy():
     dataset = dominant_topology_dataset(n_tasks=40, dominant=2)
     for seed in range(5):
@@ -412,6 +454,18 @@ def _drop(*keys):
     return tamper
 
 
+def _as_format_1(**values):
+    """Format 1, with each named layer's values replaced by the list given."""
+
+    def tamper(doc):
+        doc["format_version"] = 1
+        for name, layer in doc["layers"].items():
+            layer["values"] = values.get(name) or np.frombuffer(base64.b64decode(layer["values"])).tolist()
+        return doc
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -425,8 +479,12 @@ def _drop(*keys):
         (_drop("layers", "core_w"), "missing field layers.core_w$"),
         (_drop("layers", "head_w", "shape"), "missing field layers.head_w.shape$"),
         (_drop("layers", "head_w", "values"), "missing field layers.head_w.values$"),
+        (_as_format_1(embed_w=[0.0, 1.0, 2.0]), r"layer embed_w holds 3 values, its shape \[64, 384\] needs 24576$"),
     ],
-    ids=["short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values"],
+    ids=[
+        "short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values",
+        "v1_wrong_length",
+    ],
 )
 def test_load_rejects_corrupt_layer(tmp_path, tamper, message):
     path = tmp_path / "policy.json"
