@@ -9,19 +9,19 @@ token usage reported by the backend, never local tokenization.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
-import select
-import socket
-import ssl
 import threading
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
 from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive
+
+if TYPE_CHECKING:
+    import http.client
+    import socket
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,14 @@ class HttpBackend:
         backoff_base: float = 1.0,
         requests_per_second: float | None = None,
     ):
+        # HTTP and TLS load with the first real backend: provision, report
+        # and mock runs never pay for them.
+        import http.client
+        import select
+        import ssl
+
+        self._http = http.client
+        self._select = select.select
         self.api_key = api_key
         self.timeout = timeout
         self.backoff_base = backoff_base
@@ -216,19 +224,25 @@ class HttpBackend:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             if self._tls is None:
-                conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+                conn = self._http.HTTPConnection(self._host, self._port, timeout=self.timeout)
             else:
-                conn = http.client.HTTPSConnection(
+                conn = self._http.HTTPSConnection(
                     self._host, self._port, timeout=self.timeout, context=self._tls
                 )
             self._local.conn = conn
             with self._opened_lock:
                 self._opened.append(conn)
-        elif conn.sock is not None and _readable(conn.sock):
+        elif conn.sock is not None and self._readable(conn.sock):
             # An idle socket that reads is at EOF (or holds bytes nobody asked
             # for): sending on it would fail only after the POST went out.
             conn.close()
         return conn
+
+    def _readable(self, sock: socket.socket) -> bool:
+        try:
+            return bool(self._select([sock], [], [], 0)[0])
+        except (OSError, ValueError):  # closed, or a descriptor beyond select's range
+            return True
 
     def close(self) -> None:
         """Closes every thread's kept-alive connection. A later call reconnects."""
@@ -249,7 +263,7 @@ class HttpBackend:
         except TimeoutError as exc:
             conn.close()
             raise TransportError(f"request timed out after {self.timeout}s") from exc
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, self._http.HTTPException) as exc:
             conn.close()
             raise TransportError(str(exc) or type(exc).__name__) from exc
         if not 200 <= status < 300:
@@ -284,10 +298,3 @@ class HttpBackend:
                 raise
             time.sleep(self.backoff_base)
             return self._post_once(body)
-
-
-def _readable(sock: socket.socket) -> bool:
-    try:
-        return bool(select.select([sock], [], [], 0)[0])
-    except (OSError, ValueError):  # closed, or a descriptor beyond select's range
-        return True

@@ -15,12 +15,14 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import backend, dataset, policy, provision, topology
+# `policy` (and with it numpy) is imported by the commands that use it:
+# provision, collect, report and `run --topology` never load numpy.
+from . import backend, dataset, provision, topology
 from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import TaskProfile, TaskSpec, load_profile
 from .reward import RewardConfig
-from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json
+from .schema import BOOL, INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import ExecutionLimits, Topology, topology_from_name
 
 EXIT_OK = 0
@@ -57,8 +59,8 @@ _CONFIG_FIELDS = {
     "task_profile": STRING,
     "out_dir": STRING,
     "budgets": (lambda v: isinstance(v, list) and all(NUMBER[0](b) for b in v), "a list of finite numbers"),
-    "seed": INT,
-    "jobs": INT,
+    "seed": non_negative(INT),
+    "jobs": positive(INT),
     "instance_cap": INT,
     "min_agents": INT,
     "mock": BOOL,
@@ -80,6 +82,8 @@ _CONFIG_FIELDS = {
         "budget_ref": nullable(NUMBER),
     }),
 }
+# `--seed` and `--jobs` are checked against their config fields' specs.
+_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"]}
 # One entry of the catalog's 'backends' section (real runs only).
 _BACKEND_FIELDS = {
     "base_url": STRING,
@@ -95,6 +99,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         data = check(read_json(path), _CONFIG_FIELDS, name=f"config file {path}")
+    flags = {flag: getattr(args, flag[2:]) for flag in _FLAG_FIELDS}
+    check({flag: value for flag, value in flags.items() if value is not None}, _FLAG_FIELDS)
 
     catalog_path = args.catalog or data.get("catalog")
     profile_path = args.profile or data.get("task_profile")
@@ -119,7 +125,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out or data.get("out_dir", "out"),
         seed=data.get("seed", 42) if args.seed is None else args.seed,
         mock=args.mock or data.get("mock", False),
-        jobs=args.jobs or data.get("jobs", 1),
+        jobs=data.get("jobs", 1) if args.jobs is None else args.jobs,
         instance_cap=data.get("instance_cap", 5),
         min_agents=data.get("min_agents", 2),
         reward=RewardConfig(**data.get("reward", {})),
@@ -224,6 +230,18 @@ def cmd_provision(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 
+# provision_<budget>.json, as cmd_provision writes it.
+_PROVISION_FIELDS = {
+    "budget": NUMBER,
+    "tier_costs": each(NUMBER),
+    "counts": each(non_negative(INT)),
+    "total_weight": INT,
+    "total_cost": NUMBER,
+    "feasible": BOOL,
+    "reason": nullable(STRING),
+}
+
+
 def _load_pools(config: RunConfig, catalog: ModelCatalog) -> dict[float, list]:
     pools = {}
     for budget in config.budgets:
@@ -231,6 +249,10 @@ def _load_pools(config: RunConfig, catalog: ModelCatalog) -> dict[float, list]:
         if not path.exists():
             raise ConfigError(f"no provisioning output for budget {budget:g}; run 'provision' first")
         doc = read_json(path)
+        try:
+            check(doc, _PROVISION_FIELDS, required=tuple(_PROVISION_FIELDS), name="provisioning output")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not doc["feasible"]:
             raise ConfigError(f"provisioning for budget {budget:g} was infeasible: {doc['reason']}")
         pools[budget] = topology.expand_pool(catalog, doc["counts"])
@@ -276,6 +298,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import policy
+
     config = _load_config(args)
     ds_path = Path(config.out_dir) / "dataset.jsonl"
     if not ds_path.exists():
@@ -327,6 +351,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     override = topology_from_name(args.topology) if args.topology else None
     params = None
     if override is None:
+        from . import policy
+
         weights_path = Path(config.out_dir) / "policy.json"
         if not weights_path.exists():
             raise ConfigError(

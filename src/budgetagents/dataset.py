@@ -14,7 +14,6 @@ actual_cost (and error when the run failed outright).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -147,6 +146,8 @@ def collect(
             )
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging too; a sequential collect never needs it
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             experiences = list(pool.map(run_one, combos))
     else:

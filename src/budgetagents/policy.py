@@ -429,6 +429,10 @@ def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.
     size = math.prod(shape)
     values = layer["values"]
     if version == 1:
+        try:
+            each(NUMBER)(values, f"layers.{name}.values")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         arr = np.array(values, dtype=np.float64)
         if arr.size != size:
             raise ValueError(f"{path}: layer {name} holds {arr.size} values, its shape {list(shape)} needs {size}")

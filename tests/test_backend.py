@@ -1,3 +1,4 @@
+import http.client
 import re
 import sys
 import threading
@@ -185,6 +186,17 @@ def test_http_missing_usage_is_protocol_error(fake_server):
     backend = HttpBackend(fake_server.url, backoff_base=0.01)
     with pytest.raises(ProtocolError):
         backend.invoke(request())
+
+
+def test_https_backend_builds_its_tls_context_without_connecting():
+    backend = HttpBackend("https://example.invalid/v1")
+    try:
+        assert backend._tls is not None
+        conn = backend._connection()  # an HTTPS connection object; nothing is sent or resolved
+        assert isinstance(conn, http.client.HTTPSConnection)
+        assert (conn.host, conn.port, conn.sock) == ("example.invalid", 443, None)
+    finally:
+        backend.close()
 
 
 def test_http_transport_error_retries_then_raises():

@@ -99,6 +99,29 @@ def test_collect_requires_provision(workdir, capsys):
     assert "provision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tamper, named",
+    [
+        (lambda doc: {"counts": [1, 3]}, "missing field budget"),
+        (lambda doc: dict(doc, counts=[1, "x"]), "counts[1] must be an integer >= 0, got 'x'"),
+        (lambda doc: dict(doc, counts=[1, 1.5]), "counts[1] must be an integer >= 0, got 1.5"),
+        (lambda doc: dict(doc, counts=[1, -1]), "counts[1] must be an integer >= 0, got -1"),
+        (lambda doc: dict(doc, feasible="no"), "feasible must be true or false, got 'no'"),
+    ],
+    ids=["only_counts", "count_string", "count_float", "count_negative", "feasible_string"],
+)
+def test_malformed_provision_file_rejected_before_any_run(workdir, capsys, tamper, named):
+    config = str(workdir / "config.json")
+    assert run("provision", "--config", config) == 0
+    path = workdir / "out" / "provision_2000.json"
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run("collect", "--config", config) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {named}\n"
+    assert captured.out == ""
+
+
 def test_collect_then_train_then_run(workdir, capsys):
     config = str(workdir / "config.json")
     assert run("provision", "--config", config) == 0
@@ -393,12 +416,16 @@ def test_malformed_config_section_rejected_before_any_work(workdir, capsys, sect
         ("instance_cap", 2.9),
         ("min_agents", 2.0),
         ("seed", "42"),
+        ("seed", -1),
         ("jobs", "2"),
+        ("jobs", 0),
+        ("jobs", -4),
         ("catalog", 7),
         ("out_dir", ["out"]),
     ],
     ids=["budgets_string", "budgets_bool", "mock_string", "stamp_string", "instance_cap_float",
-         "min_agents_float", "seed_string", "jobs_string", "catalog_number", "out_dir_list"],
+         "min_agents_float", "seed_string", "seed_negative", "jobs_string", "jobs_zero", "jobs_negative",
+         "catalog_number", "out_dir_list"],
 )
 def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key, value):
     config = json.loads((workdir / "config.json").read_text())
@@ -406,6 +433,21 @@ def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key
     (workdir / "config.json").write_text(json.dumps(config))
     assert run("provision", "--config", str(workdir / "config.json")) == 1
     assert f"{key} must be" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--jobs", "-2"], "--jobs must be an integer > 0, got -2"),
+        (["--jobs", "0"], "--jobs must be an integer > 0, got 0"),
+        (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    ],
+    ids=["jobs_negative", "jobs_zero", "seed_negative"],
+)
+def test_malformed_flag_rejected_before_any_work(workdir, capsys, flags, named):
+    assert run("provision", "--config", str(workdir / "config.json"), *flags) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
     assert not (workdir / "out").exists()
 
 

@@ -480,10 +480,14 @@ def _as_format_1(**values):
         (_drop("layers", "head_w", "shape"), "missing field layers.head_w.shape$"),
         (_drop("layers", "head_w", "values"), "missing field layers.head_w.values$"),
         (_as_format_1(embed_w=[0.0, 1.0, 2.0]), r"layer embed_w holds 3 values, its shape \[64, 384\] needs 24576$"),
+        (_as_format_1(head_b="abc"), r"layers.head_b.values must be a list, got 'abc'$"),
+        (_as_format_1(budget_w=[[0.5]] * 64), r"layers.budget_w.values\[0\] must be a finite number, got \[0.5\]$"),
+        (_as_format_1(head_b=[True] * 4), r"layers.head_b.values\[0\] must be a finite number, got True$"),
+        (_as_format_1(head_b=["1.5"] * 4), r"layers.head_b.values\[0\] must be a finite number, got '1.5'$"),
     ],
     ids=[
         "short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values",
-        "v1_wrong_length",
+        "v1_wrong_length", "v1_string", "v1_nested", "v1_bools", "v1_numeric_strings",
     ],
 )
 def test_load_rejects_corrupt_layer(tmp_path, tamper, message):
