@@ -31,7 +31,8 @@ class CallRequest:
     user: str
     max_tokens: int
     temperature: float = 0.0
-    role: str = "executor"  # routing hint for scripted backends
+    role: str = "executor"  # scripted backends route on role and occurrence; HttpBackend sends neither
+    occurrence: int = 1  # 1-based index of this role's call within its run
 
     def __post_init__(self) -> None:
         if self.max_tokens <= 0:
@@ -91,8 +92,8 @@ _FILLER_WORDS = (
 @dataclass
 class ScriptRule:
     """One response rule. Matches on role (or "*") and optionally on the
-    1-based occurrence index of that role; rules are tried in order and the
-    first match wins."""
+    request's occurrence, the 1-based index of that role's call within its
+    run; rules are tried in order and the first match wins."""
 
     role: str = "*"
     step: int | None = None
@@ -129,16 +130,14 @@ _SCRIPT_FIELDS = {"rules": each(obj(_RULE_FIELDS)), "default_prompt_tokens": non
 class ScriptedBackend:
     """Deterministic mock backend driven by an ordered rule list.
 
-    Token counts come from the rules, not from text length. The instance is
-    stateful (it counts per-role occurrences); use a fresh instance for each
-    independent run.
+    Token counts come from the rules, not from text length. A response depends
+    only on the rules and the request, whose `occurrence` the run supplies, so
+    one instance serves every run and every thread.
     """
 
     def __init__(self, rules: list[ScriptRule], default_prompt_tokens: int = 500):
         self.rules = list(rules)
         self.default_prompt_tokens = default_prompt_tokens
-        self.calls: list[CallRequest] = []
-        self._role_counts: dict[str, int] = {}
 
     @classmethod
     def from_config(cls, config: dict) -> "ScriptedBackend":
@@ -150,19 +149,16 @@ class ScriptedBackend:
         )
 
     def invoke(self, request: CallRequest) -> CallResponse:
-        self.calls.append(request)
-        occurrence = self._role_counts.get(request.role, 0) + 1
-        self._role_counts[request.role] = occurrence
         for rule in self.rules:
-            if rule.matches(request.role, occurrence):
+            if rule.matches(request.role, request.occurrence):
                 completion = min(rule.completion_tokens, request.max_tokens)
                 prompt = rule.prompt_tokens if rule.prompt_tokens is not None else self.default_prompt_tokens
                 return CallResponse(
-                    text=rule.render_text(occurrence),
+                    text=rule.render_text(request.occurrence),
                     prompt_tokens=prompt,
                     completion_tokens=completion,
                 )
-        raise ScriptError(f"script exhausted: no rule for role={request.role!r} occurrence={occurrence}")
+        raise ScriptError(f"script exhausted: no rule for role={request.role!r} occurrence={request.occurrence}")
 
 
 class HttpBackend:

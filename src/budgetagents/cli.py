@@ -136,26 +136,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
-    """Returns (factory, close): the factory gives a fresh backend registry
-    per run, and close ends the HTTP backends' kept-alive connections."""
+    """Returns (backends, close): the one registry every run shares, by
+    backend_id, and a close that ends HTTP backends' kept-alive connections."""
     if config.mock:
         script = profile.mock_script
         if script is None:
             raise ConfigError("mock mode requires a 'mock_script' section in the task profile")
-        parsed = backend.ScriptedBackend.from_config(script)  # checked once, not per run
-        covered = {rule.role for rule in parsed.rules}
+        mock = backend.ScriptedBackend.from_config(script)
+        covered = {rule.role for rule in mock.rules}
         missing = [
             role for role in ("executor", "critic", "planner")
             if role not in covered and "*" not in covered
         ]
         if missing:
             raise ConfigError(f"mock_script has no rule for role(s): {', '.join(missing)}")
-
-        def factory():
-            mock = backend.ScriptedBackend(parsed.rules, parsed.default_prompt_tokens)
-            return {m.backend_id: mock for m in catalog.models}
-
-        return factory, lambda: None
+        return {m.backend_id: mock for m in catalog.models}, lambda: None
 
     endpoints = {}
     for model in catalog.models:
@@ -175,7 +170,7 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
         for endpoint in endpoints.values():
             endpoint.close()
 
-    return (lambda: endpoints), close
+    return endpoints, close
 
 
 def _provision_path(config: RunConfig, budget: float) -> Path:
@@ -242,7 +237,8 @@ _PROVISION_FIELDS = {
 }
 
 
-def _load_pools(config: RunConfig, catalog: ModelCatalog) -> dict[float, list]:
+def _load_pools(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile) -> dict[float, list]:
+    tier_costs = catalog.tier_costs(profile.t_in, profile.t_out)
     pools = {}
     for budget in config.budgets:
         path = _provision_path(config, budget)
@@ -253,6 +249,9 @@ def _load_pools(config: RunConfig, catalog: ModelCatalog) -> dict[float, list]:
             check(doc, _PROVISION_FIELDS, required=tuple(_PROVISION_FIELDS), name="provisioning output")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if doc["tier_costs"] != tier_costs:
+            raise ConfigError(f"{path} is stale: solved for tier costs {doc['tier_costs']}, "
+                              f"not the catalog's {tier_costs}; rerun 'provision'")
         if not doc["feasible"]:
             raise ConfigError(f"provisioning for budget {budget:g} was infeasible: {doc['reason']}")
         pools[budget] = topology.expand_pool(catalog, doc["counts"])
@@ -265,8 +264,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
         raise ConfigError("no budgets configured")
     catalog = ModelCatalog.load(config.catalog_path)
     profile = load_profile(config.profile_path)
-    pools = _load_pools(config, catalog)
-    factory, close_backends = _build_backends(config, catalog, profile)
+    pools = _load_pools(config, catalog, profile)
+    backends, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
 
     header = {"catalog_hash": catalog.content_hash(), "seed": config.seed}
@@ -280,7 +279,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
             list(profile.tasks),
             config.budgets,
             pools,
-            factory,
+            backends,
             evaluator,
             limits=config.limits,
             max_tokens=profile.max_tokens,
@@ -345,7 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     catalog = ModelCatalog.load(config.catalog_path)
     profile = load_profile(config.profile_path)
-    factory, close_backends = _build_backends(config, catalog, profile)
+    backends, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
 
     override = topology_from_name(args.topology) if args.topology else None
@@ -390,7 +389,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 pool,
                 topo,
                 budget,
-                factory(),
+                backends,
                 evaluator,
                 limits=config.limits,
                 max_tokens=profile.max_tokens,
@@ -492,7 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage (2 here means infeasible) or help (0)
+        return EXIT_USAGE if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .backend import Backend
 from .evaluators import Evaluator
@@ -88,7 +88,7 @@ def collect(
     tasks: list[TaskSpec],
     budgets: list[float],
     pools: Mapping[float, list[AgentInstance]],
-    backend_factory: Callable[[], Mapping[str, Backend]],
+    backends: Mapping[str, Backend],
     evaluator: Evaluator,
     *,
     limits: ExecutionLimits = ExecutionLimits(),
@@ -99,10 +99,9 @@ def collect(
 ) -> ExperienceDataset:
     """Execute all topologies for every (task, budget) pair.
 
-    backend_factory must return a fresh backend registry per run so stateful
-    scripted backends replay identically. Failures (e.g. a pool too small for
-    a topology) are recorded as unsuccessful zero-or-partial-cost experiences
-    so the dataset stays rectangular.
+    Failures (e.g. a pool too small for a topology) are recorded as
+    unsuccessful zero-or-partial-cost experiences so the dataset stays
+    rectangular.
     """
     combos = [
         (task, budget, topo)
@@ -113,37 +112,23 @@ def collect(
 
     def run_one(combo: tuple[TaskSpec, float, Topology]) -> Experience:
         task, budget, topo = combo
+        row = dict(task_id=task.task_id, task_text=task.text, budget=budget, topology=int(topo))
         try:
             trace = execute(
                 task,
                 pools[budget],
                 topo,
                 budget,
-                backend_factory(),
+                backends,
                 evaluator,
                 limits=limits,
                 max_tokens=max_tokens,
                 planned_t_in=planned_t_in,
             )
-            return Experience(
-                task_id=task.task_id,
-                task_text=task.text,
-                budget=budget,
-                topology=int(topo),
-                success=bool(trace.success),
-                actual_cost=trace.cumulative_cost,
-                error=trace.note if trace.note and trace.note.startswith(("backend failure", "evaluator failure")) else None,
-            )
+            error = trace.note if trace.note and trace.note.startswith(("backend failure", "evaluator failure")) else None
+            return Experience(**row, success=bool(trace.success), actual_cost=trace.cumulative_cost, error=error)
         except Exception as exc:  # noqa: BLE001 - every combo must yield a row
-            return Experience(
-                task_id=task.task_id,
-                task_text=task.text,
-                budget=budget,
-                topology=int(topo),
-                success=False,
-                actual_cost=0.0,
-                error=str(exc),
-            )
+            return Experience(**row, success=False, actual_cost=0.0, error=str(exc))
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging too; a sequential collect never needs it

@@ -191,6 +191,7 @@ class _Runner:
         self.latest_executor_output: str | None = None
         self.star_outputs: list[tuple[int, str]] = []
         self.failed = False
+        self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
         limit = self.max_tokens.get(role, DEFAULT_MAX_TOKENS[role])
@@ -199,12 +200,14 @@ class _Runner:
             if self.spent + worst > self.budget + self.limits.precall_slack:
                 self.trace.note = f"budget guard: skipped {role} call on {instance.label}"
                 raise _Halt
+        occurrence = self.occurrences[role] = self.occurrences.get(role, 0) + 1
         request = CallRequest(
             model=instance.model.name,
             system=system,
             user=user,
             max_tokens=limit,
             role=role,
+            occurrence=occurrence,
         )
         backend = self.backends[instance.model.backend_id]
         try:

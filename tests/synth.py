@@ -1,11 +1,25 @@
-"""Synthetic datasets and oracles shared by policy and acceptance tests."""
+"""Synthetic datasets, oracles and a recording backend shared by tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from budgetagents.backend import CallRequest, CallResponse, ScriptedBackend
 from budgetagents.dataset import Experience, ExperienceDataset
 from budgetagents.policy import loss
+
+
+class RecordingBackend(ScriptedBackend):
+    """A scripted backend that keeps every request it answers, for tests that
+    read prompts."""
+
+    def __init__(self, rules, default_prompt_tokens=500):
+        super().__init__(rules, default_prompt_tokens)
+        self.calls: list[CallRequest] = []
+
+    def invoke(self, request: CallRequest) -> CallResponse:
+        self.calls.append(request)
+        return super().invoke(request)
 
 
 def dominant_topology_dataset(

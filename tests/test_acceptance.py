@@ -33,7 +33,7 @@ from budgetagents.topology import (
 )
 
 from oracle import brute_force_solve
-from synth import dominant_topology_dataset, finite_difference_check, max_lower_tier_weight_dp
+from synth import RecordingBackend, dominant_topology_dataset, finite_difference_check, max_lower_tier_weight_dp
 
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
 EVAL = NumericEvaluator()
@@ -216,7 +216,7 @@ def test_criterion_8_topology_semantics():
         return traces[0], ScriptedBackend(rules)
 
     # linear chaining
-    backends = {"openai": (logger := ScriptedBackend([ScriptRule(role="executor", text="carry 42", completion_tokens=5)]))}
+    backends = {"openai": (logger := RecordingBackend([ScriptRule(role="executor", text="carry 42", completion_tokens=5)]))}
     trace = execute(task, nano_pool[:2], Topology.LINEAR, 10_000.0, backends, EVAL)
     assert "carry 42" in logger.calls[1].user and len(trace.calls) == 2
 

@@ -16,10 +16,11 @@ from budgetagents.backend import (
     ScriptedBackend,
     TransportError,
 )
+from synth import RecordingBackend
 
 
-def request(role="executor", max_tokens=100):
-    return CallRequest(model="m", system="sys", user="usr", max_tokens=max_tokens, role=role)
+def request(role="executor", max_tokens=100, occurrence=1):
+    return CallRequest(model="m", system="sys", user="usr", max_tokens=max_tokens, role=role, occurrence=occurrence)
 
 
 def test_request_validation():
@@ -46,8 +47,9 @@ def test_step_keyed_rules_drive_feedback_rounds():
             ScriptRule(role="critic", step=2, text="ACCEPT", completion_tokens=2),
         ]
     )
-    assert backend.invoke(request(role="critic")).text == "REJECT: fix sign"
-    assert backend.invoke(request(role="critic")).text == "ACCEPT"
+    assert backend.invoke(request(role="critic", occurrence=1)).text == "REJECT: fix sign"
+    assert backend.invoke(request(role="critic", occurrence=2)).text == "ACCEPT"
+    assert backend.invoke(request(role="critic", occurrence=1)).text == "REJECT: fix sign"
 
 
 def test_script_replay_is_identical():
@@ -56,19 +58,23 @@ def test_script_replay_is_identical():
         ScriptRule(role="executor", text="revised", completion_tokens=9),
         ScriptRule(role="critic", seed=3, completion_tokens=12),
     ]
-    sequence = [request("executor"), request("critic"), request("executor"), request("critic")]
-    first = ScriptedBackend(rules)
-    second = ScriptedBackend(rules)
-    out1 = [first.invoke(r) for r in sequence]
-    out2 = [second.invoke(r) for r in sequence]
+    sequence = [request("executor", occurrence=1), request("critic", occurrence=1),
+                request("executor", occurrence=2), request("critic", occurrence=2)]
+    backend = ScriptedBackend(rules)
+    out1 = [backend.invoke(r) for r in sequence]
+    # Replayed in reverse on the same instance: no earlier call shifts a response.
+    out2 = [backend.invoke(r) for r in reversed(sequence)][::-1]
     assert out1 == out2
+    assert [out.text for out in out1[::2]] == ["draft", "revised"]
+    assert out1[1].text != out1[3].text  # the seeded critic varies by occurrence
 
 
 def test_seeded_rule_text_varies_by_occurrence():
     backend = ScriptedBackend([ScriptRule(role="*", seed=11, completion_tokens=6)])
-    a = backend.invoke(request()).text
-    b = backend.invoke(request()).text
+    a = backend.invoke(request(occurrence=1)).text
+    b = backend.invoke(request(occurrence=2)).text
     assert a != b  # occurrence index feeds the generator
+    assert backend.invoke(request(occurrence=1)).text == a
 
 
 def test_completion_tokens_capped_by_max_tokens():
@@ -123,10 +129,12 @@ def test_from_config_rejects_malformed_script(script, message):
         ScriptedBackend.from_config(script)
 
 def test_request_log_records_prompts():
-    backend = ScriptedBackend([ScriptRule(text="ok")])
-    backend.invoke(request(role="planner"))
-    assert backend.calls[0].role == "planner"
-    assert backend.calls[0].user == "usr"
+    # Tests that read prompts record them with a subclass; the backend keeps none.
+    backend = RecordingBackend([ScriptRule(text="ok")])
+    response = backend.invoke(request(role="planner", occurrence=2))
+    assert backend.calls == [request(role="planner", occurrence=2)]
+    assert response == ScriptedBackend([ScriptRule(text="ok")]).invoke(request(role="planner", occurrence=2))
+    assert not hasattr(ScriptedBackend([]), "calls")
 
 
 # -- http backend -------------------------------------------------------------

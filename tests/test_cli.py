@@ -8,7 +8,7 @@ import pytest
 
 import budgetagents
 from budgetagents import policy, provision
-from budgetagents.backend import HttpBackend
+from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
 from budgetagents.cli import RunConfig, _build_backends, main
 from budgetagents.profile import TaskSpec, profile_from_dict
@@ -529,15 +529,47 @@ def test_backends_are_built_from_the_loaded_catalog(workdir):
     catalog = ModelCatalog.load(path)
     path.write_text("{not json")  # a second parse of the file would fail
     config = RunConfig(catalog_path=str(path), profile_path=str(workdir / "profile.json"), budgets=[2000.0])
-    factory, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
+    endpoints, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
     try:
-        endpoints = factory()
         assert sorted(endpoints) == ["cheap", "strong"]
         assert all(isinstance(endpoint, HttpBackend) for endpoint in endpoints.values())
         assert (endpoints["strong"]._host, endpoints["strong"].timeout) == ("example.invalid", 60.0)
         assert (endpoints["cheap"]._host, endpoints["cheap"]._port, endpoints["cheap"].timeout) == ("localhost", 8, 5.0)
     finally:
         close()
+
+
+def test_mock_backends_share_one_scripted_instance(workdir):
+    catalog = ModelCatalog.load(workdir / "catalog.json")
+    config = RunConfig(catalog_path="", profile_path="", budgets=[2000.0], mock=True)
+    backends, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
+    close()
+    assert sorted(backends) == ["cheap", "strong"]
+    assert isinstance(backends["cheap"], ScriptedBackend)
+    assert backends["cheap"] is backends["strong"]
+
+
+def test_stale_provision_file_rejected_before_any_run(workdir, capsys):
+    config = str(workdir / "config.json")
+    assert run("provision", "--config", config) == 0
+    catalog = json.loads(json.dumps(CATALOG))
+    catalog["models"][0]["price_out_per_mtok"] = 22.0  # tier costs become [11135.0, 250.0]
+    (workdir / "catalog.json").write_text(json.dumps(catalog))
+    capsys.readouterr()
+    assert run("collect", "--config", config) == 1
+    captured = capsys.readouterr()
+    path = workdir / "out" / "provision_2000.json"
+    assert captured.err == (
+        f"error: {path} is stale: solved for tier costs [1235.0, 250.0], "
+        "not the catalog's [11135.0, 250.0]; rerun 'provision'\n"
+    )
+    assert not (workdir / "out" / "dataset.jsonl").exists()
+
+
+def test_usage_error_exits_1_not_the_infeasible_code(capsys):
+    assert main(["provision", "--jobs", "x"]) == 1
+    assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["--help"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -24,11 +25,8 @@ def two_agent_pool():
     return [AgentInstance(NANO, "gpt-4.1-nano#1"), AgentInstance(NANO, "gpt-4.1-nano#2")]
 
 
-def scripted_factory(rules, default_prompt_tokens=500):
-    def factory():
-        return {"openai": ScriptedBackend(rules, default_prompt_tokens=default_prompt_tokens)}
-
-    return factory
+def scripted(rules):
+    return {"openai": ScriptedBackend(rules)}
 
 
 def basic_rules():
@@ -42,7 +40,7 @@ def basic_rules():
 def test_collect_cardinality():
     tasks = [TaskSpec("a", "first task", "42"), TaskSpec("b", "second task", "42")]
     dataset = collect(
-        tasks, [500.0], {500.0: two_agent_pool()}, scripted_factory(basic_rules()), NumericEvaluator()
+        tasks, [500.0], {500.0: two_agent_pool()}, scripted(basic_rules()), NumericEvaluator()
     )
     assert len(dataset) == 8  # 2 tasks x 1 budget x 4 topologies
     groups = dataset.groups()
@@ -56,7 +54,7 @@ def test_collect_records_pool_deficit_as_failure():
         [TaskSpec("a", "t", "42")],
         [500.0],
         {500.0: two_agent_pool()},
-        scripted_factory(basic_rules()),
+        scripted(basic_rules()),
         NumericEvaluator(),
     )
     planner_row = dataset.groups()[("a", 500.0)][3]
@@ -77,7 +75,7 @@ def test_collect_reward_join():
         [TaskSpec("a", "the task", "42")],
         [500.0],
         {500.0: two_agent_pool()},
-        scripted_factory(feedback_rules),
+        scripted(feedback_rules),
         NumericEvaluator(),
     )
     feedback_row = dataset.groups()[("a", 500.0)][2]
@@ -96,7 +94,7 @@ def test_collect_deterministic_bytes(tmp_path):
 
     def build():
         return collect(
-            tasks, [500.0], {500.0: two_agent_pool()}, scripted_factory(basic_rules()),
+            tasks, [500.0], {500.0: two_agent_pool()}, scripted(basic_rules()),
             NumericEvaluator(), header={"catalog_hash": "abc", "seed": 42},
         )
 
@@ -107,16 +105,26 @@ def test_collect_deterministic_bytes(tmp_path):
 
 
 def test_collect_parallel_matches_serial():
+    # One scripted registry serves every run and every worker thread; the
+    # step-keyed critic rejects each feedback run's first draft.
     tasks = [TaskSpec(f"t{i}", f"task {i}", "42") for i in range(4)]
     kwargs = dict(
         budgets=[500.0, 875.0],
         pools={500.0: two_agent_pool(), 875.0: two_agent_pool()},
-        backend_factory=scripted_factory(basic_rules()),
+        backends=scripted([ScriptRule(role="critic", step=1, text="REJECT: redo", completion_tokens=2), *basic_rules()]),
         evaluator=NumericEvaluator(),
     )
     serial = collect(tasks, **kwargs, jobs=1)
-    parallel = collect(tasks, **kwargs, jobs=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so shared state would show a lost update
+    try:
+        parallel = collect(tasks, **kwargs, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial.experiences == parallel.experiences
+    # executor, critic (REJECT), executor, critic (ACCEPT) in every feedback run
+    feedback_costs = [exp.actual_cost for exp in serial.experiences if exp.topology == 2]
+    assert feedback_costs == [pytest.approx(2 * 54.0 + 2 * 50.8)] * 8
 
 
 # -- persistence --------------------------------------------------------------

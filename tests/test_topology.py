@@ -21,6 +21,7 @@ from budgetagents.topology import (
     staffable_topologies,
     topology_from_name,
 )
+from synth import RecordingBackend
 
 DEEPSEEK = ModelSpec("deepseek-v3", 1, 0.27, 1.10, "deepseek")
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
@@ -33,7 +34,7 @@ def nano_pool(n):
 
 
 def registry(rules, default_prompt_tokens=500):
-    backend = ScriptedBackend(rules, default_prompt_tokens=default_prompt_tokens)
+    backend = RecordingBackend(rules, default_prompt_tokens=default_prompt_tokens)
     return {"openai": backend, "deepseek": backend}, backend
 
 
@@ -261,6 +262,28 @@ def test_feedback_reject_then_accept():
     assert "off by one" in backend.calls[2].user
 
 
+def test_one_registry_replays_every_run():
+    # Each run counts its own calls, so step-keyed rules restart with every
+    # run on a shared backend instead of continuing the previous run's count.
+    pool = nano_pool(2)
+    backends, backend = registry(
+        [
+            ScriptRule(role="executor", text="42", completion_tokens=10),
+            ScriptRule(role="critic", step=1, text="REJECT: show the work", completion_tokens=5),
+            ScriptRule(role="critic", step=2, text="REJECT: still terse", completion_tokens=5),
+            ScriptRule(role="critic", step=3, text="ACCEPT", completion_tokens=2),
+        ]
+    )
+    first, second = (execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL) for _ in range(2))
+    assert [c.role for c in first.calls] == ["executor", "critic"] * 3
+    assert first.success is True and first.note is None
+    assert first.to_json().encode() == second.to_json().encode()
+    assert [(r.role, r.occurrence) for r in backend.calls[:6]] == [
+        ("executor", 1), ("critic", 1), ("executor", 2), ("critic", 2), ("executor", 3), ("critic", 3),
+    ]
+    assert backend.calls[6:] == backend.calls[:6]
+
+
 def test_feedback_round_cap():
     pool = nano_pool(2)
     backends, _ = registry(
@@ -382,7 +405,7 @@ def test_precall_guard_skips_when_enabled():
 
 def test_nonretryable_backend_failure_halts_without_retry():
     pool = nano_pool(2)
-    backend = ScriptedBackend([ScriptRule(role="critic", text="never matches")])
+    backend = RecordingBackend([ScriptRule(role="critic", text="never matches")])
     trace = execute(TASK, pool, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
     assert trace.success is False
     assert "backend failure" in trace.note
