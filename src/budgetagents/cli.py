@@ -22,7 +22,7 @@ from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import TaskProfile, TaskSpec, load_profile
 from .reward import RewardConfig
-from .schema import BOOL, INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
+from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json
 from .topology import ExecutionLimits, Topology, topology_from_name
 
 EXIT_OK = 0
@@ -117,6 +117,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         budgets = [float(args.budget)]
     if any(b <= 0 for b in budgets):
         raise ConfigError("budgets must be > 0")
+    for i, b in enumerate(budgets):
+        if b in budgets[:i]:
+            raise ConfigError(f"budgets[{i}] repeats budget {b:g}")
 
     return RunConfig(
         catalog_path=catalog_path,
@@ -173,10 +176,6 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
     return endpoints, close
 
 
-def _provision_path(config: RunConfig, budget: float) -> Path:
-    return Path(config.out_dir) / f"provision_{budget:g}.json"
-
-
 def _solve_for_budget(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget: float):
     problem = provision.ProvisionProblem(
         budget=budget,
@@ -185,6 +184,15 @@ def _solve_for_budget(config: RunConfig, catalog: ModelCatalog, profile: TaskPro
         min_agents=config.min_agents,
     )
     return problem, provision.solve(problem)
+
+
+def _pool(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget: float) -> list:
+    """The agent pool for one budget, solved from the current catalog, profile
+    and config: `collect` and `run` both take their pools from here."""
+    _, solution = _solve_for_budget(config, catalog, profile, budget)
+    if not solution.feasible:
+        raise ConfigError(f"provisioning infeasible for budget {budget:g}: {solution.reason}")
+    return topology.expand_pool(catalog, solution.counts)
 
 
 def cmd_provision(args: argparse.Namespace) -> int:
@@ -208,7 +216,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
             "feasible": solution.feasible,
             "reason": solution.reason,
         }
-        _provision_path(config, budget).write_text(
+        (Path(config.out_dir) / f"provision_{budget:g}.json").write_text(
             json.dumps(doc, ensure_ascii=False), encoding="utf-8"
         )
         if solution.feasible:
@@ -225,46 +233,13 @@ def cmd_provision(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 
-# provision_<budget>.json, as cmd_provision writes it.
-_PROVISION_FIELDS = {
-    "budget": NUMBER,
-    "tier_costs": each(NUMBER),
-    "counts": each(non_negative(INT)),
-    "total_weight": INT,
-    "total_cost": NUMBER,
-    "feasible": BOOL,
-    "reason": nullable(STRING),
-}
-
-
-def _load_pools(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile) -> dict[float, list]:
-    tier_costs = catalog.tier_costs(profile.t_in, profile.t_out)
-    pools = {}
-    for budget in config.budgets:
-        path = _provision_path(config, budget)
-        if not path.exists():
-            raise ConfigError(f"no provisioning output for budget {budget:g}; run 'provision' first")
-        doc = read_json(path)
-        try:
-            check(doc, _PROVISION_FIELDS, required=tuple(_PROVISION_FIELDS), name="provisioning output")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if doc["tier_costs"] != tier_costs:
-            raise ConfigError(f"{path} is stale: solved for tier costs {doc['tier_costs']}, "
-                              f"not the catalog's {tier_costs}; rerun 'provision'")
-        if not doc["feasible"]:
-            raise ConfigError(f"provisioning for budget {budget:g} was infeasible: {doc['reason']}")
-        pools[budget] = topology.expand_pool(catalog, doc["counts"])
-    return pools
-
-
 def cmd_collect(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.budgets:
         raise ConfigError("no budgets configured")
     catalog = ModelCatalog.load(config.catalog_path)
     profile = load_profile(config.profile_path)
-    pools = _load_pools(config, catalog, profile)
+    pools = {budget: _pool(config, catalog, profile, budget) for budget in config.budgets}
     backends, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
 
@@ -368,12 +343,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not tasks:
         raise ConfigError("no tasks to run")
 
-    # The pool depends only on (catalog, profile, budget): solve it once.
     budget = config.budgets[0]
-    _, solution = _solve_for_budget(config, catalog, profile, budget)
-    if not solution.feasible:
-        raise ConfigError(f"provisioning infeasible for budget {budget:g}: {solution.reason}")
-    pool = topology.expand_pool(catalog, solution.counts)
+    pool = _pool(config, catalog, profile, budget)
     staffable = topology.staffable_topologies(pool)
     if not staffable:
         raise ConfigError(f"the pool for budget {budget:g} has {len(pool)} agent(s), too few for any topology")

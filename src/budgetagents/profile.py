@@ -56,6 +56,10 @@ def profile_from_dict(data: dict) -> TaskProfile:
         TaskSpec(task_id=entry.get("id", f"task-{i}"), text=entry["text"], answer=entry.get("answer"))
         for i, entry in enumerate(data.get("tasks", []))
     )
+    first = {}  # task id -> index of the task that has it
+    for i, task in enumerate(tasks):
+        if first.setdefault(task.task_id, i) != i:
+            raise ValueError(f"tasks[{first[task.task_id]}] and tasks[{i}] have the same id {task.task_id!r}")
     samples = data.get("output_token_samples", [])
     if "t_out" in data:
         t_out = data["t_out"]

@@ -93,33 +93,88 @@ def test_provision_explain_prints_weights(workdir, capsys):
     assert "decision weight 1" in out
 
 
-def test_collect_requires_provision(workdir, capsys):
-    code = run("collect", "--config", str(workdir / "config.json"))
-    assert code == 1
-    assert "provision" in capsys.readouterr().err
+def edit_config(workdir, **fields):
+    path = workdir / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
-@pytest.mark.parametrize(
-    "tamper, named",
-    [
-        (lambda doc: {"counts": [1, 3]}, "missing field budget"),
-        (lambda doc: dict(doc, counts=[1, "x"]), "counts[1] must be an integer >= 0, got 'x'"),
-        (lambda doc: dict(doc, counts=[1, 1.5]), "counts[1] must be an integer >= 0, got 1.5"),
-        (lambda doc: dict(doc, counts=[1, -1]), "counts[1] must be an integer >= 0, got -1"),
-        (lambda doc: dict(doc, feasible="no"), "feasible must be true or false, got 'no'"),
-    ],
-    ids=["only_counts", "count_string", "count_float", "count_negative", "feasible_string"],
-)
-def test_malformed_provision_file_rejected_before_any_run(workdir, capsys, tamper, named):
+def collect_linear_costs(workdir, *flags):
+    """The linear rows' costs in the dataset a fresh `collect` writes."""
+    assert run("collect", "--config", str(workdir / "config.json"), *flags) == 0
+    rows = (workdir / "out" / "dataset.jsonl").read_text().splitlines()[1:]
+    return [row["actual_cost"] for row in map(json.loads, rows) if row["topology"] == 0]
+
+
+def run_linear_costs(workdir):
+    assert run("run", "--config", str(workdir / "config.json"), "--topology", "linear") == 0
+    traces = (workdir / "out" / "traces.jsonl").read_text().splitlines()
+    return [json.loads(line)["cumulative_cost"] for line in traces]
+
+
+def test_collect_needs_no_provision_file(workdir):
     config = str(workdir / "config.json")
-    assert run("provision", "--config", config) == 0
-    path = workdir / "out" / "provision_2000.json"
-    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
-    capsys.readouterr()
-    assert run("collect", "--config", config) == 1
+    assert run("collect", "--config", config) == 0
+    dataset = (workdir / "out" / "dataset.jsonl").read_bytes()
+
+    assert run("provision", "--config", config, "--out", str(workdir / "provisioned")) == 0
+    assert run("collect", "--config", config, "--out", str(workdir / "provisioned")) == 0
+    assert (workdir / "provisioned" / "dataset.jsonl").read_bytes() == dataset
+
+    (workdir / "corrupt").mkdir()
+    (workdir / "corrupt" / "provision_2000.json").write_text('{"counts": [}')
+    assert run("collect", "--config", config, "--out", str(workdir / "corrupt")) == 0
+    assert (workdir / "corrupt" / "dataset.jsonl").read_bytes() == dataset
+
+
+def test_collect_and_run_share_the_pool_after_instance_cap_changes(workdir):
+    edit_config(workdir, instance_cap=5)
+    assert run("provision", "--config", str(workdir / "config.json")) == 0  # [1, 3]: linear costs 625
+    edit_config(workdir, instance_cap=1)  # [1, 1]: one strong and one cheap call
+    assert collect_linear_costs(workdir) == [445.0, 445.0]
+    assert run_linear_costs(workdir) == [445.0, 445.0]
+
+
+def test_collect_and_run_share_the_pool_after_a_price_changes(workdir):
+    assert run("provision", "--config", str(workdir / "config.json")) == 0
+    catalog = json.loads(json.dumps(CATALOG))
+    catalog["models"][0]["price_out_per_mtok"] = 22.0  # tier costs become [11135.0, 250.0]: pool [0, 5]
+    (workdir / "catalog.json").write_text(json.dumps(catalog))
+    assert collect_linear_costs(workdir) == [450.0, 450.0]
+    assert run_linear_costs(workdir) == [450.0, 450.0]
+
+
+def test_collect_solves_provisioning_once_per_budget(workdir, monkeypatch):
+    budgets = []
+    real_solve = provision.solve
+
+    def counting_solve(problem):
+        budgets.append(problem.budget)
+        return real_solve(problem)
+
+    monkeypatch.setattr(provision, "solve", counting_solve)
+    edit_config(workdir, budgets=[2000.0, 500.0])
+    assert run("collect", "--config", str(workdir / "config.json")) == 0
+    rows = (workdir / "out" / "dataset.jsonl").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2 * 4  # header + 2 tasks x 2 budgets x 4 topologies
+    assert budgets == [2000.0, 500.0]
+
+
+def test_collect_infeasible_budget_errors_before_any_run(workdir, capsys):
+    assert run("collect", "--config", str(workdir / "config.json"), "--budget", "300") == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {path}: {named}\n"
+    assert captured.err.startswith("error: provisioning infeasible for budget 300: ")
     assert captured.out == ""
+    assert not (workdir / "out" / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["provision", "collect"])
+def test_repeated_budget_rejected_before_any_work(workdir, capsys, command):
+    edit_config(workdir, budgets=[2000, 500, 2000.0])
+    assert run(command, "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budgets[2] repeats budget 2000\n"
+    assert captured.out == ""
+    assert not (workdir / "out").exists()
 
 
 def test_collect_then_train_then_run(workdir, capsys):
@@ -549,23 +604,6 @@ def test_mock_backends_share_one_scripted_instance(workdir):
     assert backends["cheap"] is backends["strong"]
 
 
-def test_stale_provision_file_rejected_before_any_run(workdir, capsys):
-    config = str(workdir / "config.json")
-    assert run("provision", "--config", config) == 0
-    catalog = json.loads(json.dumps(CATALOG))
-    catalog["models"][0]["price_out_per_mtok"] = 22.0  # tier costs become [11135.0, 250.0]
-    (workdir / "catalog.json").write_text(json.dumps(catalog))
-    capsys.readouterr()
-    assert run("collect", "--config", config) == 1
-    captured = capsys.readouterr()
-    path = workdir / "out" / "provision_2000.json"
-    assert captured.err == (
-        f"error: {path} is stale: solved for tier costs [1235.0, 250.0], "
-        "not the catalog's [11135.0, 250.0]; rerun 'provision'\n"
-    )
-    assert not (workdir / "out" / "dataset.jsonl").exists()
-
-
 def test_usage_error_exits_1_not_the_infeasible_code(capsys):
     assert main(["provision", "--jobs", "x"]) == 1
     assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
@@ -578,10 +616,9 @@ def test_usage_error_exits_1_not_the_infeasible_code(capsys):
         ("config.json", "provision"),
         ("catalog.json", "provision"),
         ("profile.json", "provision"),
-        ("out/provision_2000.json", "collect"),
         ("out/policy.json", "run"),
     ],
-    ids=["config", "catalog", "profile", "provision", "weights"],
+    ids=["config", "catalog", "profile", "weights"],
 )
 def test_invalid_json_names_its_file(workdir, capsys, name, command):
     path = workdir / name

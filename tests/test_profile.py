@@ -126,6 +126,20 @@ def test_malformed_profile_rejected(fields, message):
         profile_from_dict({"tasks": [], **fields})
 
 
+@pytest.mark.parametrize(
+    "tasks, message",
+    [
+        ([{"id": "task-1", "text": "a"}, {"text": "b"}], "tasks[0] and tasks[1] have the same id 'task-1'"),
+        ([{"id": "x", "text": "a"}, {"text": "b"}, {"id": "x", "text": "c"}], "tasks[0] and tasks[2] have the same id 'x'"),
+        ([{"text": "a"}, {"id": "task-0", "text": "b"}], "tasks[0] and tasks[1] have the same id 'task-0'"),
+    ],
+    ids=["explicit_then_automatic", "explicit_twice", "automatic_then_explicit"],
+)
+def test_repeated_task_id_rejected(tasks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        profile_from_dict({"tasks": tasks})
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps({
