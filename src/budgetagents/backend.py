@@ -24,7 +24,10 @@ if TYPE_CHECKING:
     import socket
 
 
-@dataclass(frozen=True)
+# The call types are plain dataclasses: a frozen one sets each field through
+# object.__setattr__, which makes it about three times as slow to build, and
+# every call builds a request and a response.
+@dataclass
 class CallRequest:
     model: str
     system: str
@@ -39,7 +42,7 @@ class CallRequest:
             raise ValueError("max_tokens must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CallResponse:
     text: str
     prompt_tokens: int
@@ -102,11 +105,6 @@ class ScriptRule:
     completion_tokens: int = 10
     prompt_tokens: int | None = None
 
-    def matches(self, role: str, occurrence: int) -> bool:
-        if self.role != "*" and self.role != role:
-            return False
-        return self.step is None or self.step == occurrence
-
     def render_text(self, occurrence: int) -> str:
         if self.text is not None:
             return self.text
@@ -149,16 +147,16 @@ class ScriptedBackend:
         )
 
     def invoke(self, request: CallRequest) -> CallResponse:
+        role, occurrence = request.role, request.occurrence
         for rule in self.rules:
-            if rule.matches(request.role, request.occurrence):
-                completion = min(rule.completion_tokens, request.max_tokens)
-                prompt = rule.prompt_tokens if rule.prompt_tokens is not None else self.default_prompt_tokens
+            if (rule.role == role or rule.role == "*") and (rule.step is None or rule.step == occurrence):
+                prompt = rule.prompt_tokens
                 return CallResponse(
-                    text=rule.render_text(request.occurrence),
-                    prompt_tokens=prompt,
-                    completion_tokens=completion,
+                    rule.render_text(occurrence),
+                    self.default_prompt_tokens if prompt is None else prompt,
+                    min(rule.completion_tokens, request.max_tokens),
                 )
-        raise ScriptError(f"script exhausted: no rule for role={request.role!r} occurrence={request.occurrence}")
+        raise ScriptError(f"script exhausted: no rule for role={role!r} occurrence={occurrence}")
 
 
 class HttpBackend:

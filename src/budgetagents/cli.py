@@ -119,7 +119,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("budgets must be > 0")
     for i, b in enumerate(budgets):
         if b in budgets[:i]:
-            raise ConfigError(f"budgets[{i}] repeats budget {b:g}")
+            raise ConfigError(f"budgets[{i}] repeats budget {_budget_label(b)}")
 
     return RunConfig(
         catalog_path=catalog_path,
@@ -176,6 +176,13 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
     return endpoints, close
 
 
+def _budget_label(budget: float) -> str:
+    """How a budget is printed and how its provision file is named: `:g` where
+    that reads back as the same number, so distinct budgets never share one."""
+    short = f"{budget:g}"
+    return short if float(short) == budget else repr(budget)
+
+
 def _solve_for_budget(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget: float):
     problem = provision.ProvisionProblem(
         budget=budget,
@@ -191,7 +198,7 @@ def _pool(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget
     and config: `collect` and `run` both take their pools from here."""
     _, solution = _solve_for_budget(config, catalog, profile, budget)
     if not solution.feasible:
-        raise ConfigError(f"provisioning infeasible for budget {budget:g}: {solution.reason}")
+        raise ConfigError(f"provisioning infeasible for budget {_budget_label(budget)}: {solution.reason}")
     return topology.expand_pool(catalog, solution.counts)
 
 
@@ -205,6 +212,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
     any_infeasible = False
     for budget in config.budgets:
+        label = _budget_label(budget)
         problem, solution = _solve_for_budget(config, catalog, profile, budget)
         weights = provision.compute_weights(problem)
         doc = {
@@ -216,17 +224,17 @@ def cmd_provision(args: argparse.Namespace) -> int:
             "feasible": solution.feasible,
             "reason": solution.reason,
         }
-        (Path(config.out_dir) / f"provision_{budget:g}.json").write_text(
+        (Path(config.out_dir) / f"provision_{label}.json").write_text(
             json.dumps(doc, ensure_ascii=False), encoding="utf-8"
         )
         if solution.feasible:
             print(
-                f"budget {budget:g}: counts {list(solution.counts)} "
+                f"budget {label}: counts {list(solution.counts)} "
                 f"cost {solution.total_cost:g} weight {solution.total_weight}"
             )
         else:
             any_infeasible = True
-            print(f"budget {budget:g}: infeasible ({solution.reason})")
+            print(f"budget {label}: infeasible ({solution.reason})")
         if args.explain:
             for tier, (w, c) in enumerate(zip(weights, problem.tier_costs), start=1):
                 print(f"  tier {tier}: unit cost {c:g}, decision weight {w}")
@@ -347,7 +355,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     pool = _pool(config, catalog, profile, budget)
     staffable = topology.staffable_topologies(pool)
     if not staffable:
-        raise ConfigError(f"the pool for budget {budget:g} has {len(pool)} agent(s), too few for any topology")
+        raise ConfigError(
+            f"the pool for budget {_budget_label(budget)} has {len(pool)} agent(s), too few for any topology"
+        )
     if override is None:
         topologies = [Topology(t) for t in policy.select_topology(params, tasks, budget, allowed=staffable)]
     else:

@@ -44,7 +44,9 @@ _ROW_FIELDS = {
 _ROW_REQUIRED = tuple(key for key in _ROW_FIELDS if key != "error")
 
 
-@dataclass(frozen=True)
+# Plain, not frozen: collect builds one per run, and a frozen dataclass sets
+# each field through object.__setattr__.
+@dataclass
 class Experience:
     task_id: str
     task_text: str
@@ -112,7 +114,6 @@ def collect(
 
     def run_one(combo: tuple[TaskSpec, float, Topology]) -> Experience:
         task, budget, topo = combo
-        row = dict(task_id=task.task_id, task_text=task.text, budget=budget, topology=int(topo))
         try:
             trace = execute(
                 task,
@@ -125,10 +126,11 @@ def collect(
                 max_tokens=max_tokens,
                 planned_t_in=planned_t_in,
             )
-            error = trace.note if trace.note and trace.note.startswith(("backend failure", "evaluator failure")) else None
-            return Experience(**row, success=bool(trace.success), actual_cost=trace.cumulative_cost, error=error)
+            success, cost, note = bool(trace.success), trace.cumulative_cost, trace.note
+            error = note if note and note.startswith(("backend failure", "evaluator failure")) else None
         except Exception as exc:  # noqa: BLE001 - every combo must yield a row
-            return Experience(**row, success=False, actual_cost=0.0, error=str(exc))
+            success, cost, error = False, 0.0, str(exc)
+        return Experience(task.task_id, task.text, budget, int(topo), success, cost, error)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging too; a sequential collect never needs it

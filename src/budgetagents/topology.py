@@ -65,7 +65,9 @@ class ExecutionLimits:
     precall_slack: float | None = None
 
 
-@dataclass(frozen=True)
+# Plain, not frozen, for the speed of the per-call path (see CallRequest), and
+# without slots: RunTrace.to_dict reads each record's vars().
+@dataclass
 class CallRecord:
     model: str
     instance: str
@@ -194,22 +196,15 @@ class _Runner:
         self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
-        limit = self.max_tokens.get(role, DEFAULT_MAX_TOKENS[role])
+        model, limit = instance.model, self.max_tokens[role]
         if self.limits.precall_slack is not None:
-            worst = estimate_cost(instance.model, self.planned_t_in, limit)
+            worst = estimate_cost(model, self.planned_t_in, limit)
             if self.spent + worst > self.budget + self.limits.precall_slack:
                 self.trace.note = f"budget guard: skipped {role} call on {instance.label}"
                 raise _Halt
         occurrence = self.occurrences[role] = self.occurrences.get(role, 0) + 1
-        request = CallRequest(
-            model=instance.model.name,
-            system=system,
-            user=user,
-            max_tokens=limit,
-            role=role,
-            occurrence=occurrence,
-        )
-        backend = self.backends[instance.model.backend_id]
+        request = CallRequest(model.name, system, user, limit, role=role, occurrence=occurrence)
+        backend = self.backends[model.backend_id]
         try:
             # Backends own the retry policy: HttpBackend retries a retryable failure once.
             response = backend.invoke(request)
@@ -217,17 +212,9 @@ class _Runner:
             self.failed = True
             self.trace.note = f"backend failure ({role} on {instance.label}): {exc}"
             raise _Halt from exc
-        cost = estimate_cost(instance.model, response.prompt_tokens, response.completion_tokens)
-        self.trace.calls.append(
-            CallRecord(
-                model=instance.model.name,
-                instance=instance.label,
-                role=role,
-                t_in=response.prompt_tokens,
-                t_out=response.completion_tokens,
-                cost=cost,
-            )
-        )
+        t_in, t_out = response.prompt_tokens, response.completion_tokens
+        cost = estimate_cost(model, t_in, t_out)
+        self.trace.calls.append(CallRecord(model.name, instance.label, role, t_in, t_out, cost))
         self.spent += cost
         if role == ROLE_EXECUTOR:
             self.latest_executor_output = response.text
@@ -342,6 +329,10 @@ class _Runner:
                 break
 
 
+# Each topology's flow, indexed like TOPOLOGY_NAMES.
+_FLOWS = (_Runner.run_linear, _Runner.run_star, _Runner.run_feedback, _Runner.run_planner)
+
+
 def execute(
     task: TaskSpec,
     pool: Sequence[AgentInstance],
@@ -359,7 +350,8 @@ def execute(
     flow seats it by position. The trace records each call's backend-reported
     token usage and unit cost; oob is set exactly when the final cumulative
     cost exceeds the budget, and no call is initiated once the running total
-    has crossed it.
+    has crossed it. A role that `max_tokens` leaves out is capped at its
+    DEFAULT_MAX_TOKENS entry.
     """
     n, fewest = len(pool), min(MIN_POOL_SIZE)
     if n < fewest:
@@ -379,17 +371,11 @@ def execute(
         backends=backends,
         evaluator=evaluator,
         limits=limits,
-        max_tokens=dict(max_tokens) if max_tokens else dict(DEFAULT_MAX_TOKENS),
+        max_tokens={**DEFAULT_MAX_TOKENS, **max_tokens} if max_tokens else DEFAULT_MAX_TOKENS,
         planned_t_in=planned_t_in,
     )
-    flows = {
-        Topology.LINEAR: runner.run_linear,
-        Topology.STAR: runner.run_star,
-        Topology.FEEDBACK: runner.run_feedback,
-        Topology.PLANNER_DRIVEN: runner.run_planner,
-    }
     try:
-        flows[topology]()
+        _FLOWS[topology](runner)
     except _Halt:
         pass
 

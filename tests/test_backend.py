@@ -8,6 +8,7 @@ import pytest
 
 from budgetagents.backend import (
     CallRequest,
+    CallResponse,
     HTTPStatusError,
     HttpBackend,
     ProtocolError,
@@ -27,6 +28,12 @@ def test_request_validation():
     with pytest.raises(ValueError):
         CallRequest(model="m", system="s", user="u", max_tokens=0)
     assert request().temperature == 0.0
+
+
+@pytest.mark.parametrize("prompt, completion", [(-1, 5), (5, -1)])
+def test_response_rejects_negative_token_counts(prompt, completion):
+    with pytest.raises(ValueError, match="token counts must be >= 0"):
+        CallResponse(text="x", prompt_tokens=prompt, completion_tokens=completion)
 
 
 # -- scripted backend ---------------------------------------------------------

@@ -10,7 +10,7 @@ import budgetagents
 from budgetagents import policy, provision
 from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
-from budgetagents.cli import RunConfig, _build_backends, main
+from budgetagents.cli import RunConfig, _budget_label, _build_backends, main
 from budgetagents.profile import TaskSpec, profile_from_dict
 from synth import dominant_topology_dataset
 
@@ -175,6 +175,27 @@ def test_repeated_budget_rejected_before_any_work(workdir, capsys, command):
     assert captured.err == "error: budgets[2] repeats budget 2000\n"
     assert captured.out == ""
     assert not (workdir / "out").exists()
+
+
+def test_distinct_budgets_get_distinct_provision_files(workdir, capsys):
+    # Both budgets print as 1.23457e+06 with :g; each keeps its own label and file.
+    edit_config(workdir, budgets=[1234567, 1234568])
+    assert run("provision", "--config", str(workdir / "config.json")) == 0
+    out = capsys.readouterr().out
+    assert "budget 1234567.0: counts" in out and "budget 1234568.0: counts" in out
+    files = sorted(p.name for p in (workdir / "out").glob("provision_*.json"))
+    assert files == ["provision_1234567.0.json", "provision_1234568.0.json"]
+    for name in files:
+        doc = json.loads((workdir / "out" / name).read_text())
+        assert repr(doc["budget"]) == name[len("provision_"):-len(".json")]
+
+
+@pytest.mark.parametrize(
+    "budget, label", [(2000.0, "2000"), (0.5, "0.5"), (1e6, "1e+06"), (0.1 + 0.2, "0.30000000000000004")]
+)
+def test_budget_label_is_short_where_it_reads_back(budget, label):
+    assert _budget_label(budget) == label
+    assert float(label) == budget
 
 
 def test_collect_then_train_then_run(workdir, capsys):

@@ -195,6 +195,17 @@ def test_load_rejects_bad_header(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("topology", [-1, 4])
+def test_experience_rejects_out_of_range_topology(topology):
+    with pytest.raises(ValueError, match=f"topology index {topology} out of range"):
+        Experience("a", "x", 500.0, topology, True, 1.0)
+
+
+def test_experience_rejects_negative_cost():
+    with pytest.raises(ValueError, match="actual_cost must be >= 0"):
+        Experience("a", "x", 500.0, 0, True, -0.5)
+
+
 def test_load_rejects_out_of_range_topology(tmp_path):
     path = tmp_path / "topo.jsonl"
     path.write_text(
