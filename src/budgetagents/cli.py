@@ -433,31 +433,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--catalog", help="model catalog JSON")
-        p.add_argument("--profile", help="task profile JSON")
-        p.add_argument("--budget", type=float, help="single budget override")
-        p.add_argument("--seed", type=int, help="global random seed (default 42)")
-        p.add_argument("--out", help="output directory (default 'out')")
-        p.add_argument("--jobs", type=int, help="worker pool size for collection")
-        p.add_argument("--mock", action="store_true", help="use the profile's scripted backend")
+    # The flags every pipeline command shares, built once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its fields")
+    common.add_argument("--catalog", help="model catalog JSON")
+    common.add_argument("--profile", help="task profile JSON")
+    common.add_argument("--budget", type=float, help="single budget override")
+    common.add_argument("--seed", type=int, help="global random seed (default 42)")
+    common.add_argument("--out", help="output directory (default 'out')")
+    common.add_argument("--jobs", type=int, help="worker pool size for collection")
+    common.add_argument("--mock", action="store_true", help="use the profile's scripted backend")
 
-    p = sub.add_parser("provision", help="solve the budgeted pool selection")
-    common(p)
+    p = sub.add_parser("provision", parents=[common], help="solve the budgeted pool selection")
     p.add_argument("--explain", action="store_true", help="print per-tier decision weights")
     p.set_defaults(func=cmd_provision)
 
-    p = sub.add_parser("collect", help="execute all topologies per task into a dataset")
-    common(p)
+    p = sub.add_parser("collect", parents=[common], help="execute all topologies per task into a dataset")
     p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("train", help="train the topology-selection policy")
-    common(p)
+    p = sub.add_parser("train", parents=[common], help="train the topology-selection policy")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("run", help="provision, select a topology, and execute")
-    common(p)
+    p = sub.add_parser("run", parents=[common], help="provision, select a topology, and execute")
     p.add_argument("--task", help="ad-hoc task text (default: run every profile task)")
     p.add_argument("--answer", help="expected answer for the ad-hoc task")
     p.add_argument("--topology", help="bypass the policy with a fixed topology")

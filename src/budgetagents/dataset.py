@@ -26,6 +26,7 @@ from .topology import (
     AgentInstance,
     ExecutionLimits,
     Topology,
+    check_runnable,
     execute,
 )
 
@@ -101,9 +102,10 @@ def collect(
 ) -> ExperienceDataset:
     """Execute all topologies for every (task, budget) pair.
 
-    Failures (e.g. a pool too small for a topology) are recorded as
-    unsuccessful zero-or-partial-cost experiences so the dataset stays
-    rectangular.
+    A run that cannot start (a pool too small for the topology, or a budget
+    <= 0) and a run that halts on a backend or evaluator failure are recorded
+    as unsuccessful zero-or-partial-cost experiences, so the dataset stays
+    rectangular. Any other exception propagates.
     """
     combos = [
         (task, budget, topo)
@@ -114,22 +116,25 @@ def collect(
 
     def run_one(combo: tuple[TaskSpec, float, Topology]) -> Experience:
         task, budget, topo = combo
+        pool = pools[budget]
         try:
-            trace = execute(
-                task,
-                pools[budget],
-                topo,
-                budget,
-                backends,
-                evaluator,
-                limits=limits,
-                max_tokens=max_tokens,
-                planned_t_in=planned_t_in,
-            )
-            success, cost, note = bool(trace.success), trace.cumulative_cost, trace.note
-            error = note if note and note.startswith(("backend failure", "evaluator failure")) else None
-        except Exception as exc:  # noqa: BLE001 - every combo must yield a row
-            success, cost, error = False, 0.0, str(exc)
+            check_runnable(pool, topo, budget)
+        except ValueError as exc:
+            return Experience(task.task_id, task.text, budget, int(topo), False, 0.0, str(exc))
+        trace = execute(
+            task,
+            pool,
+            topo,
+            budget,
+            backends,
+            evaluator,
+            limits=limits,
+            max_tokens=max_tokens,
+            planned_t_in=planned_t_in,
+        )
+        note = trace.note
+        error = note if note and note.startswith(("backend failure", "evaluator failure")) else None
+        success, cost = bool(trace.success), trace.cumulative_cost
         return Experience(task.task_id, task.text, budget, int(topo), success, cost, error)
 
     if jobs > 1:

@@ -219,7 +219,7 @@ def _dataset_tensors(
     text_row = np.array(
         [rows.setdefault(exp.task_text, len(rows)) for exp in dataset.experiences], dtype=np.int64
     )
-    emb = np.stack([embed(text) for text in rows])
+    emb = embed(list(rows))
     bud = np.array([exp.budget / budget_ref for exp in dataset.experiences])
     actions = np.array([exp.topology for exp in dataset.experiences], dtype=np.int64)
     rewards = np.array([_reward_for(exp, reward_config) for exp in dataset.experiences])
@@ -377,9 +377,7 @@ def select_topology(
     for name, arr in params.arrays().items():
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite parameter in {name}")
-    emb = np.zeros((len(tasks), params.embed_w.shape[1]))
-    for row, task in zip(emb, tasks):
-        row[...] = embed(task.text)
+    emb = embed([task.text for task in tasks])
     if not np.all(np.isfinite(emb)):
         raise ValueError("non-finite embedding")
     bud = np.full(len(tasks), budget / params.budget_ref)

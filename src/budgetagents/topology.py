@@ -66,7 +66,7 @@ class ExecutionLimits:
 
 
 # Plain, not frozen, for the speed of the per-call path (see CallRequest), and
-# without slots: RunTrace.to_dict reads each record's vars().
+# without slots: RunTrace.to_json encodes each record through vars().
 @dataclass
 class CallRecord:
     model: str
@@ -90,14 +90,14 @@ class RunTrace:
     terminated_early: bool = False
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        # A dataclass instance's __dict__ holds its fields in declaration
-        # order, so this equals dataclasses.asdict(self) without asdict's
-        # deepcopy of every value, which made writing traces measurably slower.
-        return {**vars(self), "calls": [dict(vars(c)) for c in self.calls]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+        return _TRACE_ENCODER.encode(vars(self))
+
+
+# A dataclass instance's __dict__ holds its fields in declaration order, so a
+# trace encodes as dataclasses.asdict would give it, without asdict's deep copy
+# of every value; each CallRecord encodes through default=vars.
+_TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
 
 
 # A trace line as RunTrace.to_json writes it, for readers of trace files.
@@ -333,6 +333,21 @@ class _Runner:
 _FLOWS = (_Runner.run_linear, _Runner.run_star, _Runner.run_feedback, _Runner.run_planner)
 
 
+def check_runnable(pool: Sequence[AgentInstance], topology: Topology, budget: float) -> None:
+    """Raise ValueError unless the pool can staff the topology and the budget
+    is positive: the preconditions of execute."""
+    n, fewest = len(pool), min(MIN_POOL_SIZE)
+    if n < fewest:
+        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least {fewest} instances, pool has {n}")
+    if n < MIN_POOL_SIZE[topology]:
+        raise ValueError(
+            f"planner topology needs at least {MIN_POOL_SIZE[topology]} instances "
+            f"(planner + critic + executor), pool has {n}"
+        )
+    if budget <= 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
+
+
 def execute(
     task: TaskSpec,
     pool: Sequence[AgentInstance],
@@ -353,16 +368,7 @@ def execute(
     has crossed it. A role that `max_tokens` leaves out is capped at its
     DEFAULT_MAX_TOKENS entry.
     """
-    n, fewest = len(pool), min(MIN_POOL_SIZE)
-    if n < fewest:
-        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least {fewest} instances, pool has {n}")
-    if n < MIN_POOL_SIZE[topology]:
-        raise ValueError(
-            f"planner topology needs at least {MIN_POOL_SIZE[topology]} instances "
-            f"(planner + critic + executor), pool has {n}"
-        )
-    if budget <= 0:
-        raise ValueError(f"budget must be > 0, got {budget}")
+    check_runnable(pool, topology, budget)
     runner = _Runner(
         task=task,
         pool=pool,

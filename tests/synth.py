@@ -9,6 +9,17 @@ from budgetagents.dataset import Experience, ExperienceDataset
 from budgetagents.policy import loss
 
 
+def seeded_ticket_texts(count, seed):
+    """count ticket-like task texts over a ten-word vocabulary."""
+    rng = np.random.default_rng(seed)
+    words = ["ledger", "invoice", "refund", "vendor", "audit", "route", "pallet", "margin", "order", "depot"]
+    return [
+        f"Ticket {i}. Context: {' '.join(rng.choice(words, size=rng.integers(3, 30)).tolist())}. "
+        f"What is {rng.integers(1, 99)} plus {rng.integers(1, 99)}?"
+        for i in range(count)
+    ]
+
+
 class RecordingBackend(ScriptedBackend):
     """A scripted backend that keeps every request it answers, for tests that
     read prompts."""

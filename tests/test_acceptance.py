@@ -144,7 +144,7 @@ def test_criterion_6_entropy_regularization_direction():
     )
     result = train(dataset, config)
     texts = sorted({e.task_text for e in dataset.experiences})
-    emb = np.stack([embed(text) for text in texts])
+    emb = embed(texts)
     probs = forward(result.params, emb, np.full(len(texts), 500.0 / result.params.budget_ref))["probs"]
     mean_entropy = float(np.mean(-(probs * np.log(probs)).sum(axis=1)))
     assert mean_entropy > 1.2

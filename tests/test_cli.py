@@ -126,6 +126,23 @@ def test_collect_needs_no_provision_file(workdir):
     assert (workdir / "corrupt" / "dataset.jsonl").read_bytes() == dataset
 
 
+def test_collect_fails_on_a_response_with_negative_token_counts(workdir, fake_server, capsys):
+    # The provider billed this call; a dataset row at cost 0.0 would drop it.
+    catalog = json.loads(json.dumps(CATALOG))
+    for entry in catalog["backends"].values():
+        entry["base_url"] = fake_server.url
+    (workdir / "catalog.json").write_text(json.dumps(catalog))
+    edit_config(workdir, mock=False)
+    fake_server.enqueue(200, {
+        "choices": [{"message": {"content": "42"}}],
+        "usage": {"prompt_tokens": -5, "completion_tokens": 3},
+    })
+    assert run("collect", "--config", str(workdir / "config.json")) == 1
+    assert capsys.readouterr().err == "error: token counts must be >= 0\n"
+    assert len(fake_server.requests) == 1
+    assert not (workdir / "out" / "dataset.jsonl").exists()
+
+
 def test_collect_and_run_share_the_pool_after_instance_cap_changes(workdir):
     edit_config(workdir, instance_cap=5)
     assert run("provision", "--config", str(workdir / "config.json")) == 0  # [1, 3]: linear costs 625
@@ -629,6 +646,114 @@ def test_usage_error_exits_1_not_the_infeasible_code(capsys):
     assert main(["provision", "--jobs", "x"]) == 1
     assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
     assert main(["--help"]) == 0
+
+
+# Each command's --help at COLUMNS=80, as printed when the shared flags were
+# added to each command one by one.
+HELP_TEXTS = {
+    '': """\
+usage: budgetagents [-h] {provision,collect,train,run,report} ...
+
+Budget-aware multi-agent pipeline: provision, collect, train, run, report.
+
+positional arguments:
+  {provision,collect,train,run,report}
+    provision           solve the budgeted pool selection
+    collect             execute all topologies per task into a dataset
+    train               train the topology-selection policy
+    run                 provision, select a topology, and execute
+    report              summarize a JSONL trace file
+
+options:
+  -h, --help            show this help message and exit
+""",
+    'provision': """\
+usage: budgetagents provision [-h] [--config CONFIG] [--catalog CATALOG]
+                              [--profile PROFILE] [--budget BUDGET]
+                              [--seed SEED] [--out OUT] [--jobs JOBS] [--mock]
+                              [--explain]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    JSON config file; flags override its fields
+  --catalog CATALOG  model catalog JSON
+  --profile PROFILE  task profile JSON
+  --budget BUDGET    single budget override
+  --seed SEED        global random seed (default 42)
+  --out OUT          output directory (default 'out')
+  --jobs JOBS        worker pool size for collection
+  --mock             use the profile's scripted backend
+  --explain          print per-tier decision weights
+""",
+    'collect': """\
+usage: budgetagents collect [-h] [--config CONFIG] [--catalog CATALOG]
+                            [--profile PROFILE] [--budget BUDGET]
+                            [--seed SEED] [--out OUT] [--jobs JOBS] [--mock]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    JSON config file; flags override its fields
+  --catalog CATALOG  model catalog JSON
+  --profile PROFILE  task profile JSON
+  --budget BUDGET    single budget override
+  --seed SEED        global random seed (default 42)
+  --out OUT          output directory (default 'out')
+  --jobs JOBS        worker pool size for collection
+  --mock             use the profile's scripted backend
+""",
+    'train': """\
+usage: budgetagents train [-h] [--config CONFIG] [--catalog CATALOG]
+                          [--profile PROFILE] [--budget BUDGET] [--seed SEED]
+                          [--out OUT] [--jobs JOBS] [--mock]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    JSON config file; flags override its fields
+  --catalog CATALOG  model catalog JSON
+  --profile PROFILE  task profile JSON
+  --budget BUDGET    single budget override
+  --seed SEED        global random seed (default 42)
+  --out OUT          output directory (default 'out')
+  --jobs JOBS        worker pool size for collection
+  --mock             use the profile's scripted backend
+""",
+    'run': """\
+usage: budgetagents run [-h] [--config CONFIG] [--catalog CATALOG]
+                        [--profile PROFILE] [--budget BUDGET] [--seed SEED]
+                        [--out OUT] [--jobs JOBS] [--mock] [--task TASK]
+                        [--answer ANSWER] [--topology TOPOLOGY]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON config file; flags override its fields
+  --catalog CATALOG    model catalog JSON
+  --profile PROFILE    task profile JSON
+  --budget BUDGET      single budget override
+  --seed SEED          global random seed (default 42)
+  --out OUT            output directory (default 'out')
+  --jobs JOBS          worker pool size for collection
+  --mock               use the profile's scripted backend
+  --task TASK          ad-hoc task text (default: run every profile task)
+  --answer ANSWER      expected answer for the ad-hoc task
+  --topology TOPOLOGY  bypass the policy with a fixed topology
+""",
+    'report': """\
+usage: budgetagents report [-h] traces
+
+positional arguments:
+  traces      path to traces.jsonl
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS), ids=[c or "top" for c in HELP_TEXTS])
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*command.split(), "--help"]) == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
 
 
 @pytest.mark.parametrize(

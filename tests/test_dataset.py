@@ -65,6 +65,36 @@ def test_collect_records_pool_deficit_as_failure():
     )
 
 
+class BrokenBackend(ScriptedBackend):
+    """A backend whose invoke fails with an error no backend raises on purpose."""
+
+    def invoke(self, request):
+        raise RuntimeError("bug in the backend")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_collect_propagates_unexpected_errors(jobs):
+    # A bug is not a failed run: a row with cost 0.0 would hide it, and drop
+    # any call already paid.
+    with pytest.raises(RuntimeError, match="bug in the backend"):
+        collect(
+            [TaskSpec("a", "t", "42")],
+            [500.0],
+            {500.0: two_agent_pool()},
+            {"openai": BrokenBackend(basic_rules())},
+            NumericEvaluator(),
+            jobs=jobs,
+        )
+
+
+def test_collect_records_non_positive_budget_as_failure():
+    pool = [*two_agent_pool(), AgentInstance(NANO, "gpt-4.1-nano#3")]
+    dataset = collect([TaskSpec("a", "t", "42")], [0.0], {0.0: pool}, scripted(basic_rules()), NumericEvaluator())
+    assert [(exp.success, exp.actual_cost, exp.error) for exp in dataset.experiences] == [
+        (False, 0.0, "budget must be > 0, got 0.0")
+    ] * 4
+
+
 def test_collect_reward_join():
     # feedback (and every other executor topology) succeeds at cost 300 of 500
     feedback_rules = [

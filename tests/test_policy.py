@@ -24,7 +24,7 @@ from budgetagents.policy import (
 from budgetagents.dataset import Experience, ExperienceDataset
 from budgetagents.profile import TaskSpec
 from budgetagents.reward import RewardConfig, compute_reward
-from synth import dominant_topology_dataset, finite_difference_check, random_batch
+from synth import dominant_topology_dataset, finite_difference_check, random_batch, seeded_ticket_texts
 
 
 def zero_params():
@@ -42,7 +42,7 @@ def some_state(seed=0, budget=0.8):
 
 def probs_for(params, texts, budget):
     """(len(texts), K) probabilities at one budget, from one forward pass."""
-    emb = np.stack([embed(text) for text in texts])
+    emb = embed(texts)
     return forward(params, emb, np.full(len(texts), budget / params.budget_ref))["probs"]
 
 
@@ -87,7 +87,9 @@ def test_forward_rejects_non_finite(monkeypatch):
     params.core_w[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite parameter in core_w"):
         select_topology(params, tasks, 1.0)
-    monkeypatch.setattr(policy, "embed", lambda text: np.full(384, np.nan if text == "second ticket" else 0.0))
+    monkeypatch.setattr(
+        policy, "embed", lambda texts: np.array([np.full(384, np.nan if t == "second ticket" else 0.0) for t in texts])
+    )
     with pytest.raises(ValueError, match="non-finite embedding"):
         select_topology(init_params(seed=1), tasks, 1.0)
 
@@ -262,11 +264,11 @@ def test_epoch_scores_equal_evaluate_bitwise():
 
 def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
     dataset = two_budget_dataset()
-    embeds, rewards = Counter(), Counter()
+    batches, rewards = [], Counter()
 
-    def counting_embed(text):
-        embeds[text] += 1
-        return embed(text)
+    def counting_embed(texts):
+        batches.append(list(texts))
+        return embed(texts)
 
     def counting_reward(outcome, config):
         rewards[outcome] += 1
@@ -275,7 +277,7 @@ def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
     monkeypatch.setattr(policy, "embed", counting_embed)
     monkeypatch.setattr(policy, "compute_reward", counting_reward)
     train(dataset, TrainerConfig(learning_rate=0.0015, batch_size=32, epochs=3, seed=1))
-    assert embeds == Counter({e.task_text: 1 for e in dataset.experiences})
+    assert batches == [list(dict.fromkeys(e.task_text for e in dataset.experiences))]  # one batch, each text once
     assert sum(rewards.values()) == len(dataset)
 
 
@@ -285,7 +287,7 @@ def test_training_tensors_hold_one_row_per_text():
     assert emb.shape == (7, 384)
     assert text_row.dtype == np.int64 and text_row.shape == (len(dataset),)
     for row, exp in zip(text_row, dataset.experiences):
-        assert emb[row].tobytes() == embed(exp.task_text).tobytes()
+        assert emb[row].tobytes() == embed([exp.task_text])[0].tobytes()
 
 
 def test_train_peak_memory_scales_with_distinct_texts():
@@ -296,8 +298,7 @@ def test_train_peak_memory_scales_with_distinct_texts():
         exp for budget in budgets for exp in dominant_topology_dataset(n_tasks=1000, budget=budget).experiences
     ))
     dense_bytes = len(dataset) * 384 * 8
-    for text in {exp.task_text for exp in dataset.experiences}:
-        embed(text)  # fill the embedder's token cache outside the traced window
+    embed(sorted({exp.task_text for exp in dataset.experiences}))  # fill the token cache outside the traced window
     tracemalloc.start()
     try:
         train(dataset, TrainerConfig(learning_rate=0.0015, batch_size=256, epochs=1, seed=3))
@@ -310,7 +311,7 @@ def test_train_peak_memory_scales_with_distinct_texts():
 def test_gathered_batch_loss_matches_dense_rows():
     dataset = two_budget_dataset(n_tasks=9)
     emb, text_row, bud, actions, rewards = policy._dataset_tensors(dataset, 800.0, RewardConfig())
-    dense = np.stack([embed(exp.task_text) for exp in dataset.experiences])
+    dense = np.stack([embed([exp.task_text])[0] for exp in dataset.experiences])
     params = init_params(seed=8, budget_ref=800.0)
     idx = np.random.default_rng(8).permutation(len(dataset))[:40]
     gathered_value, gathered_grads = loss(params, emb[text_row[idx]], bud[idx], actions[idx], rewards[idx], 0.01)
@@ -369,16 +370,6 @@ def test_select_without_tasks_picks_nothing():
     assert select_topology(init_params(seed=0), [], budget=1.0) == []
 
 
-def seeded_ticket_texts(count, seed):
-    rng = np.random.default_rng(seed)
-    words = ["ledger", "invoice", "refund", "vendor", "audit", "route", "pallet", "margin", "order", "depot"]
-    return [
-        f"Ticket {i}. Context: {' '.join(rng.choice(words, size=rng.integers(3, 30)).tolist())}. "
-        f"What is {rng.integers(1, 99)} plus {rng.integers(1, 99)}?"
-        for i in range(count)
-    ]
-
-
 def test_select_batched_matches_row_by_row():
     params = init_params(seed=8, budget_ref=1000.0)
     params.head_w *= 4.0  # sharpen the policy so that the picks vary
@@ -389,7 +380,7 @@ def test_select_batched_matches_row_by_row():
             mask = np.isin(np.arange(NUM_TOPOLOGIES), list(allowed if allowed is not None else range(4)))
             expected = []
             for task in tasks:
-                probs = forward(params, embed(task.text)[None, :], np.array([budget / 1000.0]))["probs"][0]
+                probs = forward(params, embed([task.text]), np.array([budget / 1000.0]))["probs"][0]
                 expected.append(int(np.argmax(np.where(mask, probs, -1.0))))
             assert select_topology(params, tasks, budget, allowed=allowed) == expected
             seen.update(expected)
@@ -526,9 +517,9 @@ def test_embedding_feeds_state(monkeypatch):
     embedded, seen = [], {}
     real_embed, real_forward = policy.embed, policy.forward
 
-    def counting_embed(text):
-        embedded.append(text)
-        return real_embed(text)
+    def counting_embed(texts):
+        embedded.append(list(texts))
+        return real_embed(texts)
 
     def spying_forward(params, emb, bud):
         seen["emb"], seen["bud"] = emb, bud
@@ -538,7 +529,7 @@ def test_embedding_feeds_state(monkeypatch):
     monkeypatch.setattr(policy, "forward", spying_forward)
     texts = ["double check the wiring", "count the pallets", "double check the wiring"]
     select_topology(params, [TaskSpec(f"t{i}", text) for i, text in enumerate(texts)], 250.0)
-    assert embedded == texts  # one module-level embed per task
+    assert embedded == [texts]  # one module-level embed per call, every task's text in order
     assert seen["bud"].tolist() == [0.5, 0.5, 0.5]
     for row, text in zip(seen["emb"], texts):
-        assert np.array_equal(row, embed(text))
+        assert np.array_equal(row, embed([text])[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -482,7 +483,7 @@ def test_trace_json_round_trip(tmp_path, capsys):
     assert traces[4].oob and "backend failure" in traces[5].note
     for trace in traces:
         data = json.loads(trace.to_json())
-        assert check(data, TRACE_FIELDS, required=TRACE_REQUIRED) == trace.to_dict()
+        assert check(data, TRACE_FIELDS, required=TRACE_REQUIRED) == dataclasses.asdict(trace)
     path = tmp_path / "traces.jsonl"
     path.write_text("".join(t.to_json() + "\n" for t in traces))
     assert cli.main(["report", str(path)]) == 0
