@@ -9,6 +9,7 @@ error, 2 infeasible provisioning.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -419,13 +420,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     oob = sum(1 for t in traces if t["oob"])
     print(f"Acc {100.0 * successes / n:.1f}%  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
     counts = {name: 0 for name in topology.TOPOLOGY_NAMES}
+    halts = {reason: 0 for reason in topology.HALT_REASONS}
     for t in traces:
         counts[t["topology"]] += 1
+        if t["halt"] is not None:
+            halts[t["halt"]] += 1
     for name in topology.TOPOLOGY_NAMES:
         print(f"  {name}: {counts[name]}/{n}")
+    for reason in topology.HALT_REASONS:
+        print(f"  halt {reason}: {halts[reason]}/{n}")
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: `main` may run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="budgetagents",

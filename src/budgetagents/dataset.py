@@ -23,6 +23,8 @@ from .evaluators import Evaluator
 from .profile import TaskSpec
 from .schema import BOOL, INT, NUMBER, STRING, check, nullable
 from .topology import (
+    BACKEND_FAILURE,
+    EVALUATOR_FAILURE,
     AgentInstance,
     ExecutionLimits,
     Topology,
@@ -31,6 +33,8 @@ from .topology import (
 )
 
 FORMAT_VERSION = 1
+# One encoder for every line: json.dumps would build a new one per row.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 # One experience line; the topology's and the cost's ranges are Experience's.
 _ROW_FIELDS = {
@@ -132,8 +136,7 @@ def collect(
             max_tokens=max_tokens,
             planned_t_in=planned_t_in,
         )
-        note = trace.note
-        error = note if note and note.startswith(("backend failure", "evaluator failure")) else None
+        error = trace.detail if trace.halt in (BACKEND_FAILURE, EVALUATOR_FAILURE) else None
         success, cost = bool(trace.success), trace.cumulative_cost
         return Experience(task.task_id, task.text, budget, int(topo), success, cost, error)
 
@@ -150,7 +153,7 @@ def collect(
 def save(dataset: ExperienceDataset, path: str | Path) -> None:
     header = {"version": FORMAT_VERSION}
     header.update(dataset.header)
-    lines = [json.dumps(header, ensure_ascii=False)]
+    lines = [_ENCODER.encode(header)]
     for exp in dataset.experiences:
         record = {
             "task_id": exp.task_id,
@@ -162,7 +165,7 @@ def save(dataset: ExperienceDataset, path: str | Path) -> None:
         }
         if exp.error is not None:
             record["error"] = exp.error
-        lines.append(json.dumps(record, ensure_ascii=False))
+        lines.append(_ENCODER.encode(record))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

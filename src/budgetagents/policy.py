@@ -31,7 +31,7 @@ from .dataset import ExperienceDataset
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
 from .reward import Outcome, RewardConfig, compute_reward
-from .schema import ANY, INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
+from .schema import INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import TOPOLOGY_NAMES
 
 PROJ_DIM = 64
@@ -409,48 +409,35 @@ def save_params(params: PolicyParams, path: str | Path, seed: int | None = None)
     Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
 
 
-# The weights file, both formats. A layer's values are a list of floats in
-# format 1 and a base64 string in format 2; _decode_layer checks them.
-_LAYER = obj({"shape": each(non_negative(INT)), "values": ANY}, required=("shape", "values"))
+# The weights file. A layer's values are a base64 string; _decode_layer checks them.
+_LAYER = obj({"shape": each(non_negative(INT)), "values": STRING}, required=("shape", "values"))
 _META = {"topologies": each(STRING), "embed_dim": INT, "budget_ref": positive(NUMBER), "seed": nullable(INT)}
 _WEIGHTS_FIELDS = {
-    "format_version": (lambda v: v in (1, 2), "1 or 2"),
+    "format_version": (lambda v: v == 2, "2 (retrain to replace a file of an older format)"),
     "meta": obj(_META, required=("topologies", "embed_dim", "budget_ref")),
     "layers": obj({name: _LAYER for name in PARAM_FIELDS}, required=PARAM_FIELDS),
 }
 
 
-def _decode_layer(path: str | Path, name: str, layer: dict, version: int) -> np.ndarray:
-    """One layer's array; version 1 holds a list of floats, version 2 base64
-    little-endian float64."""
+def _decode_layer(path: str | Path, name: str, layer: dict) -> np.ndarray:
+    """One layer's array, from base64 little-endian float64."""
     shape = tuple(layer["shape"])
     size = math.prod(shape)
-    values = layer["values"]
-    if version == 1:
-        try:
-            each(NUMBER)(values, f"layers.{name}.values")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        arr = np.array(values, dtype=np.float64)
-        if arr.size != size:
-            raise ValueError(f"{path}: layer {name} holds {arr.size} values, its shape {list(shape)} needs {size}")
-        arr = arr.reshape(shape)
-    else:
-        try:
-            raw = base64.b64decode(values, validate=True)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: layer {name} is not valid base64") from None
-        if len(raw) != 8 * size:
-            raise ValueError(f"{path}: layer {name} holds {len(raw)} bytes, its shape {list(shape)} needs {8 * size}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)  # a writable copy
+    try:
+        raw = base64.b64decode(layer["values"], validate=True)
+    except ValueError:
+        raise ValueError(f"{path}: layer {name} is not valid base64") from None
+    if len(raw) != 8 * size:
+        raise ValueError(f"{path}: layer {name} holds {len(raw)} bytes, its shape {list(shape)} needs {8 * size}")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)  # a writable copy
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{path}: layer {name} has non-finite values")
     return arr
 
 
 def load_params(path: str | Path) -> PolicyParams:
-    """Weights saved by save_params, in format 2 or the older format 1
-    (values as a JSON list of floats)."""
+    """Weights saved by save_params (format 2), for this build's topologies
+    and embedding width."""
     doc = read_json(path)
     try:
         check(doc, _WEIGHTS_FIELDS, required=tuple(_WEIGHTS_FIELDS), name="weights file")
@@ -463,10 +450,11 @@ def load_params(path: str | Path) -> PolicyParams:
             f"{path}: weights were trained for topologies {meta['topologies']}, "
             f"this build has {expected}"
         )
-    arrays = {
-        name: _decode_layer(path, name, doc["layers"][name], doc["format_version"])
-        for name in PARAM_FIELDS
-    }
+    if meta["embed_dim"] != EMBED_DIM:
+        raise ValueError(
+            f"{path}: weights were trained on {meta['embed_dim']}-d embeddings, this build embeds in {EMBED_DIM}-d"
+        )
+    arrays = {name: _decode_layer(path, name, doc["layers"][name]) for name in PARAM_FIELDS}
     if arrays["embed_w"].shape[1] != meta["embed_dim"]:
         raise ValueError(f"{path}: embed_dim mismatch")
     return PolicyParams(budget_ref=float(meta["budget_ref"]), **arrays)

@@ -43,6 +43,12 @@ ROLE_CRITIC = "critic"
 
 _STEP_RE = re.compile(r"^\s*\d+[.)]\s*(\S.*)$")
 
+# Why a run stopped short of its flow's end, or failed to be graded: a trace's
+# `halt` holds one of these, or null for a run that ran and was graded.
+BUDGET_EXCEEDED, PRECALL_GUARD, BACKEND_FAILURE, EVALUATOR_FAILURE = HALT_REASONS = (
+    "budget_exceeded", "precall_guard", "backend_failure", "evaluator_failure",
+)
+
 
 def topology_from_name(name: str) -> Topology:
     try:
@@ -87,8 +93,8 @@ class RunTrace:
     final_answer: str | None = None
     success: bool | None = None
     oob: bool = False
-    terminated_early: bool = False
-    note: str | None = None
+    halt: str | None = None  # one of HALT_REASONS; the last one set wins
+    detail: str | None = None  # what halted it, in words; null for BUDGET_EXCEEDED
 
     def to_json(self) -> str:
         return _TRACE_ENCODER.encode(vars(self))
@@ -118,10 +124,10 @@ TRACE_FIELDS = {
     "final_answer": nullable(STRING),
     "success": nullable(BOOL),
     "oob": BOOL,
-    "terminated_early": BOOL,
-    "note": nullable(STRING),
+    "halt": nullable((lambda v: v in HALT_REASONS, f"one of {', '.join(HALT_REASONS)}")),
+    "detail": nullable(STRING),
 }
-TRACE_REQUIRED = ("task_id", "topology", "budget", "cumulative_cost", "oob", "terminated_early")
+TRACE_REQUIRED = ("task_id", "topology", "budget", "cumulative_cost", "oob", "halt")
 
 
 def expand_pool(catalog: ModelCatalog, counts: Sequence[int]) -> list[AgentInstance]:
@@ -145,7 +151,8 @@ def staffable_topologies(instances: list[AgentInstance]) -> tuple[Topology, ...]
 
 
 class _Halt(Exception):
-    """Internal control flow: stop issuing calls, keep what we have."""
+    """Internal control flow: stop issuing calls, keep what we have. Its args
+    are the trace's halt reason and detail."""
 
 
 def _parse_verdict(text: str) -> tuple[bool, str]:
@@ -192,7 +199,6 @@ class _Runner:
         self.trace = RunTrace(task_id=task.task_id, topology=TOPOLOGY_NAMES[topology], budget=budget)
         self.latest_executor_output: str | None = None
         self.star_outputs: list[tuple[int, str]] = []
-        self.failed = False
         self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
@@ -200,8 +206,7 @@ class _Runner:
         if self.limits.precall_slack is not None:
             worst = estimate_cost(model, self.planned_t_in, limit)
             if self.spent + worst > self.budget + self.limits.precall_slack:
-                self.trace.note = f"budget guard: skipped {role} call on {instance.label}"
-                raise _Halt
+                raise _Halt(PRECALL_GUARD, f"budget guard: skipped {role} call on {instance.label}")
         occurrence = self.occurrences[role] = self.occurrences.get(role, 0) + 1
         request = CallRequest(model.name, system, user, limit, role=role, occurrence=occurrence)
         backend = self.backends[model.backend_id]
@@ -209,9 +214,7 @@ class _Runner:
             # Backends own the retry policy: HttpBackend retries a retryable failure once.
             response = backend.invoke(request)
         except BackendError as exc:
-            self.failed = True
-            self.trace.note = f"backend failure ({role} on {instance.label}): {exc}"
-            raise _Halt from exc
+            raise _Halt(BACKEND_FAILURE, f"backend failure ({role} on {instance.label}): {exc}") from exc
         t_in, t_out = response.prompt_tokens, response.completion_tokens
         cost = estimate_cost(model, t_in, t_out)
         self.trace.calls.append(CallRecord(model.name, instance.label, role, t_in, t_out, cost))
@@ -219,9 +222,7 @@ class _Runner:
         if role == ROLE_EXECUTOR:
             self.latest_executor_output = response.text
         if self.spent > self.budget:
-            self.trace.oob = True
-            self.trace.terminated_early = True
-            raise _Halt
+            raise _Halt(BUDGET_EXCEEDED, None)
         return response.text
 
     # -- topology flows -----------------------------------------------------
@@ -365,8 +366,10 @@ def execute(
     flow seats it by position. The trace records each call's backend-reported
     token usage and unit cost; oob is set exactly when the final cumulative
     cost exceeds the budget, and no call is initiated once the running total
-    has crossed it. A role that `max_tokens` leaves out is capped at its
-    DEFAULT_MAX_TOKENS entry.
+    has crossed it. `halt` names the last reason the run stopped or went
+    ungraded (HALT_REASONS); a run halted by a backend failure is not graded.
+    A role that `max_tokens` leaves out is capped at its DEFAULT_MAX_TOKENS
+    entry.
     """
     check_runnable(pool, topology, budget)
     runner = _Runner(
@@ -380,12 +383,11 @@ def execute(
         max_tokens={**DEFAULT_MAX_TOKENS, **max_tokens} if max_tokens else DEFAULT_MAX_TOKENS,
         planned_t_in=planned_t_in,
     )
+    trace = runner.trace
     try:
         _FLOWS[topology](runner)
-    except _Halt:
-        pass
-
-    trace = runner.trace
+    except _Halt as stop:
+        trace.halt, trace.detail = stop.args
     trace.cumulative_cost = runner.spent
     trace.oob = runner.spent > budget
     if topology == Topology.STAR:
@@ -393,12 +395,12 @@ def execute(
     else:
         trace.final_answer = runner.latest_executor_output
 
-    if runner.failed or trace.final_answer is None:
+    if trace.halt == BACKEND_FAILURE or trace.final_answer is None:
         trace.success = False
     else:
         try:
             trace.success = evaluator.grade(trace.final_answer, task)
         except Exception as exc:  # noqa: BLE001 - evaluator is user-pluggable
             trace.success = False
-            trace.note = f"evaluator failure: {exc}"
+            trace.halt, trace.detail = EVALUATOR_FAILURE, f"evaluator failure: {exc}"
     return trace

@@ -353,6 +353,18 @@ def test_run_with_corrupt_weights_errors_before_any_task(workdir, capsys):
     assert not (workdir / "out" / "traces.jsonl").exists()
 
 
+def test_run_with_weights_of_another_embedding_width_errors_before_any_task(workdir, capsys):
+    (workdir / "out").mkdir()
+    path = workdir / "out" / "policy.json"
+    params = policy.init_params(seed=0, budget_ref=2000.0)
+    params.embed_w = params.embed_w[:, :100]
+    policy.save_params(params, path)
+    assert run("run", "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert f"{path}: weights were trained on 100-d embeddings, this build embeds in 384-d" in captured.err
+    assert captured.out == ""
+
+
 def test_run_without_weights_errors(workdir, capsys):
     config = str(workdir / "config.json")
     code = run("run", "--config", config, "--task", "anything")
@@ -429,7 +441,7 @@ def test_report_math(workdir, capsys):
         traces.append(json.dumps({
             "task_id": f"t{i}", "topology": "linear", "budget": 500.0, "calls": [],
             "cumulative_cost": cost, "final_answer": "x", "success": ok,
-            "oob": cost > 350.0, "terminated_early": False, "note": None,
+            "oob": cost > 350.0, "halt": "budget_exceeded" if cost > 350.0 else None, "detail": None,
         }))
     path = workdir / "tr.jsonl"
     path.write_text("\n".join(traces) + "\n")
@@ -438,13 +450,14 @@ def test_report_math(workdir, capsys):
     assert "Acc 75.0%" in out
     assert "Avg Cost 250" in out
     assert "OOB 1/4" in out
+    assert "  halt budget_exceeded: 1/4\n" in out and "  halt backend_failure: 0/4\n" in out
 
 
 def _trace_line(**overrides):
     trace = {
         "task_id": "t0", "topology": "linear", "budget": 500.0, "calls": [],
         "cumulative_cost": 100.0, "final_answer": "x", "success": True,
-        "oob": False, "terminated_early": False, "note": None,
+        "oob": False, "halt": None, "detail": None,
     }
     return json.dumps(dict(trace, **overrides))
 
@@ -462,9 +475,12 @@ _CALL = {"model": "m", "instance": "m#1", "role": "executor", "t_in": 10, "t_out
         (_trace_line(oob="false"), "oob must be true or false, got 'false'"),
         (_trace_line(topology="ring"), "topology must be one of linear, star, feedback, planner, got 'ring'"),
         (_trace_line(calls=[dict(_CALL, t_in=1.5)]), "calls[0].t_in must be an integer, got 1.5"),
+        (_trace_line(halt="timeout"), "halt must be null or one of budget_exceeded, precall_guard, "
+                                      "backend_failure, evaluator_failure, got 'timeout'"),
+        (_trace_line(terminated_early=False), "unknown field terminated_early"),
     ],
     ids=["array", "null_calls", "budget_string", "success_string", "oob_string", "unknown_topology",
-         "call_t_in_float"],
+         "call_t_in_float", "unknown_halt", "old_terminated_early"],
 )
 def test_report_malformed_trace_names_its_line(workdir, capsys, bad_line, named):
     path = workdir / "tr.jsonl"

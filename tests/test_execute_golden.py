@@ -1,9 +1,11 @@
 """Golden bytes for `execute` and `collect`.
 
-Every string below was captured from the code before the per-call path was
-made lean (plain value types, one-time run set-up, inlined rule matching).
-A trace's JSON and a dataset's saved rows must keep these exact bytes: the
-speed-up changes no artifact.
+Every string below was first captured from the code before the per-call
+path was made lean (plain value types, one-time run set-up, inlined rule
+matching). The trace strings were captured again when `halt` and `detail`
+replaced `terminated_early` and `note`, and differ from the first capture in
+those keys alone; the dataset bytes never changed. A trace's JSON and a
+dataset's saved rows must keep these exact bytes.
 """
 
 import pytest
@@ -69,37 +71,45 @@ RUNS = {
         backends([ScriptRule(role="executor", text="42", completion_tokens=3)]), EVAL,
     ),
     "evaluator_failure": lambda: execute(TASK, POOL, Topology.STAR, 10_000.0, backends(), ExplodingEvaluator()),
+    # The first call crosses the budget, then grading raises: the later reason is kept.
+    "over_budget_evaluator_failure": lambda: execute(
+        TASK, POOL, Topology.LINEAR, 400.0,
+        backends([ScriptRule(role="executor", text="x 1", completion_tokens=1000)]), ExplodingEvaluator(),
+    ),
     # The last executor answers with the seeded filler text.
     "seeded_text": lambda: execute(TASK, POOL[:2], Topology.LINEAR, 10_000.0, backends(), EVAL),
 }
 
 GOLDEN_TRACES = {
     "linear": (
-        '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": true, "oob": false, "terminated_early": false, "note": null}'
+        '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": true, "oob": false, "halt": null, "detail": null}'
     ),
     "star": (
-        '{"task_id": "t1", "topology": "star", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": true, "oob": false, "terminated_early": false, "note": null}'
+        '{"task_id": "t1", "topology": "star", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": true, "oob": false, "halt": null, "detail": null}'
     ),
     "feedback": (
-        '{"task_id": "t1", "topology": "feedback", "budget": 10000.0, "calls": [{"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "critic", "t_in": 437, "t_out": 7, "cost": 125.69000000000001}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "critic", "t_in": 437, "t_out": 2, "cost": 120.19000000000001}], "cumulative_cost": 390.9800000000001, "final_answer": "the answer is 42", "success": true, "oob": false, "terminated_early": false, "note": null}'
+        '{"task_id": "t1", "topology": "feedback", "budget": 10000.0, "calls": [{"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "critic", "t_in": 437, "t_out": 7, "cost": 125.69000000000001}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "critic", "t_in": 437, "t_out": 2, "cost": 120.19000000000001}], "cumulative_cost": 390.9800000000001, "final_answer": "the answer is 42", "success": true, "oob": false, "halt": null, "detail": null}'
     ),
     "planner": (
-        '{"task_id": "t1", "topology": "planner", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "planner", "t_in": 321, "t_out": 20, "cost": 108.67}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "critic", "t_in": 437, "t_out": 7, "cost": 46.5}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "planner", "t_in": 321, "t_out": 20, "cost": 108.67}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "critic", "t_in": 437, "t_out": 2, "cost": 44.5}], "cumulative_cost": 502.34000000000003, "final_answer": "the answer is 42", "success": true, "oob": false, "terminated_early": false, "note": null}'
+        '{"task_id": "t1", "topology": "planner", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "planner", "t_in": 321, "t_out": 20, "cost": 108.67}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "critic", "t_in": 437, "t_out": 7, "cost": 46.5}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "planner", "t_in": 321, "t_out": 20, "cost": 108.67}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "critic", "t_in": 437, "t_out": 2, "cost": 44.5}], "cumulative_cost": 502.34000000000003, "final_answer": "the answer is 42", "success": true, "oob": false, "halt": null, "detail": null}'
     ),
     "over_budget": (
-        '{"task_id": "t1", "topology": "linear", "budget": 400.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 384, "cost": 540.3900000000001}], "cumulative_cost": 540.3900000000001, "final_answer": "x 1", "success": false, "oob": true, "terminated_early": true, "note": null}'
+        '{"task_id": "t1", "topology": "linear", "budget": 400.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 384, "cost": 540.3900000000001}], "cumulative_cost": 540.3900000000001, "final_answer": "x 1", "success": false, "oob": true, "halt": "budget_exceeded", "detail": null}'
     ),
     "precall_guard": (
-        '{"task_id": "t1", "topology": "linear", "budget": 200.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}], "cumulative_cost": 132.29000000000002, "final_answer": "the answer is 42", "success": true, "oob": false, "terminated_early": false, "note": "budget guard: skipped executor call on gpt-4.1-nano#1"}'
+        '{"task_id": "t1", "topology": "linear", "budget": 200.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}], "cumulative_cost": 132.29000000000002, "final_answer": "the answer is 42", "success": true, "oob": false, "halt": "precall_guard", "detail": "budget guard: skipped executor call on gpt-4.1-nano#1"}'
     ),
     "backend_failure": (
-        '{"task_id": "t1", "topology": "feedback", "budget": 10000.0, "calls": [{"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 3, "cost": 44.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 3, "cost": 44.900000000000006}], "cumulative_cost": 89.80000000000001, "final_answer": "42", "success": false, "oob": false, "terminated_early": false, "note": "backend failure (critic on deepseek-v3#1): script exhausted: no rule for role=\'critic\' occurrence=1"}'
+        '{"task_id": "t1", "topology": "feedback", "budget": 10000.0, "calls": [{"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 3, "cost": 44.900000000000006}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 3, "cost": 44.900000000000006}], "cumulative_cost": 89.80000000000001, "final_answer": "42", "success": false, "oob": false, "halt": "backend_failure", "detail": "backend failure (critic on deepseek-v3#1): script exhausted: no rule for role=\'critic\' occurrence=1"}'
     ),
     "evaluator_failure": (
-        '{"task_id": "t1", "topology": "star", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": false, "oob": false, "terminated_early": false, "note": "evaluator failure: grader crashed"}'
+        '{"task_id": "t1", "topology": "star", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": false, "oob": false, "halt": "evaluator_failure", "detail": "evaluator failure: grader crashed"}'
+    ),
+    "over_budget_evaluator_failure": (
+        '{"task_id": "t1", "topology": "linear", "budget": 400.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 384, "cost": 540.3900000000001}], "cumulative_cost": 540.3900000000001, "final_answer": "x 1", "success": false, "oob": true, "halt": "evaluator_failure", "detail": "evaluator failure: grader crashed"}'
     ),
     "seeded_text": (
-        '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}], "cumulative_cost": 179.59000000000003, "final_answer": "golf juliet bravo echo golf charlie kilo india hotel", "success": false, "oob": false, "terminated_early": false, "note": null}'
+        '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}], "cumulative_cost": 179.59000000000003, "final_answer": "golf juliet bravo echo golf charlie kilo india hotel", "success": false, "oob": false, "halt": null, "detail": null}'
     ),
 }
 

@@ -403,27 +403,6 @@ def test_save_load_round_trip(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
-def test_load_reads_format_1(tmp_path):
-    params = init_params(seed=32, budget_ref=640.0)
-    params.embed_b[:2] = [-0.0, 5e-324]
-    doc = {
-        "format_version": 1,
-        "meta": {"topologies": ["linear", "star", "feedback", "planner"], "embed_dim": 384,
-                 "budget_ref": 640.0, "seed": 32},
-        "layers": {
-            name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
-            for name, arr in params.arrays().items()
-        },
-    }
-    path = tmp_path / "policy.json"
-    path.write_text(json.dumps(doc))
-    loaded = load_params(path)
-    assert loaded.budget_ref == 640.0
-    for a, b in zip(params.arrays().values(), loaded.arrays().values()):
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-
-
 def _set_values(layer, values):
     def tamper(doc):
         doc["layers"][layer]["values"] = values
@@ -445,18 +424,6 @@ def _drop(*keys):
     return tamper
 
 
-def _as_format_1(**values):
-    """Format 1, with each named layer's values replaced by the list given."""
-
-    def tamper(doc):
-        doc["format_version"] = 1
-        for name, layer in doc["layers"].items():
-            layer["values"] = values.get(name) or np.frombuffer(base64.b64decode(layer["values"])).tolist()
-        return doc
-
-    return tamper
-
-
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -470,15 +437,12 @@ def _as_format_1(**values):
         (_drop("layers", "core_w"), "missing field layers.core_w$"),
         (_drop("layers", "head_w", "shape"), "missing field layers.head_w.shape$"),
         (_drop("layers", "head_w", "values"), "missing field layers.head_w.values$"),
-        (_as_format_1(embed_w=[0.0, 1.0, 2.0]), r"layer embed_w holds 3 values, its shape \[64, 384\] needs 24576$"),
-        (_as_format_1(head_b="abc"), r"layers.head_b.values must be a list, got 'abc'$"),
-        (_as_format_1(budget_w=[[0.5]] * 64), r"layers.budget_w.values\[0\] must be a finite number, got \[0.5\]$"),
-        (_as_format_1(head_b=[True] * 4), r"layers.head_b.values\[0\] must be a finite number, got True$"),
-        (_as_format_1(head_b=["1.5"] * 4), r"layers.head_b.values\[0\] must be a finite number, got '1.5'$"),
+        (lambda doc: dict(doc, format_version=1),
+         r"format_version must be 2 \(retrain to replace a file of an older format\), got 1$"),
     ],
     ids=[
         "short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values",
-        "v1_wrong_length", "v1_string", "v1_nested", "v1_bools", "v1_numeric_strings",
+        "format_1",
     ],
 )
 def test_load_rejects_corrupt_layer(tmp_path, tamper, message):
@@ -499,6 +463,17 @@ def test_load_rejects_bad_budget_ref(tmp_path, budget_ref):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="budget_ref must be a finite number > 0"):
         load_params(path)
+
+
+def test_load_rejects_another_embedding_width(tmp_path):
+    params = init_params(seed=35)
+    params.embed_w = params.embed_w[:, :100]  # a (64, 100) layer; the file's meta.embed_dim agrees with it
+    path = tmp_path / "policy.json"
+    save_params(params, path)
+    assert json.loads(path.read_text())["meta"]["embed_dim"] == 100
+    with pytest.raises(ValueError) as excinfo:
+        load_params(path)
+    assert str(excinfo.value) == f"{path}: weights were trained on 100-d embeddings, this build embeds in 384-d"
 
 
 def test_load_rejects_tampered_topologies(tmp_path):

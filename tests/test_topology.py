@@ -153,7 +153,7 @@ def test_linear_two_executor_trace_cost():
     assert len(trace.calls) == 2
     assert trace.cumulative_cost == pytest.approx(180.0)
     assert trace.success is True
-    assert not trace.oob and not trace.terminated_early
+    assert not trace.oob and trace.halt is None
     # sequential chaining: the second prompt embeds the first output
     assert "The answer is 42" in backend.calls[1].user
     assert "The answer is 42" not in backend.calls[0].user
@@ -168,7 +168,7 @@ def test_linear_budget_crossing_terminates():
     # first call costs 90 <= 100; the second completes and crosses at 180
     assert len(trace.calls) == 2
     assert trace.cumulative_cost == pytest.approx(180.0)
-    assert trace.oob and trace.terminated_early
+    assert trace.oob and trace.halt == "budget_exceeded"
     assert trace.final_answer == "The answer is 42"
 
 
@@ -277,7 +277,7 @@ def test_one_registry_replays_every_run():
     )
     first, second = (execute(TASK, pool, Topology.FEEDBACK, 10_000.0, backends, EVAL) for _ in range(2))
     assert [c.role for c in first.calls] == ["executor", "critic"] * 3
-    assert first.success is True and first.note is None
+    assert first.success is True and first.halt is None and first.detail is None
     assert first.to_json().encode() == second.to_json().encode()
     assert [(r.role, r.occurrence) for r in backend.calls[:6]] == [
         ("executor", 1), ("critic", 1), ("executor", 2), ("critic", 2), ("executor", 3), ("critic", 3),
@@ -390,7 +390,7 @@ def test_no_call_after_ledger_exceeds_budget():
     # each call costs 500*0.1 + 384*0.4 = 203.6 (384 = max_tokens cap)
     trace = execute(TASK, pool, Topology.LINEAR, 300.0, backends, EVAL)
     assert len(trace.calls) == 2  # the second call crosses; the third never starts
-    assert trace.oob and trace.terminated_early
+    assert trace.oob and trace.halt == "budget_exceeded"
 
 
 def test_precall_guard_skips_when_enabled():
@@ -400,8 +400,8 @@ def test_precall_guard_skips_when_enabled():
     trace = execute(TASK, pool, Topology.LINEAR, 100.0, backends, EVAL, limits=limits)
     # worst case 500*0.1 + 384*0.4 = 203.6 > 100: nothing ever runs
     assert len(trace.calls) == 0
-    assert not trace.oob and not trace.terminated_early
-    assert trace.note is not None and "budget guard" in trace.note
+    assert not trace.oob and trace.halt == "precall_guard"
+    assert "budget guard" in trace.detail
 
 
 def test_partial_max_tokens_leaves_other_roles_at_the_default():
@@ -424,7 +424,7 @@ def test_nonretryable_backend_failure_halts_without_retry():
     backend = RecordingBackend([ScriptRule(role="critic", text="never matches")])
     trace = execute(TASK, pool, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
     assert trace.success is False
-    assert "backend failure" in trace.note
+    assert trace.halt == "backend_failure" and "backend failure" in trace.detail
     assert len(backend.calls) == 1  # a ScriptError is not retryable
     assert len(trace.calls) == 0
 
@@ -438,7 +438,7 @@ def test_http_failure_posts_once_plus_backend_retry(fake_server, status, posts):
     pool = nano_pool(2)
     trace = execute(TASK, pool, Topology.LINEAR, 1000.0, {"openai": backend}, EVAL)
     assert trace.success is False
-    assert f"HTTP {status}" in trace.note
+    assert trace.halt == "backend_failure" and f"HTTP {status}" in trace.detail
     assert len(fake_server.requests) == posts
 
 
@@ -456,7 +456,7 @@ def test_evaluator_failure_marks_unsuccessful():
     backends, _ = registry([ScriptRule(role="executor", text="42", completion_tokens=5)])
     trace = execute(TASK, pool, Topology.LINEAR, 1000.0, backends, ExplodingEvaluator())
     assert trace.success is False
-    assert "evaluator failure" in trace.note
+    assert trace.halt == "evaluator_failure" and "evaluator failure" in trace.detail
 
 
 def test_success_undetermined_without_ground_truth():
@@ -480,7 +480,7 @@ def test_trace_json_round_trip(tmp_path, capsys):
     traces.append(execute(TASK, pool, Topology.LINEAR, 100.0, registry(rules)[0], EVAL))
     failing = ScriptedBackend([ScriptRule(role="critic", text="never matches")])
     traces.append(execute(TASK, pool, Topology.LINEAR, 10_000.0, {"openai": failing, "deepseek": failing}, EVAL))
-    assert traces[4].oob and "backend failure" in traces[5].note
+    assert traces[4].oob and traces[5].halt == "backend_failure"
     for trace in traces:
         data = json.loads(trace.to_json())
         assert check(data, TRACE_FIELDS, required=TRACE_REQUIRED) == dataclasses.asdict(trace)
