@@ -141,10 +141,7 @@ class ScriptedBackend:
     def from_config(cls, config: dict) -> "ScriptedBackend":
         """Builds the backend from a profile's `mock_script`, checking its shape."""
         check(config, _SCRIPT_FIELDS, "mock_script")
-        return cls(
-            [ScriptRule(**entry) for entry in config.get("rules", [])],
-            default_prompt_tokens=config.get("default_prompt_tokens", 500),
-        )
+        return cls(**dict(config, rules=[ScriptRule(**entry) for entry in config.get("rules", [])]))
 
     def invoke(self, request: CallRequest) -> CallResponse:
         role, occurrence = request.role, request.occurrence

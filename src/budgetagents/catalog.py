@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .schema import INT, NUMBER, STRING, check, each, obj, read_json
@@ -21,18 +21,19 @@ DEFAULT_OUTPUT_TOKENS = 500
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One catalog entry. Tier 1 is the strongest rank; larger is weaker."""
+    """One catalog entry, field for field as the catalog file states it.
+    Tier 1 is the strongest rank; larger is weaker."""
 
     name: str
     tier: int
-    price_in: float   # per million input tokens
-    price_out: float  # per million output tokens
+    price_in_per_mtok: float
+    price_out_per_mtok: float
     backend_id: str
 
     def __post_init__(self) -> None:
         if self.tier < 1:
             raise ValueError(f"model {self.name!r}: tier must be >= 1, got {self.tier}")
-        if self.price_in < 0 or self.price_out < 0:
+        if self.price_in_per_mtok < 0 or self.price_out_per_mtok < 0:
             raise ValueError(f"model {self.name!r}: prices must be >= 0")
 
 
@@ -45,7 +46,7 @@ def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
     """
     if t_in < 0 or t_out < 0:
         raise ValueError("token counts must be >= 0")
-    return t_in * model.price_in + t_out * model.price_out
+    return t_in * model.price_in_per_mtok + t_out * model.price_out_per_mtok
 
 
 # One entry of the catalog's 'models' list; ranges are checked by ModelSpec.
@@ -112,18 +113,7 @@ class ModelCatalog:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "models": [
-                {
-                    "name": m.name,
-                    "tier": m.tier,
-                    "price_in_per_mtok": m.price_in,
-                    "price_out_per_mtok": m.price_out,
-                    "backend_id": m.backend_id,
-                }
-                for m in self._models
-            ]
-        }
+        return {"models": [asdict(m) for m in self._models]}
 
     def content_hash(self) -> str:
         """Stable identity of the catalog contents, for provenance headers."""
@@ -133,14 +123,13 @@ class ModelCatalog:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelCatalog":
         check(data, _CATALOG_FIELDS, required=("models",), name="catalog")
+        # Integer prices become floats, so a catalog hashes the same either way.
         return cls([
-            ModelSpec(
-                name=entry["name"],
-                tier=entry["tier"],
-                price_in=float(entry["price_in_per_mtok"]),
-                price_out=float(entry["price_out_per_mtok"]),
-                backend_id=entry["backend_id"],
-            )
+            ModelSpec(**dict(
+                entry,
+                price_in_per_mtok=float(entry["price_in_per_mtok"]),
+                price_out_per_mtok=float(entry["price_out_per_mtok"]),
+            ))
             for entry in data["models"]
         ], data.get("backends"))
 

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 # `policy` (and with it numpy) is imported by the commands that use it:
@@ -23,7 +23,7 @@ from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import TaskProfile, TaskSpec, load_profile
 from .reward import RewardConfig
-from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json
+from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json, read_jsonl
 from .topology import ExecutionLimits, Topology, topology_from_name
 
 EXIT_OK = 0
@@ -35,11 +35,12 @@ class ConfigError(Exception):
     pass
 
 
+# The config file's fields, and the only copy of each default.
 @dataclass
 class RunConfig:
-    catalog_path: str
-    profile_path: str
-    budgets: list[float]
+    catalog: str
+    task_profile: str
+    budgets: list[float] = field(default_factory=list)
     out_dir: str = "out"
     seed: int = 42
     mock: bool = False
@@ -83,8 +84,8 @@ _CONFIG_FIELDS = {
         "budget_ref": nullable(NUMBER),
     }),
 }
-# `--seed` and `--jobs` are checked against their config fields' specs.
-_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"]}
+# `--seed`, `--jobs` and `--budget` are checked like their config fields.
+_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"], "--budget": positive(NUMBER)}
 # One entry of the catalog's 'backends' section (real runs only).
 _BACKEND_FIELDS = {
     "base_url": STRING,
@@ -103,40 +104,37 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     flags = {flag: getattr(args, flag[2:]) for flag in _FLAG_FIELDS}
     check({flag: value for flag, value in flags.items() if value is not None}, _FLAG_FIELDS)
 
-    catalog_path = args.catalog or data.get("catalog")
-    profile_path = args.profile or data.get("task_profile")
-    if not catalog_path:
+    # A given flag wins over the file's field; "" and a missing --mock are not given.
+    given = {
+        "catalog": args.catalog,
+        "task_profile": args.profile,
+        "out_dir": args.out,
+        "seed": args.seed,
+        "jobs": args.jobs,
+        "mock": args.mock or None,
+        "budgets": None if args.budget is None else [args.budget],
+    }
+    data.update((key, value) for key, value in given.items() if value is not None and value != "")
+
+    if not data.get("catalog"):
         raise ConfigError("no catalog configured (use --catalog or 'catalog' in the config file)")
-    if not profile_path:
+    if not data.get("task_profile"):
         raise ConfigError("no task profile configured (use --profile or 'task_profile')")
-    for p in (catalog_path, profile_path):
+    for p in (data["catalog"], data["task_profile"]):
         if not Path(p).exists():
             raise ConfigError(f"file not found: {p}")
 
-    budgets = [float(b) for b in data.get("budgets", [])]
-    if args.budget is not None:
-        budgets = [float(args.budget)]
-    if any(b <= 0 for b in budgets):
-        raise ConfigError("budgets must be > 0")
-    for i, b in enumerate(budgets):
-        if b in budgets[:i]:
-            raise ConfigError(f"budgets[{i}] repeats budget {_budget_label(b)}")
-
-    return RunConfig(
-        catalog_path=catalog_path,
-        profile_path=profile_path,
-        budgets=budgets,
-        out_dir=args.out or data.get("out_dir", "out"),
-        seed=data.get("seed", 42) if args.seed is None else args.seed,
-        mock=args.mock or data.get("mock", False),
-        jobs=data.get("jobs", 1) if args.jobs is None else args.jobs,
-        instance_cap=data.get("instance_cap", 5),
-        min_agents=data.get("min_agents", 2),
-        reward=RewardConfig(**data.get("reward", {})),
-        trainer=data.get("trainer", {}),
-        limits=ExecutionLimits(**data.get("limits", {})),
-        stamp=data.get("stamp", False),
-    )
+    if "budgets" in data:
+        budgets = data["budgets"] = [float(b) for b in data["budgets"]]
+        if any(b <= 0 for b in budgets):
+            raise ConfigError("budgets must be > 0")
+        for i, b in enumerate(budgets):
+            if b in budgets[:i]:
+                raise ConfigError(f"budgets[{i}] repeats budget {_budget_label(b)}")
+    for key, build in (("reward", RewardConfig), ("limits", ExecutionLimits)):
+        if key in data:
+            data[key] = build(**data[key])
+    return RunConfig(**data)
 
 
 def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
@@ -207,8 +205,8 @@ def cmd_provision(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.budgets:
         raise ConfigError("no budgets configured")
-    catalog = ModelCatalog.load(config.catalog_path)
-    profile = load_profile(config.profile_path)
+    catalog = ModelCatalog.load(config.catalog)
+    profile = load_profile(config.task_profile)
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
     any_infeasible = False
@@ -216,15 +214,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
         label = _budget_label(budget)
         problem, solution = _solve_for_budget(config, catalog, profile, budget)
         weights = provision.compute_weights(problem)
-        doc = {
-            "budget": budget,
-            "tier_costs": list(problem.tier_costs),
-            "counts": list(solution.counts),
-            "total_weight": solution.total_weight,
-            "total_cost": solution.total_cost,
-            "feasible": solution.feasible,
-            "reason": solution.reason,
-        }
+        doc = {"budget": budget, "tier_costs": list(problem.tier_costs), **asdict(solution)}
         (Path(config.out_dir) / f"provision_{label}.json").write_text(
             json.dumps(doc, ensure_ascii=False), encoding="utf-8"
         )
@@ -246,8 +236,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not config.budgets:
         raise ConfigError("no budgets configured")
-    catalog = ModelCatalog.load(config.catalog_path)
-    profile = load_profile(config.profile_path)
+    catalog = ModelCatalog.load(config.catalog)
+    profile = load_profile(config.task_profile)
     pools = {budget: _pool(config, catalog, profile, budget) for budget in config.budgets}
     backends, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
@@ -326,8 +316,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"{len(config.budgets)} budgets are configured and 'run' serves one; pass --budget"
         )
-    catalog = ModelCatalog.load(config.catalog_path)
-    profile = load_profile(config.profile_path)
+    catalog = ModelCatalog.load(config.catalog)
+    profile = load_profile(config.task_profile)
     backends, close_backends = _build_backends(config, catalog, profile)
     evaluator = get_evaluator(profile.evaluator_kind)
 
@@ -398,16 +388,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.traces)
     if not path.exists():
         raise ConfigError(f"trace file not found: {path}")
-    traces = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            traces.append(
-                check(json.loads(line), topology.TRACE_FIELDS, required=topology.TRACE_REQUIRED, name="trace")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+    lines = path.read_text(encoding="utf-8").splitlines()
+    traces = [t for _, t in read_jsonl(path, lines, topology.TRACE_FIELDS, topology.TRACE_REQUIRED, "trace")]
 
     if not traces:
         print("warning: no traces found")

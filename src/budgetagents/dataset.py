@@ -7,8 +7,8 @@ constant sweeps do not require recollection.
 
 File format is JSON lines: line 1 is a provenance header
 {"version": 1, "catalog_hash": ..., "seed": ...}, then one experience object
-per line with fields task_id, task_text, budget, topology, success,
-actual_cost (and error when the run failed outright).
+per line holding Experience's fields, error only when the run failed
+outright.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Mapping
 from .backend import Backend
 from .evaluators import Evaluator
 from .profile import TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, check, nullable
+from .schema import BOOL, INT, NUMBER, STRING, nullable, read_jsonl
 from .topology import (
     BACKEND_FAILURE,
     EVALUATOR_FAILURE,
@@ -155,16 +155,9 @@ def save(dataset: ExperienceDataset, path: str | Path) -> None:
     header.update(dataset.header)
     lines = [_ENCODER.encode(header)]
     for exp in dataset.experiences:
-        record = {
-            "task_id": exp.task_id,
-            "task_text": exp.task_text,
-            "budget": exp.budget,
-            "topology": exp.topology,
-            "success": exp.success,
-            "actual_cost": exp.actual_cost,
-        }
-        if exp.error is not None:
-            record["error"] = exp.error
+        record = vars(exp).copy()  # Experience's fields, in declaration order
+        if record["error"] is None:
+            del record["error"]
         lines.append(_ENCODER.encode(record))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -185,22 +178,13 @@ def load(path: str | Path) -> ExperienceDataset:
 
     experiences = []
     texts: dict[str, str] = {}  # rows repeat each task text; they share one str
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, record in read_jsonl(path, lines[1:], _ROW_FIELDS, _ROW_REQUIRED, "row", start=2):
+        text = record["task_text"]
+        record["task_text"] = texts.setdefault(text, text)
+        record["budget"] = float(record["budget"])
+        record["actual_cost"] = float(record["actual_cost"])
         try:
-            record = check(json.loads(line), _ROW_FIELDS, required=_ROW_REQUIRED, name="row")
-            experiences.append(
-                Experience(
-                    task_id=record["task_id"],
-                    task_text=texts.setdefault(record["task_text"], record["task_text"]),
-                    budget=float(record["budget"]),
-                    topology=record["topology"],
-                    success=record["success"],
-                    actual_cost=float(record["actual_cost"]),
-                    error=record.get("error"),
-                )
-            )
+            experiences.append(Experience(**record))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
 

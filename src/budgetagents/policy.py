@@ -38,24 +38,34 @@ PROJ_DIM = 64
 HIDDEN_DIM = 128
 NUM_TOPOLOGIES = len(TOPOLOGY_NAMES)
 
-PARAM_FIELDS = ("embed_w", "embed_b", "budget_w", "budget_b", "core_w", "core_b", "head_w", "head_b")
+# Each layer's shape, a weight's as (fan_out, fan_in), in the order
+# init_params draws them; a saved layer of another shape does not load.
+SHAPES = {
+    "embed_w": (PROJ_DIM, EMBED_DIM),
+    "embed_b": (PROJ_DIM,),
+    "budget_w": (PROJ_DIM, 1),
+    "budget_b": (PROJ_DIM,),
+    "core_w": (HIDDEN_DIM, 2 * PROJ_DIM),
+    "core_b": (HIDDEN_DIM,),
+    "head_w": (NUM_TOPOLOGIES, HIDDEN_DIM),
+    "head_b": (NUM_TOPOLOGIES,),
+}
+PARAM_FIELDS = tuple(SHAPES)
 
 
 @dataclass
 class PolicyParams:
-    embed_w: np.ndarray   # (64, 384)
-    embed_b: np.ndarray   # (64,)
-    budget_w: np.ndarray  # (64, 1)
-    budget_b: np.ndarray  # (64,)
-    core_w: np.ndarray    # (128, 128)
-    core_b: np.ndarray    # (128,)
-    head_w: np.ndarray    # (K, 128)
-    head_b: np.ndarray    # (K,)
-    budget_ref: float = 1.0
+    """The layers of SHAPES, and the budget reference."""
 
-    @property
-    def num_actions(self) -> int:
-        return int(self.head_w.shape[0])
+    embed_w: np.ndarray
+    embed_b: np.ndarray
+    budget_w: np.ndarray
+    budget_b: np.ndarray
+    core_w: np.ndarray
+    core_b: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
+    budget_ref: float = 1.0
 
     def copy(self) -> "PolicyParams":
         return copy.deepcopy(self)
@@ -94,25 +104,14 @@ class TrainResult:
     epoch_scores: list[float]  # full-dataset expected reward after each epoch
 
 
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-
-def init_params(seed: int, num_actions: int = NUM_TOPOLOGIES, budget_ref: float = 1.0) -> PolicyParams:
-    """Seeded uniform Glorot weights, zero biases."""
+def init_params(seed: int, budget_ref: float = 1.0) -> PolicyParams:
+    """Seeded uniform Glorot weights, zero biases, drawn in SHAPES' order."""
     rng = np.random.default_rng(seed)
-    return PolicyParams(
-        embed_w=_glorot(rng, PROJ_DIM, EMBED_DIM),
-        embed_b=np.zeros(PROJ_DIM),
-        budget_w=_glorot(rng, PROJ_DIM, 1),
-        budget_b=np.zeros(PROJ_DIM),
-        core_w=_glorot(rng, HIDDEN_DIM, 2 * PROJ_DIM),
-        core_b=np.zeros(HIDDEN_DIM),
-        head_w=_glorot(rng, num_actions, HIDDEN_DIM),
-        head_b=np.zeros(num_actions),
-        budget_ref=budget_ref,
-    )
+    layers = {}
+    for name, shape in SHAPES.items():
+        limit = math.sqrt(6.0 / sum(shape))  # fan_out + fan_in, for a weight
+        layers[name] = rng.uniform(-limit, limit, size=shape) if name.endswith("_w") else np.zeros(shape)
+    return PolicyParams(budget_ref=budget_ref, **layers)
 
 
 def forward(params: PolicyParams, emb: np.ndarray, bud: np.ndarray) -> dict[str, np.ndarray]:
@@ -157,8 +156,8 @@ def loss(
     m = emb.shape[0]
     if m == 0:
         raise ValueError("batch must be non-empty")
-    if actions.min() < 0 or actions.max() >= params.num_actions:
-        raise ValueError(f"action index out of range [0, {params.num_actions})")
+    if actions.min() < 0 or actions.max() >= NUM_TOPOLOGIES:
+        raise ValueError(f"action index out of range [0, {NUM_TOPOLOGIES})")
     out = forward(params, emb, bud)
     probs, logp = out["probs"], out["logp"]
     rows = np.arange(m)
@@ -365,9 +364,9 @@ def select_topology(
     among the allowed topology indices (default: all). Raises ValueError on a
     non-finite budget, embedding or weight.
     """
-    mask = np.ones(params.num_actions, dtype=bool)
+    mask = np.ones(NUM_TOPOLOGIES, dtype=bool)
     if allowed is not None:
-        mask = np.isin(np.arange(params.num_actions), list(allowed))
+        mask = np.isin(np.arange(NUM_TOPOLOGIES), list(allowed))
     if not mask.any():
         raise ValueError("allowed names no topology")
     if not math.isfinite(budget):
@@ -399,7 +398,7 @@ def save_params(params: PolicyParams, path: str | Path, seed: int | None = None)
     doc = {
         "format_version": 2,
         "meta": {
-            "topologies": list(TOPOLOGY_NAMES[: params.num_actions]),
+            "topologies": list(TOPOLOGY_NAMES),
             "embed_dim": int(params.embed_w.shape[1]),
             "budget_ref": params.budget_ref,
             "seed": seed,
@@ -420,8 +419,10 @@ _WEIGHTS_FIELDS = {
 
 
 def _decode_layer(path: str | Path, name: str, layer: dict) -> np.ndarray:
-    """One layer's array, from base64 little-endian float64."""
+    """One layer's array, of its SHAPES shape, from base64 little-endian float64."""
     shape = tuple(layer["shape"])
+    if shape != SHAPES[name]:
+        raise ValueError(f"{path}: layer {name} has shape {list(shape)}, this build's is {list(SHAPES[name])}")
     size = math.prod(shape)
     try:
         raw = base64.b64decode(layer["values"], validate=True)
@@ -444,17 +445,14 @@ def load_params(path: str | Path) -> PolicyParams:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     meta = doc["meta"]
-    expected = list(TOPOLOGY_NAMES[: len(meta["topologies"])])
-    if meta["topologies"] != expected:
+    if meta["topologies"] != list(TOPOLOGY_NAMES):
         raise ValueError(
             f"{path}: weights were trained for topologies {meta['topologies']}, "
-            f"this build has {expected}"
+            f"this build has {list(TOPOLOGY_NAMES)}"
         )
     if meta["embed_dim"] != EMBED_DIM:
         raise ValueError(
             f"{path}: weights were trained on {meta['embed_dim']}-d embeddings, this build embeds in {EMBED_DIM}-d"
         )
     arrays = {name: _decode_layer(path, name, doc["layers"][name]) for name in PARAM_FIELDS}
-    if arrays["embed_w"].shape[1] != meta["embed_dim"]:
-        raise ValueError(f"{path}: embed_dim mismatch")
     return PolicyParams(budget_ref=float(meta["budget_ref"]), **arrays)

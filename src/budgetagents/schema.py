@@ -52,6 +52,20 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})") from None
 
 
+def read_jsonl(path: str | Path, lines, table: dict, required=(), name: str = "value", start: int = 1):
+    """(line number, checked object) for each non-blank line of `lines`,
+    numbered from `start`; a ValueError "<path>: line N: ..." on the first
+    line that does not parse or check."""
+    for lineno, line in enumerate(lines, start):
+        if not line.strip():
+            continue
+        try:
+            value = check(json.loads(line), table, required=required, name=name)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        yield lineno, value
+
+
 def check(value, table: dict, path: str = "", required=(), name: str = "value") -> dict:
     """`value`, once it is an object with only `table`'s keys, all of
     `required`, and values that meet their specs. `name` labels a root."""

@@ -40,10 +40,10 @@ def test_cost_rejects_negative_tokens():
 def test_cost_linear_in_each_token_count(t_in, t_out, k):
     base = estimate_cost(NANO, t_in, t_out)
     assert estimate_cost(NANO, t_in + k, t_out) == pytest.approx(
-        base + k * NANO.price_in, rel=1e-12, abs=1e-12
+        base + k * NANO.price_in_per_mtok, rel=1e-12, abs=1e-12
     )
     assert estimate_cost(NANO, t_in, t_out + k) == pytest.approx(
-        base + k * NANO.price_out, rel=1e-12, abs=1e-12
+        base + k * NANO.price_out_per_mtok, rel=1e-12, abs=1e-12
     )
 
 
@@ -117,6 +117,11 @@ def test_catalog_json_round_trip(tmp_path):
     assert loaded.content_hash() == catalog.content_hash()
 
 
+def test_content_hash_golden():
+    # The hash of a catalog's canonical JSON, as dataset headers record it.
+    assert ModelCatalog([DEEPSEEK, NANO]).content_hash() == "4f73607c2f1da508"
+
+
 def _model(**overrides):
     entry = {"name": "m", "tier": 1, "price_in_per_mtok": 1.0, "price_out_per_mtok": 1.0, "backend_id": "x"}
     return {"models": [dict(entry, **overrides)]}
@@ -149,7 +154,7 @@ def test_integer_prices_load_as_floats():
     as_ints = ModelCatalog.from_dict(_model(price_in_per_mtok=1, price_out_per_mtok=2))
     as_floats = ModelCatalog.from_dict(_model(price_in_per_mtok=1.0, price_out_per_mtok=2.0))
     model = as_ints.models[0]
-    assert type(model.price_in) is float and type(model.price_out) is float
+    assert type(model.price_in_per_mtok) is float and type(model.price_out_per_mtok) is float
     assert as_ints.content_hash() == as_floats.content_hash()
 
 

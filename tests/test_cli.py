@@ -72,17 +72,20 @@ def run(*argv):
 def test_provision_writes_solution(workdir, capsys):
     code = run("provision", "--config", str(workdir / "config.json"))
     assert code == 0
-    doc = json.loads((workdir / "out" / "provision_2000.json").read_text())
-    assert doc["counts"] == [1, 3]
-    assert doc["feasible"] is True
+    assert (workdir / "out" / "provision_2000.json").read_text() == (
+        '{"budget": 2000.0, "tier_costs": [1235.0, 250.0], "counts": [1, 3], "total_weight": 12, '
+        '"total_cost": 1985.0, "feasible": true, "reason": null}'
+    )
     assert "counts [1, 3]" in capsys.readouterr().out
 
 
 def test_provision_infeasible_exit_code(workdir):
     code = run("provision", "--config", str(workdir / "config.json"), "--budget", "300")
     assert code == 2
-    doc = json.loads((workdir / "out" / "provision_300.json").read_text())
-    assert doc["feasible"] is False
+    assert (workdir / "out" / "provision_300.json").read_text() == (
+        '{"budget": 300.0, "tier_costs": [1235.0, 250.0], "counts": [0, 0], "total_weight": 0, '
+        '"total_cost": 0.0, "feasible": false, "reason": "budget 300 affords at most 1 agent(s); at least 2 required"}'
+    )
 
 
 def test_provision_explain_prints_weights(workdir, capsys):
@@ -353,6 +356,20 @@ def test_run_with_corrupt_weights_errors_before_any_task(workdir, capsys):
     assert not (workdir / "out" / "traces.jsonl").exists()
 
 
+def test_run_with_a_layer_of_another_shape_errors_before_any_task(workdir, capsys):
+    (workdir / "out").mkdir()
+    path = workdir / "out" / "policy.json"
+    policy.save_params(policy.init_params(seed=0, budget_ref=2000.0), path)
+    doc = json.loads(path.read_text())
+    doc["layers"]["head_b"] = {"shape": [1], "values": "AAAAAAAAAAA="}  # one 0.0, where this build has 4 topologies
+    path.write_text(json.dumps(doc))
+    assert run("run", "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: layer head_b has shape [1], this build's is [4]\n"
+    assert captured.out == ""
+    assert not (workdir / "out" / "traces.jsonl").exists()
+
+
 def test_run_with_weights_of_another_embedding_width_errors_before_any_task(workdir, capsys):
     (workdir / "out").mkdir()
     path = workdir / "out" / "policy.json"
@@ -551,8 +568,12 @@ def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key
         (["--jobs", "-2"], "--jobs must be an integer > 0, got -2"),
         (["--jobs", "0"], "--jobs must be an integer > 0, got 0"),
         (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        (["--budget", "inf"], "--budget must be a finite number > 0, got inf"),
+        (["--budget", "nan"], "--budget must be a finite number > 0, got nan"),
+        (["--budget", "0"], "--budget must be a finite number > 0, got 0.0"),
+        (["--budget", "-5"], "--budget must be a finite number > 0, got -5.0"),
     ],
-    ids=["jobs_negative", "jobs_zero", "seed_negative"],
+    ids=["jobs_negative", "jobs_zero", "seed_negative", "budget_inf", "budget_nan", "budget_zero", "budget_negative"],
 )
 def test_malformed_flag_rejected_before_any_work(workdir, capsys, flags, named):
     assert run("provision", "--config", str(workdir / "config.json"), *flags) == 1
@@ -637,7 +658,7 @@ def test_backends_are_built_from_the_loaded_catalog(workdir):
     path.write_text(json.dumps(catalog_doc))
     catalog = ModelCatalog.load(path)
     path.write_text("{not json")  # a second parse of the file would fail
-    config = RunConfig(catalog_path=str(path), profile_path=str(workdir / "profile.json"), budgets=[2000.0])
+    config = RunConfig(catalog=str(path), task_profile=str(workdir / "profile.json"), budgets=[2000.0])
     endpoints, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
     try:
         assert sorted(endpoints) == ["cheap", "strong"]
@@ -650,7 +671,7 @@ def test_backends_are_built_from_the_loaded_catalog(workdir):
 
 def test_mock_backends_share_one_scripted_instance(workdir):
     catalog = ModelCatalog.load(workdir / "catalog.json")
-    config = RunConfig(catalog_path="", profile_path="", budgets=[2000.0], mock=True)
+    config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
     backends, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
     close()
     assert sorted(backends) == ["cheap", "strong"]

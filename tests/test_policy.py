@@ -411,6 +411,15 @@ def _set_values(layer, values):
     return tamper
 
 
+def _set_layers(**arrays):
+    def tamper(doc):
+        for name, arr in arrays.items():
+            doc["layers"][name] = {"shape": list(arr.shape), "values": base64.b64encode(arr.tobytes()).decode()}
+        return doc
+
+    return tamper
+
+
 def _drop(*keys):
     """Delete doc[keys[0]]...[keys[-1]]."""
 
@@ -439,10 +448,14 @@ def _drop(*keys):
         (_drop("layers", "head_w", "values"), "missing field layers.head_w.values$"),
         (lambda doc: dict(doc, format_version=1),
          r"format_version must be 2 \(retrain to replace a file of an older format\), got 1$"),
+        (_set_layers(head_b=np.zeros(1)), r"layer head_b has shape \[1\], this build's is \[4\]$"),
+        (_set_layers(budget_w=np.zeros((1, 1))), r"layer budget_w has shape \[1, 1\], this build's is \[64, 1\]$"),
+        (_set_layers(head_w=np.zeros((3, 128)), head_b=np.zeros(3)),
+         r"layer head_w has shape \[3, 128\], this build's is \[4, 128\]$"),
     ],
     ids=[
         "short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values",
-        "format_1",
+        "format_1", "head_b_of_one", "budget_w_of_one", "three_heads",
     ],
 )
 def test_load_rejects_corrupt_layer(tmp_path, tamper, message):
