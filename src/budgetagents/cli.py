@@ -78,9 +78,6 @@ _CONFIG_FIELDS = {
         "entropy_coeff": NUMBER,
         "batch_size": INT,
         "epochs": INT,
-        "adam_beta1": NUMBER,
-        "adam_beta2": NUMBER,
-        "adam_eps": NUMBER,
         "budget_ref": nullable(NUMBER),
     }),
 }
@@ -290,13 +287,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "epoch_scores": result.epoch_scores,
         "best_epoch": result.best_epoch,
         "best_score": result.epoch_scores[result.best_epoch - 1],
-        "trainer": {
-            "learning_rate": trainer.learning_rate,
-            "entropy_coeff": trainer.entropy_coeff,
-            "batch_size": trainer.batch_size,
-            "epochs": trainer.epochs,
-            "seed": trainer.seed,
-        },
+        # budget_ref's resolved value is policy.json's meta.budget_ref.
+        "trainer": {k: v for k, v in asdict(trainer).items() if k != "budget_ref"},
     }
     (Path(config.out_dir) / "training_report.json").write_text(
         json.dumps(report, ensure_ascii=False), encoding="utf-8"

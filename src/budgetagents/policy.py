@@ -37,6 +37,8 @@ from .topology import TOPOLOGY_NAMES
 PROJ_DIM = 64
 HIDDEN_DIM = 128
 NUM_TOPOLOGIES = len(TOPOLOGY_NAMES)
+# Adam's decay rates and denominator floor, as Kingma & Ba give them.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Each layer's shape, a weight's as (fan_out, fan_in), in the order
 # init_params draws them; a saved layer of another shape does not load.
@@ -81,16 +83,16 @@ class TrainerConfig:
     batch_size: int = 20000
     epochs: int = 10
     seed: int = 42
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     budget_ref: float | None = None  # default: max budget seen in the dataset
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.entropy_coeff < 0:
-            raise ValueError("entropy_coeff must be >= 0")
+        # Written so that NaN fails each comparison.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if not 0 <= self.entropy_coeff < math.inf:
+            raise ValueError(f"entropy_coeff must be a finite number >= 0, got {self.entropy_coeff}")
+        if self.budget_ref is not None and not 0 < self.budget_ref < math.inf:
+            raise ValueError(f"budget_ref must be a finite number > 0, got {self.budget_ref}")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be > 0")
         if self.epochs <= 0:
@@ -115,27 +117,22 @@ def init_params(seed: int, budget_ref: float = 1.0) -> PolicyParams:
 
 
 def forward(params: PolicyParams, emb: np.ndarray, bud: np.ndarray) -> dict[str, np.ndarray]:
-    """Batched forward pass; returns intermediates needed for backprop.
+    """Batched forward pass; returns the arrays backprop reads.
 
     emb: (M, EMBED_DIM), bud: (M,) normalized budgets. Log-probabilities are
     computed via a stabilized log-softmax so they stay finite for any finite
     logits; out["probs"] rows sum to 1.
     """
-    a1 = emb @ params.embed_w.T + params.embed_b          # (M, 64)
-    h1 = np.maximum(a1, 0.0)
-    a2 = bud[:, None] @ params.budget_w.T + params.budget_b  # (M, 64)
-    h2 = np.maximum(a2, 0.0)
-    h = np.concatenate([h1, h2], axis=1)                  # (M, 128)
-    a3 = h @ params.core_w.T + params.core_b              # (M, 128)
-    h3 = np.maximum(a3, 0.0)
-    logits = h3 @ params.head_w.T + params.head_b         # (M, K)
+    h = np.maximum(np.concatenate([
+        emb @ params.embed_w.T + params.embed_b,             # (M, 64)
+        bud[:, None] * params.budget_w[:, 0] + params.budget_b,  # (M, 64)
+    ], axis=1), 0.0)                                         # (M, 128)
+    h3 = np.maximum(h @ params.core_w.T + params.core_b, 0.0)  # (M, 128)
+    logits = h3 @ params.head_w.T + params.head_b            # (M, K)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(logp)
-    return {
-        "emb": emb, "bud": bud, "a1": a1, "h1": h1, "a2": a2, "h2": h2,
-        "h": h, "a3": a3, "h3": h3, "logits": logits, "logp": logp, "probs": probs,
-    }
+    return {"emb": emb, "bud": bud, "h": h, "h3": h3, "logits": logits, "logp": logp, "probs": probs}
 
 
 def loss(
@@ -173,33 +170,20 @@ def loss(
     dlogits += beta * probs * (logp + entropy[:, None])
     dlogits /= m
 
-    h3, h, a3, a1, a2 = out["h3"], out["h"], out["a3"], out["a1"], out["a2"]
+    h3, h = out["h3"], out["h"]
     grads: dict[str, np.ndarray] = {}
     grads["head_w"] = dlogits.T @ h3
     grads["head_b"] = dlogits.sum(axis=0)
-    dh3 = dlogits @ params.head_w
-    da3 = dh3 * (a3 > 0.0)
+    da3 = (dlogits @ params.head_w) * (h3 > 0.0)
     grads["core_w"] = da3.T @ h
     grads["core_b"] = da3.sum(axis=0)
-    dh = da3 @ params.core_w
-    da1 = dh[:, :PROJ_DIM] * (a1 > 0.0)
-    da2 = dh[:, PROJ_DIM:] * (a2 > 0.0)
+    dh = (da3 @ params.core_w) * (h > 0.0)
+    da1, da2 = dh[:, :PROJ_DIM], dh[:, PROJ_DIM:]
     grads["embed_w"] = da1.T @ emb
     grads["embed_b"] = da1.sum(axis=0)
     grads["budget_w"] = da2.T @ bud[:, None]
     grads["budget_b"] = da2.sum(axis=0)
     return value, grads
-
-
-def _reward_for(exp, reward_config: RewardConfig) -> float:
-    return compute_reward(
-        Outcome(
-            success=exp.success,
-            actual_cost=exp.actual_cost,
-            budget=exp.budget,
-        ),
-        reward_config,
-    )
 
 
 def _dataset_tensors(
@@ -221,7 +205,10 @@ def _dataset_tensors(
     emb = embed(list(rows))
     bud = np.array([exp.budget / budget_ref for exp in dataset.experiences])
     actions = np.array([exp.topology for exp in dataset.experiences], dtype=np.int64)
-    rewards = np.array([_reward_for(exp, reward_config) for exp in dataset.experiences])
+    rewards = np.array([
+        compute_reward(Outcome(success=exp.success, actual_cost=exp.actual_cost, budget=exp.budget), reward_config)
+        for exp in dataset.experiences
+    ])
     return emb, text_row, bud, actions, rewards
 
 
@@ -273,37 +260,36 @@ def evaluate(
 
 
 class _Adam:
-    def __init__(self, params: PolicyParams, config: TrainerConfig):
-        self.config = config
+    def __init__(self, params: PolicyParams, learning_rate: float):
+        self.learning_rate = learning_rate
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.arrays().items()}
         self.v = {k: np.zeros_like(v) for k, v in params.arrays().items()}
 
     def step(self, params: PolicyParams, grads: dict[str, np.ndarray]) -> None:
-        c = self.config
         self.step_count += 1
-        bias1 = 1.0 - c.adam_beta1 ** self.step_count
-        bias2 = 1.0 - c.adam_beta2 ** self.step_count
+        bias1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bias2 = 1.0 - ADAM_BETA2 ** self.step_count
         for name, grad in grads.items():
-            self.m[name] = c.adam_beta1 * self.m[name] + (1.0 - c.adam_beta1) * grad
-            self.v[name] = c.adam_beta2 * self.v[name] + (1.0 - c.adam_beta2) * grad * grad
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * grad
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * grad * grad
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
-            getattr(params, name)[...] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+            getattr(params, name)[...] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(
     dataset: ExperienceDataset,
     config: TrainerConfig,
     reward_config: RewardConfig = RewardConfig(),
-    on_epoch=None,
 ) -> TrainResult:
     """Mini-batch Adam on the policy-gradient loss; keeps the epoch whose
     policy scores the highest expected reward over the full dataset.
 
     Batches are seeded permutations of the experience list; a batch size
     larger than the dataset degenerates to full-batch updates. Fully
-    deterministic given config.seed.
+    deterministic given config.seed. Raises ValueError if training diverges,
+    so that no epoch's score is finite.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -325,9 +311,8 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config.seed, budget_ref=budget_ref)
-    optimizer = _Adam(params, config)
+    optimizer = _Adam(params, config.learning_rate)
 
-    best_params = params.copy()
     best_score = -math.inf
     best_epoch = 0
     epoch_scores: list[float] = []
@@ -342,13 +327,12 @@ def train(
             optimizer.step(params, grads)
         score = _expected_reward(params, group_emb, group_bud, group_rewards)
         epoch_scores.append(score)
-        if on_epoch is not None:
-            on_epoch(epoch, params, score)
         if score > best_score:
             best_score = score
             best_epoch = epoch
             best_params = params.copy()
-
+    if best_epoch == 0:  # a NaN score is never > -inf, so best_params was never set
+        raise ValueError("training diverged: no epoch's expected reward is finite; lower learning_rate")
     return TrainResult(params=best_params, best_epoch=best_epoch, epoch_scores=epoch_scores)
 
 

@@ -44,6 +44,8 @@ _PROFILE_FIELDS = {
     "max_tokens": obj({role: positive(INT) for role in DEFAULT_MAX_TOKENS}),
     "mock_script": ANY,  # checked by ScriptedBackend.from_config, in mock runs
 }
+# The file's keys that TaskProfile takes as they are, each to its field.
+_PROFILE_KEYS = {"t_in": "t_in", "t_out": "t_out", "evaluator": "evaluator_kind", "mock_script": "mock_script"}
 
 
 def load_profile(path: str | Path) -> TaskProfile:
@@ -60,19 +62,11 @@ def profile_from_dict(data: dict) -> TaskProfile:
     for i, task in enumerate(tasks):
         if first.setdefault(task.task_id, i) != i:
             raise ValueError(f"tasks[{first[task.task_id]}] and tasks[{i}] have the same id {task.task_id!r}")
-    samples = data.get("output_token_samples", [])
-    if "t_out" in data:
-        t_out = data["t_out"]
-    elif samples:
+    # TaskProfile's own defaults stand for the keys the file leaves out.
+    given = {_PROFILE_KEYS[key]: value for key, value in data.items() if key in _PROFILE_KEYS}
+    if "t_out" not in data and data.get("output_token_samples"):
         # Upper bound on output tokens: the longest sampled output.
-        t_out = max(samples)
-    else:
-        t_out = DEFAULT_OUTPUT_TOKENS
-    return TaskProfile(
-        tasks=tasks,
-        t_in=data.get("t_in", DEFAULT_INPUT_TOKENS),
-        t_out=t_out,
-        evaluator_kind=data.get("evaluator", "numeric"),
-        max_tokens={**DEFAULT_MAX_TOKENS, **data.get("max_tokens", {})},
-        mock_script=data.get("mock_script"),
-    )
+        given["t_out"] = max(data["output_token_samples"])
+    if "max_tokens" in data:
+        given["max_tokens"] = {**DEFAULT_MAX_TOKENS, **data["max_tokens"]}
+    return TaskProfile(tasks=tasks, **given)

@@ -234,6 +234,7 @@ def test_collect_then_train_then_run(workdir, capsys):
     report = json.loads((workdir / "out" / "training_report.json").read_text())
     assert len(report["epoch_scores"]) == 5
     assert report["best_score"] == max(report["epoch_scores"])
+    assert list(report["trainer"]) == ["learning_rate", "entropy_coeff", "batch_size", "epochs", "seed"]
 
     assert run("run", "--config", config) == 0
     traces_path = workdir / "out" / "traces.jsonl"
@@ -520,8 +521,9 @@ def test_missing_config_file(capsys):
         ("reward", {"w_costs": 1.0}, "reward.w_costs"),
         ("trainer", {"seed": 3}, "trainer.seed"),
         ("trainer", {"epochs": "5"}, "trainer.epochs"),
+        ("trainer", {"adam_beta1": 0.9}, "unknown field trainer.adam_beta1"),
     ],
-    ids=["slack_string", "negative_replans", "misspelt_reward", "trainer_seed", "epochs_string"],
+    ids=["slack_string", "negative_replans", "misspelt_reward", "trainer_seed", "epochs_string", "adam_constant"],
 )
 def test_malformed_config_section_rejected_before_any_work(workdir, capsys, section, fields, named):
     config = json.loads((workdir / "config.json").read_text())

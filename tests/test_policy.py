@@ -46,6 +46,72 @@ def probs_for(params, texts, budget):
     return forward(params, emb, np.full(len(texts), budget / params.budget_ref))["probs"]
 
 
+# -- reference pass -----------------------------------------------------------
+
+
+def reference_forward(params, emb, bud):
+    """The network step by step: each projection its own matmul and ReLU."""
+    a1 = emb @ params.embed_w.T + params.embed_b
+    h1 = np.maximum(a1, 0.0)
+    a2 = bud[:, None] @ params.budget_w.T + params.budget_b
+    h2 = np.maximum(a2, 0.0)
+    h = np.concatenate([h1, h2], axis=1)
+    a3 = h @ params.core_w.T + params.core_b
+    h3 = np.maximum(a3, 0.0)
+    logits = h3 @ params.head_w.T + params.head_b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return {"a1": a1, "a2": a2, "h": h, "a3": a3, "h3": h3, "logp": logp, "probs": np.exp(logp)}
+
+
+def reference_loss(params, emb, bud, actions, rewards, beta):
+    """The loss and its gradients, with each ReLU's mask taken from its input."""
+    m = emb.shape[0]
+    out = reference_forward(params, emb, bud)
+    probs, logp = out["probs"], out["logp"]
+    rows = np.arange(m)
+    entropy = -(probs * logp).sum(axis=1)
+    value = float(-(logp[rows, actions] * rewards).mean() - beta * entropy.mean())
+    onehot = np.zeros_like(probs)
+    onehot[rows, actions] = 1.0
+    dlogits = rewards[:, None] * (probs - onehot)
+    dlogits += beta * probs * (logp + entropy[:, None])
+    dlogits /= m
+    grads = {"head_w": dlogits.T @ out["h3"], "head_b": dlogits.sum(axis=0)}
+    da3 = (dlogits @ params.head_w) * (out["a3"] > 0.0)
+    grads["core_w"] = da3.T @ out["h"]
+    grads["core_b"] = da3.sum(axis=0)
+    dh = da3 @ params.core_w
+    da1 = dh[:, :64] * (out["a1"] > 0.0)
+    da2 = dh[:, 64:] * (out["a2"] > 0.0)
+    grads["embed_w"] = da1.T @ emb
+    grads["embed_b"] = da1.sum(axis=0)
+    grads["budget_w"] = da2.T @ bud[:, None]
+    grads["budget_b"] = da2.sum(axis=0)
+    return value, grads
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256, 900])
+def test_forward_and_loss_match_reference_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    params = init_params(seed=rows)
+    for name, arr in params.arrays().items():
+        if name.endswith("_b"):
+            arr += rng.normal(scale=0.1, size=arr.shape)  # biases off zero, so each ReLU cuts both ways
+    emb, bud, actions, rewards = random_batch(rng, rows)
+    out, expected = forward(params, emb, bud), reference_forward(params, emb, bud)
+    assert out["probs"].tobytes() == expected["probs"].tobytes()
+    assert out["logp"].tobytes() == expected["logp"].tobytes()
+    for mask in (expected["a1"] > 0.0, expected["a2"] > 0.0, expected["a3"] > 0.0):
+        assert mask.any() and not mask.all()
+    value, grads = loss(params, emb, bud, actions, rewards, 0.01)
+    expected_value, expected_grads = reference_loss(params, emb, bud, actions, rewards, 0.01)
+    assert value.hex() == expected_value.hex()
+    assert grads.keys() == expected_grads.keys() == params.arrays().keys()
+    for name, grad in expected_grads.items():
+        assert grads[name].tobytes() == grad.tobytes(), name
+
+
 # -- forward ------------------------------------------------------------------
 
 
@@ -233,6 +299,25 @@ def test_train_rejects_empty_dataset():
         train(ExperienceDataset(experiences=()), TrainerConfig())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+        ("entropy_coeff", math.nan), ("entropy_coeff", math.inf), ("entropy_coeff", -0.5),
+        ("budget_ref", math.nan), ("budget_ref", math.inf), ("budget_ref", 0.0),
+    ],
+)
+def test_trainer_config_rejects_non_finite_and_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        TrainerConfig(epochs=3, **{field: value})
+
+
+def test_train_that_diverges_raises():
+    config = TrainerConfig(learning_rate=1e300, epochs=3)  # finite, but the first step overflows the weights
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="no epoch's expected reward is finite"):
+        train(dominant_topology_dataset(), config)
+
+
 def test_best_params_match_best_epoch_score():
     dataset = dominant_topology_dataset(n_tasks=30)
     config = TrainerConfig(learning_rate=0.0015, batch_size=32, epochs=8, seed=5)
@@ -248,16 +333,28 @@ def two_budget_dataset(n_tasks=20):
     return ExperienceDataset(experiences=tuple(reversed(low.experiences + high.experiences)))
 
 
-def test_epoch_scores_equal_evaluate_bitwise():
+def scored_epochs(monkeypatch):
+    """(params, score) of each epoch that train scores from here on, its
+    params copied as they stood when scored."""
+    real_score, scored = policy._expected_reward, []
+
+    def recording_score(params, emb, bud, group_rewards):
+        score = real_score(params, emb, bud, group_rewards)
+        scored.append((params.copy(), score))
+        return score
+
+    monkeypatch.setattr(policy, "_expected_reward", recording_score)
+    return scored
+
+
+def test_epoch_scores_equal_evaluate_bitwise(monkeypatch):
     dataset = two_budget_dataset()
     reward_config = RewardConfig(c_overflow=3.0, bonus_slope=0.25)
-    seen = []
-
-    def check(epoch, params, score):
-        seen.append((score.hex(), evaluate(params, dataset, reward_config).hex()))
-
+    scored = scored_epochs(monkeypatch)
     config = TrainerConfig(learning_rate=0.0015, batch_size=32, epochs=4, seed=5)
-    result = train(dataset, config, reward_config=reward_config, on_epoch=check)
+    result = train(dataset, config, reward_config=reward_config)
+    monkeypatch.undo()  # evaluate scores through the real _expected_reward
+    seen = [(score.hex(), evaluate(params, dataset, reward_config).hex()) for params, score in scored]
     assert [score for score, _ in seen] == [s.hex() for s in result.epoch_scores]
     assert all(score == evaluated for score, evaluated in seen)
 
@@ -321,20 +418,15 @@ def test_gathered_batch_loss_matches_dense_rows():
         assert gathered_grads[name].tobytes() == grad.tobytes()
 
 
-def test_dominant_probability_rises_monotonically_without_entropy():
+def test_dominant_probability_rises_monotonically_without_entropy(monkeypatch):
     dataset = dominant_topology_dataset(n_tasks=40, dominant=2)
+    texts = sorted({e.task_text for e in dataset.experiences})
+    scored = scored_epochs(monkeypatch)
     for seed in range(5):
-        history = []
-
-        def track(epoch, params, score):
-            history.append(greedy_mean_prob(params, dataset))
-
-        def greedy_mean_prob(params, dataset):
-            texts = sorted({e.task_text for e in dataset.experiences})
-            return float(np.mean(probs_for(params, texts, 500.0)[:, 2]))
-
+        scored.clear()
         config = TrainerConfig(learning_rate=0.0015, entropy_coeff=0.0, batch_size=20000, epochs=10, seed=seed)
-        train(dataset, config, on_epoch=track)
+        train(dataset, config)
+        history = [float(np.mean(probs_for(params, texts, 500.0)[:, 2])) for params, _ in scored]
         drops = sum(1 for a, b in zip(history, history[1:]) if b <= a)
         assert drops <= 1, f"seed {seed}: {history}"
 

@@ -6,7 +6,7 @@ dataclasses by field name."""
 
 from dataclasses import fields
 
-from budgetagents import backend, catalog, cli, dataset, policy, topology
+from budgetagents import backend, catalog, cli, dataset, policy, profile, topology
 
 
 def test_tables_match_their_dataclasses():
@@ -24,3 +24,17 @@ def test_tables_match_their_dataclasses():
 
 def test_policy_shapes_name_every_layer():
     assert set(policy.SHAPES) == {f.name for f in fields(policy.PolicyParams)} - {"budget_ref"}
+
+
+def test_profile_tables_map_onto_their_dataclasses():
+    # File key -> field. output_token_samples has no field: it bounds t_out.
+    task_keys = {"id": "task_id", "text": "text", "answer": "answer"}
+    profile_keys = {
+        "tasks": "tasks", "t_in": "t_in", "t_out": "t_out", "output_token_samples": "t_out",
+        "evaluator": "evaluator_kind", "max_tokens": "max_tokens", "mock_script": "mock_script",
+    }
+    assert set(profile._TASK_FIELDS) == set(task_keys)
+    assert set(task_keys.values()) == {f.name for f in fields(profile.TaskSpec)}
+    assert set(profile._PROFILE_FIELDS) == set(profile_keys)
+    assert set(profile_keys.values()) == {f.name for f in fields(profile.TaskProfile)}
+    assert profile._PROFILE_KEYS.items() <= profile_keys.items()
