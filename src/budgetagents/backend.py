@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
-from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive
+from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive, spec, table
 
 if TYPE_CHECKING:
     import http.client
@@ -54,9 +54,11 @@ class CallResponse:
 
 
 class BackendError(Exception):
-    """Base class for invocation failures."""
+    """Base class for invocation failures. `usage` is the (prompt, completion)
+    token counts the provider billed for the failed call, if it reported them."""
 
     retryable = False
+    usage: tuple[int, int] | None = None
 
 
 class TransportError(BackendError):
@@ -76,6 +78,10 @@ class HTTPStatusError(BackendError):
 
 class ProtocolError(BackendError):
     """Response parsed but lacked required fields (text or token usage)."""
+
+    def __init__(self, message: str, usage: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.usage = usage
 
 
 class ScriptError(BackendError):
@@ -98,12 +104,12 @@ class ScriptRule:
     request's occurrence, the 1-based index of that role's call within its
     run; rules are tried in order and the first match wins."""
 
-    role: str = "*"
-    step: int | None = None
-    text: str | None = None
-    seed: int | None = None  # deterministic filler text instead of fixed text
-    completion_tokens: int = 10
-    prompt_tokens: int | None = None
+    role: str = spec(STRING, default="*")
+    step: int | None = spec(nullable(positive(INT)), default=None)
+    text: str | None = spec(nullable(STRING), default=None)
+    seed: int | None = spec(nullable(INT), default=None)  # deterministic filler text instead of fixed text
+    completion_tokens: int = spec(non_negative(INT), default=10)
+    prompt_tokens: int | None = spec(nullable(non_negative(INT)), default=None)
 
     def render_text(self, occurrence: int) -> str:
         if self.text is not None:
@@ -114,14 +120,7 @@ class ScriptRule:
 
 
 # The spec of each field of a mock_script rule, and of the script itself.
-_RULE_FIELDS = {
-    "role": STRING,
-    "step": nullable(positive(INT)),
-    "text": nullable(STRING),
-    "seed": nullable(INT),
-    "completion_tokens": non_negative(INT),
-    "prompt_tokens": nullable(non_negative(INT)),
-}
+_RULE_FIELDS = table(ScriptRule)
 _SCRIPT_FIELDS = {"rules": each(obj(_RULE_FIELDS)), "default_prompt_tokens": non_negative(INT)}
 
 
@@ -156,6 +155,10 @@ class ScriptedBackend:
         raise ScriptError(f"script exhausted: no rule for role={role!r} occurrence={occurrence}")
 
 
+_USAGE_KEYS = ("prompt_tokens", "completion_tokens")
+_TOKEN_COUNT = non_negative(INT)  # a JSON integer: not a bool, "400" or 12.9
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
@@ -183,7 +186,7 @@ class HttpBackend:
         self._http = http.client
         self._select = select.select
         self.api_key = api_key
-        self.timeout = timeout
+        self.timeout = float(timeout)
         self.backoff_base = backoff_base
         self._min_interval = 1.0 / requests_per_second if requests_per_second else 0.0
         self._last_request = 0.0
@@ -259,17 +262,23 @@ class HttpBackend:
             raise TransportError(str(exc) or type(exc).__name__) from exc
         if not 200 <= status < 300:
             raise HTTPStatusError(status, raw.decode("utf-8", "replace")[:500])
+        # Usage is read first: a call the provider billed is charged even if
+        # its content is unusable, so the ProtocolError carries the counts.
         try:
             data = json.loads(raw)
-            text = data["choices"][0]["message"]["content"]
-            usage = data["usage"]
-            prompt_tokens = int(usage["prompt_tokens"])
-            completion_tokens = int(usage["completion_tokens"])
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            usage = tuple(data["usage"][key] for key in _USAGE_KEYS)
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"unexpected response shape: {exc!r}") from exc
+        for key, count in zip(_USAGE_KEYS, usage):
+            if not _TOKEN_COUNT[0](count):
+                raise ProtocolError(f"usage.{key} must be {_TOKEN_COUNT[1]}, got {count!r}")
+        try:
+            text = data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProtocolError(f"unexpected response shape: {exc!r}", usage) from exc
         if text is None:
-            raise ProtocolError("response had no message content")
-        return CallResponse(text=text, prompt_tokens=prompt_tokens, completion_tokens=completion_tokens)
+            raise ProtocolError("response had no message content", usage)
+        return CallResponse(text, *usage)
 
     def invoke(self, request: CallRequest) -> CallResponse:
         payload = {

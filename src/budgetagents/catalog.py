@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .schema import INT, NUMBER, STRING, check, each, obj, read_json
+from .schema import INT, NUMBER, STRING, check, each, obj, read_json, spec, table
 
 DEFAULT_INPUT_TOKENS = 500
 DEFAULT_OUTPUT_TOKENS = 500
@@ -24,11 +24,11 @@ class ModelSpec:
     """One catalog entry, field for field as the catalog file states it.
     Tier 1 is the strongest rank; larger is weaker."""
 
-    name: str
-    tier: int
-    price_in_per_mtok: float
-    price_out_per_mtok: float
-    backend_id: str
+    name: str = spec(STRING)
+    tier: int = spec(INT)
+    price_in_per_mtok: float = spec(NUMBER)
+    price_out_per_mtok: float = spec(NUMBER)
+    backend_id: str = spec(STRING)
 
     def __post_init__(self) -> None:
         if self.tier < 1:
@@ -50,13 +50,7 @@ def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
 
 
 # One entry of the catalog's 'models' list; ranges are checked by ModelSpec.
-_MODEL_FIELDS = {
-    "name": STRING,
-    "tier": INT,
-    "price_in_per_mtok": NUMBER,
-    "price_out_per_mtok": NUMBER,
-    "backend_id": STRING,
-}
+_MODEL_FIELDS = table(ModelSpec)
 # Each 'backends' entry is checked where it is used (cli, real runs only).
 _CATALOG_FIELDS = {
     "models": each(obj(_MODEL_FIELDS, required=tuple(_MODEL_FIELDS))),

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 # `policy` (and with it numpy) is imported by the commands that use it:
@@ -22,8 +22,10 @@ from . import backend, dataset, provision, topology
 from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import TaskProfile, TaskSpec, load_profile
-from .reward import RewardConfig
-from .schema import BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json, read_jsonl
+from .reward import RewardConfig, TrainerConfig
+from .schema import (
+    BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json, read_jsonl, spec, table,
+)
 from .topology import ExecutionLimits, Topology, topology_from_name
 
 EXIT_OK = 0
@@ -35,52 +37,30 @@ class ConfigError(Exception):
     pass
 
 
-# The config file's fields, and the only copy of each default.
+# The config file's fields, and the only copy of each default. Each spec is
+# the field's shape in the file; value ranges beyond it are checked by the
+# section dataclasses as the config loads, or where a field is used.
 @dataclass
 class RunConfig:
-    catalog: str
-    task_profile: str
-    budgets: list[float] = field(default_factory=list)
-    out_dir: str = "out"
-    seed: int = 42
-    mock: bool = False
-    jobs: int = 1
-    instance_cap: int = 5
-    min_agents: int = 2
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    trainer: dict = field(default_factory=dict)
-    limits: ExecutionLimits = field(default_factory=ExecutionLimits)
-    stamp: bool = False  # include a collection timestamp in dataset headers
+    catalog: str = spec(STRING)
+    task_profile: str = spec(STRING)
+    out_dir: str = spec(STRING, default="out")
+    budgets: list[float] = spec(
+        (lambda v: isinstance(v, list) and all(NUMBER[0](b) for b in v), "a list of finite numbers"),
+        default_factory=list,
+    )
+    seed: int = spec(non_negative(INT), default=42)  # the trainer's seed too
+    jobs: int = spec(positive(INT), default=1)
+    instance_cap: int = spec(INT, default=5)
+    min_agents: int = spec(INT, default=2)
+    mock: bool = spec(BOOL, default=False)
+    stamp: bool = spec(BOOL, default=False)  # include a collection timestamp in dataset headers
+    limits: ExecutionLimits = spec(obj(table(ExecutionLimits)), default_factory=ExecutionLimits)
+    reward: RewardConfig = spec(obj(table(RewardConfig)), default_factory=RewardConfig)
+    trainer: TrainerConfig = spec(obj(table(TrainerConfig)), default_factory=TrainerConfig)
 
 
-# Shape of the config file: field -> spec (see schema). Value ranges beyond
-# these are checked where a field is used. The trainer's seed is the
-# top-level 'seed'.
-_CONFIG_FIELDS = {
-    "catalog": STRING,
-    "task_profile": STRING,
-    "out_dir": STRING,
-    "budgets": (lambda v: isinstance(v, list) and all(NUMBER[0](b) for b in v), "a list of finite numbers"),
-    "seed": non_negative(INT),
-    "jobs": positive(INT),
-    "instance_cap": INT,
-    "min_agents": INT,
-    "mock": BOOL,
-    "stamp": BOOL,
-    "limits": obj({
-        "max_feedback_rounds": non_negative(INT),
-        "max_replans": non_negative(INT),
-        "precall_slack": nullable(non_negative(NUMBER)),
-    }),
-    "reward": obj({f.name: NUMBER for f in fields(RewardConfig)}),
-    "trainer": obj({
-        "learning_rate": NUMBER,
-        "entropy_coeff": NUMBER,
-        "batch_size": INT,
-        "epochs": INT,
-        "budget_ref": nullable(NUMBER),
-    }),
-}
+_CONFIG_FIELDS = table(RunConfig)
 # `--seed`, `--jobs` and `--budget` are checked like their config fields.
 _FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"], "--budget": positive(NUMBER)}
 # One entry of the catalog's 'backends' section (real runs only).
@@ -128,10 +108,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for i, b in enumerate(budgets):
             if b in budgets[:i]:
                 raise ConfigError(f"budgets[{i}] repeats budget {_budget_label(b)}")
+    trainer = data.pop("trainer", {})
     for key, build in (("reward", RewardConfig), ("limits", ExecutionLimits)):
         if key in data:
             data[key] = build(**data[key])
-    return RunConfig(**data)
+    config = RunConfig(**data)
+    config.trainer = TrainerConfig(seed=config.seed, **trainer)
+    return config
 
 
 def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
@@ -158,12 +141,7 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
         where = f"backends.{model.backend_id}"
         entry = check(catalog.backends.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
         api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
-        endpoints[model.backend_id] = backend.HttpBackend(
-            base_url=entry["base_url"],
-            api_key=api_key,
-            timeout=float(entry.get("timeout", 60.0)),
-            requests_per_second=entry.get("requests_per_second"),
-        )
+        endpoints[model.backend_id] = backend.HttpBackend(api_key=api_key, **entry)
 
     def close():
         for endpoint in endpoints.values():
@@ -278,7 +256,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if len(ds) == 0:
         raise ConfigError("dataset is empty; nothing to train on")
 
-    trainer = policy.TrainerConfig(seed=config.seed, **config.trainer)
+    trainer = config.trainer
     result = policy.train(ds, trainer, reward_config=config.reward)
 
     weights_path = Path(config.out_dir) / "policy.json"

@@ -21,7 +21,7 @@ from typing import Mapping
 from .backend import Backend
 from .evaluators import Evaluator
 from .profile import TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, nullable, read_jsonl
+from .schema import BOOL, INT, NUMBER, STRING, nullable, read_jsonl, spec, table
 from .topology import (
     BACKEND_FAILURE,
     EVALUATOR_FAILURE,
@@ -36,36 +36,29 @@ FORMAT_VERSION = 1
 # One encoder for every line: json.dumps would build a new one per row.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
-# One experience line; the topology's and the cost's ranges are Experience's.
-_ROW_FIELDS = {
-    "task_id": STRING,
-    "task_text": STRING,
-    "budget": NUMBER,
-    "topology": INT,
-    "success": BOOL,
-    "actual_cost": NUMBER,
-    "error": nullable(STRING),
-}
-_ROW_REQUIRED = tuple(key for key in _ROW_FIELDS if key != "error")
-
 
 # Plain, not frozen: collect builds one per run, and a frozen dataclass sets
-# each field through object.__setattr__.
+# each field through object.__setattr__. Each spec checks a dataset line; the
+# topology's and the cost's ranges are checked by __post_init__.
 @dataclass
 class Experience:
-    task_id: str
-    task_text: str
-    budget: float
-    topology: int
-    success: bool
-    actual_cost: float
-    error: str | None = None
+    task_id: str = spec(STRING)
+    task_text: str = spec(STRING)
+    budget: float = spec(NUMBER)
+    topology: int = spec(INT)
+    success: bool = spec(BOOL)
+    actual_cost: float = spec(NUMBER)
+    error: str | None = spec(nullable(STRING), default=None)
 
     def __post_init__(self) -> None:
         if not 0 <= self.topology < len(Topology):
             raise ValueError(f"topology index {self.topology} out of range")
         if self.actual_cost < 0:
             raise ValueError("actual_cost must be >= 0")
+
+
+_ROW_FIELDS = table(Experience)
+_ROW_REQUIRED = tuple(key for key in _ROW_FIELDS if key != "error")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import ExperienceDataset
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
-from .reward import Outcome, RewardConfig, compute_reward
+from .reward import Outcome, RewardConfig, TrainerConfig, compute_reward
 from .schema import INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import TOPOLOGY_NAMES
 
@@ -74,29 +74,6 @@ class PolicyParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    learning_rate: float = 0.0003
-    entropy_coeff: float = 0.001
-    batch_size: int = 20000
-    epochs: int = 10
-    seed: int = 42
-    budget_ref: float | None = None  # default: max budget seen in the dataset
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails each comparison.
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-        if not 0 <= self.entropy_coeff < math.inf:
-            raise ValueError(f"entropy_coeff must be a finite number >= 0, got {self.entropy_coeff}")
-        if self.budget_ref is not None and not 0 < self.budget_ref < math.inf:
-            raise ValueError(f"budget_ref must be a finite number > 0, got {self.budget_ref}")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be > 0")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be > 0")
 
 
 @dataclass

@@ -18,14 +18,12 @@ leaf; an exhaustive enumerator with the same contract is the test oracle, in
 `tests/oracle.py`.
 
 Weights are plain Python ints (they grow multiplicatively and overflow 64-bit
-quickly); floor divisions of budget by cost go through Fraction so the floors
-are exact for the stored float values.
+quickly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,10 @@ class ProvisionSolution:
 
 
 def _affordable(budget: float, cost: float) -> int:
-    # floor(budget / cost), exact for the stored float values
-    return int(Fraction(budget) / Fraction(cost))
+    # floor(budget / cost), exact for the stored float values: float `//` can
+    # be one off from a quotient near 2**52 up, and is inf past the float range.
+    (b, d), (c, e) = budget.as_integer_ratio(), cost.as_integer_ratio()
+    return (b * e) // (d * c)
 
 
 def compute_weights(problem: ProvisionProblem) -> tuple[int, ...]:
@@ -87,7 +87,7 @@ def compute_weights(problem: ProvisionProblem) -> tuple[int, ...]:
 def _max_units(spent: float, cost: float, cap: int, budget: float) -> int:
     """Largest n <= cap with spent + n*cost <= budget, judged by the same
     float expression every solver path uses for feasibility."""
-    n = min(cap, int((Fraction(budget) - Fraction(spent)) / Fraction(cost)))
+    n = int(min(max((budget - spent) // cost, 0.0), cap))  # a start the loops correct
     while n > 0 and spent + n * cost > budget:
         n -= 1
     while n < cap and spent + (n + 1) * cost <= budget:

@@ -4,12 +4,16 @@ A table maps each field to a spec: `(check, description)`, where the
 description completes "<path> must be ...", or a function `(value, path)`
 that raises itself, as `obj` and `each` make for nested objects and lists.
 Errors are ValueErrors naming the field's path (`models[0].tier`) and value.
+
+A dataclass read from JSON declares each field's spec on the field itself,
+with `spec`; `table(cls)` is then its table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import field, fields
 from pathlib import Path
 from reprlib import repr as _show  # bounded, so a huge value keeps the message short
 
@@ -35,6 +39,16 @@ def non_negative(spec: tuple) -> tuple:
 
 def nullable(spec: tuple) -> tuple:
     return (lambda v: v is None or spec[0](v), f"null or {spec[1]}")
+
+
+def spec(check, **field_kwargs):
+    """A dataclass field whose JSON form is checked by `check` (a spec)."""
+    return field(metadata={"spec": check}, **field_kwargs)
+
+
+def table(cls) -> dict:
+    """The table of `cls`'s fields that carry a spec, in declaration order."""
+    return {f.name: f.metadata["spec"] for f in fields(cls) if "spec" in f.metadata}
 
 
 # Callers test a tuple spec inline: a call per field slowed `report` by a quarter.

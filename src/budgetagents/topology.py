@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Sequence
 
@@ -21,7 +21,7 @@ from .backend import Backend, BackendError, CallRequest
 from .catalog import ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
 from .profile import DEFAULT_MAX_TOKENS, TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, each, nullable, obj
+from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table
 
 
 class Topology(IntEnum):
@@ -65,36 +65,44 @@ class AgentInstance:
 
 @dataclass(frozen=True)
 class ExecutionLimits:
-    max_feedback_rounds: int = 3
-    max_replans: int = 2
+    max_feedback_rounds: int = spec(non_negative(INT), default=3)
+    max_replans: int = spec(non_negative(INT), default=2)
     # Worst-case pre-call budget guard; None leaves enforcement purely post-call.
-    precall_slack: float | None = None
+    precall_slack: float | None = spec(nullable(non_negative(NUMBER)), default=None)
 
 
 # Plain, not frozen, for the speed of the per-call path (see CallRequest), and
 # without slots: RunTrace.to_json encodes each record through vars().
 @dataclass
 class CallRecord:
-    model: str
-    instance: str
-    role: str
-    t_in: int
-    t_out: int
-    cost: float
+    model: str = spec(STRING)
+    instance: str = spec(STRING)
+    role: str = spec(STRING)
+    t_in: int = spec(INT)
+    t_out: int = spec(INT)
+    cost: float = spec(NUMBER)
+
+
+_CALL_FIELDS = table(CallRecord)
 
 
 @dataclass
 class RunTrace:
-    task_id: str
-    topology: str
-    budget: float
-    calls: list[CallRecord] = field(default_factory=list)
-    cumulative_cost: float = 0.0
-    final_answer: str | None = None
-    success: bool | None = None
-    oob: bool = False
-    halt: str | None = None  # one of HALT_REASONS; the last one set wins
-    detail: str | None = None  # what halted it, in words; null for BUDGET_EXCEEDED
+    """One run, as a line of a trace file; each field's spec is how readers
+    of trace files check it."""
+
+    task_id: str = spec(STRING)
+    topology: str = spec((lambda v: v in TOPOLOGY_NAMES, f"one of {', '.join(TOPOLOGY_NAMES)}"))
+    budget: float = spec(NUMBER)
+    calls: list[CallRecord] = spec(each(obj(_CALL_FIELDS, required=tuple(_CALL_FIELDS))), default_factory=list)
+    cumulative_cost: float = spec(NUMBER, default=0.0)
+    final_answer: str | None = spec(nullable(STRING), default=None)
+    success: bool | None = spec(nullable(BOOL), default=None)
+    oob: bool = spec(BOOL, default=False)
+    halt: str | None = spec(  # one of HALT_REASONS; the last one set wins
+        nullable((lambda v: v in HALT_REASONS, f"one of {', '.join(HALT_REASONS)}")), default=None
+    )
+    detail: str | None = spec(nullable(STRING), default=None)  # what halted it, in words; null for BUDGET_EXCEEDED
 
     def to_json(self) -> str:
         return _TRACE_ENCODER.encode(vars(self))
@@ -104,29 +112,7 @@ class RunTrace:
 # trace encodes as dataclasses.asdict would give it, without asdict's deep copy
 # of every value; each CallRecord encodes through default=vars.
 _TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
-
-
-# A trace line as RunTrace.to_json writes it, for readers of trace files.
-_CALL_FIELDS = {
-    "model": STRING,
-    "instance": STRING,
-    "role": STRING,
-    "t_in": INT,
-    "t_out": INT,
-    "cost": NUMBER,
-}
-TRACE_FIELDS = {
-    "task_id": STRING,
-    "topology": (lambda v: v in TOPOLOGY_NAMES, f"one of {', '.join(TOPOLOGY_NAMES)}"),
-    "budget": NUMBER,
-    "calls": each(obj(_CALL_FIELDS, required=tuple(_CALL_FIELDS))),
-    "cumulative_cost": NUMBER,
-    "final_answer": nullable(STRING),
-    "success": nullable(BOOL),
-    "oob": BOOL,
-    "halt": nullable((lambda v: v in HALT_REASONS, f"one of {', '.join(HALT_REASONS)}")),
-    "detail": nullable(STRING),
-}
+TRACE_FIELDS = table(RunTrace)
 TRACE_REQUIRED = ("task_id", "topology", "budget", "cumulative_cost", "oob", "halt")
 
 
@@ -214,16 +200,22 @@ class _Runner:
             # Backends own the retry policy: HttpBackend retries a retryable failure once.
             response = backend.invoke(request)
         except BackendError as exc:
+            if exc.usage is not None:  # the provider billed the failed call
+                self._charge(instance, role, *exc.usage)
             raise _Halt(BACKEND_FAILURE, f"backend failure ({role} on {instance.label}): {exc}") from exc
-        t_in, t_out = response.prompt_tokens, response.completion_tokens
-        cost = estimate_cost(model, t_in, t_out)
-        self.trace.calls.append(CallRecord(model.name, instance.label, role, t_in, t_out, cost))
-        self.spent += cost
+        self._charge(instance, role, response.prompt_tokens, response.completion_tokens)
         if role == ROLE_EXECUTOR:
             self.latest_executor_output = response.text
         if self.spent > self.budget:
             raise _Halt(BUDGET_EXCEEDED, None)
         return response.text
+
+    def _charge(self, instance: AgentInstance, role: str, t_in: int, t_out: int) -> None:
+        """Records one billed call and adds its cost to the run's spend."""
+        model = instance.model
+        cost = estimate_cost(model, t_in, t_out)
+        self.trace.calls.append(CallRecord(model.name, instance.label, role, t_in, t_out, cost))
+        self.spent += cost
 
     # -- topology flows -----------------------------------------------------
     # Each flow seats the pool by position. The pool arrives strongest first,
@@ -364,7 +356,8 @@ def execute(
 
     The pool must be in descending tier-weight order (strongest first); each
     flow seats it by position. The trace records each call's backend-reported
-    token usage and unit cost; oob is set exactly when the final cumulative
+    token usage and unit cost, a failed call's too when its backend reports
+    what it billed; oob is set exactly when the final cumulative
     cost exceeds the budget, and no call is initiated once the running total
     has crossed it. `halt` names the last reason the run stopped or went
     ungraded (HALT_REASONS); a run halted by a backend failure is not graded.

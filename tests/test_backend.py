@@ -203,6 +203,47 @@ def test_http_missing_usage_is_protocol_error(fake_server):
         backend.invoke(request())
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"choices": [{"message": {"content": None}}]}, "response had no message content"),
+        ({"choices": []}, "unexpected response shape: IndexError"),
+    ],
+    ids=["null_content", "no_choices"],
+)
+def test_http_error_after_usage_carries_the_billed_counts(fake_server, payload, message):
+    fake_server.enqueue(200, dict(payload, usage={"prompt_tokens": 400, "completion_tokens": 300}))
+    backend = HttpBackend(fake_server.url, backoff_base=0.01)
+    with pytest.raises(ProtocolError, match=message) as info:
+        backend.invoke(request())
+    assert info.value.usage == (400, 300)
+    assert len(fake_server.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "usage, named",
+    [
+        ({"prompt_tokens": "400", "completion_tokens": 3}, "usage.prompt_tokens must be an integer >= 0, got '400'"),
+        ({"prompt_tokens": 12.9, "completion_tokens": 3}, "usage.prompt_tokens must be an integer >= 0, got 12.9"),
+        ({"prompt_tokens": 12, "completion_tokens": -1}, "usage.completion_tokens must be an integer >= 0, got -1"),
+        ({"prompt_tokens": 12, "completion_tokens": False}, "usage.completion_tokens must be an integer >= 0, got False"),
+    ],
+    ids=["string", "fractional", "negative", "bool"],
+)
+def test_http_token_counts_must_be_json_integers(fake_server, usage, named):
+    fake_server.enqueue(200, {"choices": [{"message": {"content": "hi"}}], "usage": usage})
+    backend = HttpBackend(fake_server.url, backoff_base=0.01)
+    with pytest.raises(ProtocolError) as info:
+        backend.invoke(request())
+    assert str(info.value) == named
+    assert info.value.usage is None
+
+
+def test_http_timeout_is_a_float(fake_server):
+    # A catalog's `"timeout": 30` reads "timed out after 30.0s".
+    assert repr(HttpBackend(fake_server.url, timeout=30).timeout) == "30.0"
+
+
 def test_https_backend_builds_its_tls_context_without_connecting():
     backend = HttpBackend("https://example.invalid/v1")
     try:

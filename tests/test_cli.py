@@ -13,6 +13,7 @@ from budgetagents.catalog import ModelCatalog
 from budgetagents.cli import RunConfig, _budget_label, _build_backends, main
 from budgetagents.profile import TaskSpec, profile_from_dict
 from synth import dominant_topology_dataset
+from test_backend import chat_payload
 
 # tier costs at t_in = t_out = 500 come out to [1235.0, 250.0]
 CATALOG = {
@@ -129,21 +130,61 @@ def test_collect_needs_no_provision_file(workdir):
     assert (workdir / "corrupt" / "dataset.jsonl").read_bytes() == dataset
 
 
-def test_collect_fails_on_a_response_with_negative_token_counts(workdir, fake_server, capsys):
-    # The provider billed this call; a dataset row at cost 0.0 would drop it.
+def _serve_from(fake_server, workdir):
+    """Points every backend of the catalog at `fake_server`, for real runs."""
     catalog = json.loads(json.dumps(CATALOG))
     for entry in catalog["backends"].values():
         entry["base_url"] = fake_server.url
     (workdir / "catalog.json").write_text(json.dumps(catalog))
     edit_config(workdir, mock=False)
-    fake_server.enqueue(200, {
-        "choices": [{"message": {"content": "42"}}],
-        "usage": {"prompt_tokens": -5, "completion_tokens": 3},
-    })
-    assert run("collect", "--config", str(workdir / "config.json")) == 1
-    assert capsys.readouterr().err == "error: token counts must be >= 0\n"
-    assert len(fake_server.requests) == 1
-    assert not (workdir / "out" / "dataset.jsonl").exists()
+
+
+def test_collect_records_negative_token_counts_as_a_failed_row(workdir, fake_server):
+    # Not an error that ends `collect`: the run halts, and every other run still goes.
+    _serve_from(fake_server, workdir)
+    fake_server.enqueue(200, chat_payload("42", -5, 3))
+    assert run("collect", "--config", str(workdir / "config.json")) == 0
+    rows = [json.loads(line) for line in (workdir / "out" / "dataset.jsonl").read_text().splitlines()[1:]]
+    assert len(rows) == 8 and len(fake_server.requests) == 8  # each later run fails on `{"ok": true}`
+    assert rows[0]["actual_cost"] == 0.0
+    assert rows[0]["error"] == (
+        "backend failure (executor on strong-model#1): usage.prompt_tokens must be an integer >= 0, got -5"
+    )
+
+
+def test_collect_charges_a_billed_call_without_content(workdir, fake_server):
+    _serve_from(fake_server, workdir)
+    fake_server.enqueue(200, chat_payload(None, 400, 300))
+    assert run("collect", "--config", str(workdir / "config.json")) == 0
+    row = json.loads((workdir / "out" / "dataset.jsonl").read_text().splitlines()[1])
+    assert (row["topology"], row["success"], row["actual_cost"]) == (0, False, 400 * 0.27 + 300 * 2.20)
+    assert row["error"] == "backend failure (executor on strong-model#1): response had no message content"
+
+
+@pytest.mark.parametrize(
+    "usage, named, calls",
+    [
+        ((400, 300), "response had no message content", [["strong-model", 400, 300, 768.0]]),
+        (("400", 300), "usage.prompt_tokens must be an integer >= 0, got '400'", []),
+        ((400, 12.9), "usage.completion_tokens must be an integer >= 0, got 12.9", []),
+        ((-1, 300), "usage.prompt_tokens must be an integer >= 0, got -1", []),
+        ((400, True), "usage.completion_tokens must be an integer >= 0, got True", []),
+    ],
+    ids=["null_content", "string_count", "fractional_count", "negative_count", "bool_count"],
+)
+def test_run_halts_a_task_on_a_bad_response_and_serves_the_rest(workdir, fake_server, usage, named, calls):
+    _serve_from(fake_server, workdir)
+    fake_server.enqueue(200, chat_payload(None if calls else "42", *usage))
+    for _ in range(4):  # t2's linear relay: one strong and three cheap executors
+        fake_server.enqueue(200, chat_payload("15"))
+    assert run("run", "--config", str(workdir / "config.json"), "--topology", "linear") == 0
+    first, second = map(json.loads, (workdir / "out" / "traces.jsonl").read_text().splitlines())
+    assert [[c["model"], c["t_in"], c["t_out"], c["cost"]] for c in first["calls"]] == calls
+    assert first["cumulative_cost"] == sum(call[3] for call in calls)
+    assert (first["halt"], first["success"], first["oob"]) == ("backend_failure", False, False)
+    assert first["detail"] == f"backend failure (executor on strong-model#1): {named}"
+    assert (len(second["calls"]), second["halt"], second["success"]) == (4, None, True)
+    assert len(fake_server.requests) == 5
 
 
 def test_collect_and_run_share_the_pool_after_instance_cap_changes(workdir):
@@ -394,13 +435,24 @@ def test_train_without_dataset_errors(workdir):
     assert run("train", "--config", str(workdir / "config.json")) == 1
 
 
-def test_zero_epoch_config_errors(workdir):
+def _trainer_section_stops_every_command(workdir, capsys, fields, message):
+    # The section is checked as the config loads: before `collect` spends anything.
     config = json.loads((workdir / "config.json").read_text())
-    config["trainer"]["epochs"] = 0
+    config["trainer"].update(fields)
     (workdir / "config.json").write_text(json.dumps(config))
-    assert run("provision", "--config", str(workdir / "config.json")) == 0
-    assert run("collect", "--config", str(workdir / "config.json")) == 0
-    assert run("train", "--config", str(workdir / "config.json")) == 1
+    for command in ("provision", "collect", "train"):
+        assert run(command, "--config", str(workdir / "config.json")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "out").exists()
+
+
+def test_zero_epoch_config_errors(workdir, capsys):
+    _trainer_section_stops_every_command(workdir, capsys, {"epochs": 0}, "epochs must be > 0")
+
+
+def test_negative_learning_rate_config_errors(workdir, capsys):
+    message = "learning_rate must be a finite number > 0, got -1.0"
+    _trainer_section_stops_every_command(workdir, capsys, {"learning_rate": -1.0}, message)
 
 
 def test_empty_task_list_collects_empty_dataset(workdir):

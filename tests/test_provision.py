@@ -1,9 +1,12 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from budgetagents.provision import ProvisionProblem, compute_weights, solve
+from budgetagents.provision import ProvisionProblem, _affordable, _max_units, compute_weights, solve
 
 from oracle import brute_force_solve
 
@@ -37,14 +40,70 @@ def test_weights_recursion_holds_exactly(budget, costs):
     weights = compute_weights(problem)
     num_tiers = len(costs)
     assert weights[-1] == 1
-    from fractions import Fraction
-
     for i in range(num_tiers - 1):
         expected = 1 + sum(
             weights[j] * int(Fraction(budget) / Fraction(float(costs[j])))
             for j in range(i + 1, num_tiers)
         )
         assert weights[i] == expected
+
+
+# Every positive finite float, subnormals included.
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+def _near_multiple(cost, k, ulps):
+    """k * cost, moved by `ulps` steps to the next float up or down."""
+    value = k * cost
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else 0.0)
+    return value
+
+
+@given(budget=POSITIVE, cost=POSITIVE)
+def test_affordable_is_the_exact_floor(budget, cost):
+    assert _affordable(budget, cost) == int(Fraction(budget) / Fraction(cost))
+
+
+@given(cost=POSITIVE, k=st.integers(0, 2**20), ulps=st.integers(-1, 1))
+def test_affordable_is_exact_next_to_a_multiple_of_the_cost(cost, k, ulps):
+    budget = _near_multiple(cost, k, ulps)
+    assume(0.0 < budget < math.inf)
+    assert _affordable(budget, cost) == int(Fraction(budget) / Fraction(cost))
+
+
+@given(budget=POSITIVE, cost=POSITIVE)
+def test_float_floor_division_is_exact_below_2_50(budget, cost):
+    # Why _max_units may start from `//`; its loops correct the start anyway.
+    exact = int(Fraction(budget) / Fraction(cost))
+    assume(exact < 2**50)
+    assert int(budget // cost) == exact
+
+
+@pytest.mark.parametrize(
+    "budget, cost",
+    [(270089915.7977356, 3.723291857558031e-08), (1e300, 1e-300)],
+    ids=["rounded_near_2_52", "past_the_float_range"],
+)
+def test_affordable_is_exact_where_float_floor_division_is_not(budget, cost):
+    # `//` gives 7254062429983062.0 (one too many) and inf for these.
+    assert budget // cost != int(Fraction(budget) / Fraction(cost))
+    assert _affordable(budget, cost) == int(Fraction(budget) / Fraction(cost))
+
+
+@given(
+    cost=st.floats(min_value=1e-3, max_value=1e4),
+    k=st.integers(0, 60),
+    ulps=st.integers(-1, 1),
+    spent=st.floats(min_value=0.0, max_value=1e4),
+    cap=st.integers(1, 50),
+)
+def test_max_units_is_the_largest_count_the_float_sum_affords(cost, k, ulps, spent, cap):
+    budget = spent + _near_multiple(cost, k, ulps)
+    n = _max_units(spent, cost, cap, budget)
+    assert 0 <= n <= cap
+    assert n == 0 or spent + n * cost <= budget
+    assert n == cap or spent + (n + 1) * cost > budget
 
 
 @given(

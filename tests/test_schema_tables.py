@@ -2,11 +2,21 @@
 dataclass built from it, so a reader and a writer of one file share one
 shape: `report` and `dataset.load` read what `run` and `collect` write, and
 the config, catalog, mock-script and `policy.json` readers build their
-dataclasses by field name."""
+dataclasses by field name. Most tables are `schema.table` of their
+dataclass; these tests also catch a field declared without a spec."""
 
 from dataclasses import fields
 
-from budgetagents import backend, catalog, cli, dataset, policy, profile, topology
+import pytest
+
+from budgetagents import backend, catalog, cli, dataset, policy, profile, reward, schema, topology
+
+# Fields no file states: the trainer's seed is the config's top-level 'seed'.
+UNSTATED = {reward.TrainerConfig: {"seed"}}
+
+
+def _stated(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.name not in UNSTATED.get(cls, ())]
 
 
 def test_tables_match_their_dataclasses():
@@ -18,8 +28,37 @@ def test_tables_match_their_dataclasses():
         (catalog._MODEL_FIELDS, catalog.ModelSpec, ()),
         (backend._RULE_FIELDS, backend.ScriptRule, ()),
     ]:
-        assert set(table) == {f.name for f in fields(cls)}, cls.__name__
+        assert list(table) == _stated(cls) == list(schema.table(cls)), cls.__name__
         assert set(required) <= set(table), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [
+        ("limits", topology.ExecutionLimits),
+        ("reward", reward.RewardConfig),
+        ("trainer", reward.TrainerConfig),
+    ],
+)
+def test_config_sections_match_their_dataclasses(section, cls):
+    # A section's table is inside a closure; its "expected one of" lists it.
+    with pytest.raises(ValueError) as info:
+        schema.check({section: {"?": 0}}, cli._CONFIG_FIELDS)
+    assert str(info.value) == f"unknown field {section}.?; expected one of {', '.join(_stated(cls))}"
+    assert _stated(cls) == list(schema.table(cls))
+
+
+def test_config_fields_are_listed_in_file_order():
+    with pytest.raises(ValueError) as info:
+        schema.check({"?": 0}, cli._CONFIG_FIELDS)
+    assert str(info.value) == (
+        "unknown field ?; expected one of catalog, task_profile, out_dir, budgets, seed, jobs, "
+        "instance_cap, min_agents, mock, stamp, limits, reward, trainer"
+    )
+
+
+def test_trainer_config_is_the_policys():
+    assert policy.TrainerConfig is reward.TrainerConfig
 
 
 def test_policy_shapes_name_every_layer():

@@ -1,7 +1,8 @@
 """Start-up cost: each command loads only the modules it runs.
 
 numpy serves only the policy (`train`, and `run` without `--topology`);
-HTTP and TLS serve only real backends; a thread pool only `collect --jobs N`.
+HTTP and TLS serve only real backends; a thread pool only `collect --jobs N`;
+nothing needs `fractions`, or the `decimal` it imports.
 Each test starts a fresh interpreter, since this process has loaded them all.
 """
 
@@ -9,7 +10,7 @@ import json
 
 from test_cli import CATALOG, PROFILE, python_with_src
 
-HEAVY = ("numpy", "http.client", "ssl", "concurrent.futures")
+HEAVY = ("numpy", "http.client", "ssl", "concurrent.futures", "fractions", "decimal")
 REPORT_HEAVY = f"import sys; print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
 
 
