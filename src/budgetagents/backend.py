@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
+from .profile import ROLE_EXECUTOR
 from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive, spec, table
 
 if TYPE_CHECKING:
@@ -34,7 +35,7 @@ class CallRequest:
     user: str
     max_tokens: int
     temperature: float = 0.0
-    role: str = "executor"  # scripted backends route on role and occurrence; HttpBackend sends neither
+    role: str = ROLE_EXECUTOR  # scripted backends route on role and occurrence; HttpBackend sends neither
     occurrence: int = 1  # 1-based index of this role's call within its run
 
     def __post_init__(self) -> None:

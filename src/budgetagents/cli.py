@@ -21,7 +21,7 @@ from pathlib import Path
 from . import backend, dataset, provision, topology
 from .catalog import ModelCatalog
 from .evaluators import get_evaluator
-from .profile import TaskProfile, TaskSpec, load_profile
+from .profile import ROLES, TaskProfile, TaskSpec, load_profile
 from .reward import RewardConfig, TrainerConfig
 from .schema import (
     BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json, read_jsonl, spec, table,
@@ -126,10 +126,7 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
             raise ConfigError("mock mode requires a 'mock_script' section in the task profile")
         mock = backend.ScriptedBackend.from_config(script)
         covered = {rule.role for rule in mock.rules}
-        missing = [
-            role for role in ("executor", "critic", "planner")
-            if role not in covered and "*" not in covered
-        ]
+        missing = [] if "*" in covered else [role for role in ROLES if role not in covered]
         if missing:
             raise ConfigError(f"mock_script has no rule for role(s): {', '.join(missing)}")
         return {m.backend_id: mock for m in catalog.models}, lambda: None

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .backend import Backend
+from .catalog import DEFAULT_INPUT_TOKENS
 from .evaluators import Evaluator
 from .profile import TaskSpec
 from .schema import BOOL, INT, NUMBER, STRING, nullable, read_jsonl, spec, table
@@ -93,7 +94,7 @@ def collect(
     *,
     limits: ExecutionLimits = ExecutionLimits(),
     max_tokens: Mapping[str, int] | None = None,
-    planned_t_in: int = 500,
+    planned_t_in: int = DEFAULT_INPUT_TOKENS,
     header: dict | None = None,
     jobs: int = 1,
 ) -> ExperienceDataset:

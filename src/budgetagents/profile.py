@@ -13,7 +13,9 @@ from pathlib import Path
 from .catalog import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS
 from .schema import ANY, INT, STRING, check, each, non_negative, nullable, obj, positive, read_json
 
-DEFAULT_MAX_TOKENS = {"planner": 384, "executor": 384, "critic": 384}
+# The roles a topology seats an agent in; a profile caps each role's output.
+ROLE_PLANNER, ROLE_EXECUTOR, ROLE_CRITIC = ROLES = ("planner", "executor", "critic")
+DEFAULT_MAX_TOKENS = dict.fromkeys(ROLES, 384)
 
 
 @dataclass(frozen=True)

@@ -18,28 +18,35 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .backend import Backend, BackendError, CallRequest
-from .catalog import ModelCatalog, ModelSpec, estimate_cost
+from .catalog import DEFAULT_INPUT_TOKENS, ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
-from .profile import DEFAULT_MAX_TOKENS, TaskSpec
+from .profile import DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, TaskSpec
 from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table
 
 
 class Topology(IntEnum):
-    LINEAR = 0
-    STAR = 1
-    FEEDBACK = 2
-    PLANNER_DRIVEN = 3
+    """Each topology's one declaration: its index (the dataset's column), its
+    name (`label`, as traces and `--topology` spell it), the fewest agents it
+    can staff, and the seats they fill when they are more than executors.
+    `execute` runs its flow, `_Runner.run_<label>`."""
+
+    label: str
+    min_agents: int
+    seats: str | None
+
+    def __new__(cls, index: int, label: str, min_agents: int, seats: str | None = None) -> Topology:
+        member = int.__new__(cls, index)
+        member._value_ = index
+        member.label, member.min_agents, member.seats = label, min_agents, seats
+        return member
+
+    LINEAR = 0, "linear", 2
+    STAR = 1, "star", 2
+    FEEDBACK = 2, "feedback", 2
+    PLANNER_DRIVEN = 3, "planner", 3, "planner + critic + executor"
 
 
-TOPOLOGY_NAMES = ("linear", "star", "feedback", "planner")
-
-# Fewest agents each topology can staff, indexed like TOPOLOGY_NAMES:
-# planner-driven seats a planner, a critic and at least one executor.
-MIN_POOL_SIZE = (2, 2, 2, 3)
-
-ROLE_PLANNER = "planner"
-ROLE_EXECUTOR = "executor"
-ROLE_CRITIC = "critic"
+TOPOLOGY_NAMES = tuple(t.label for t in Topology)
 
 _STEP_RE = re.compile(r"^\s*\d+[.)]\s*(\S.*)$")
 
@@ -133,7 +140,7 @@ def expand_pool(catalog: ModelCatalog, counts: Sequence[int]) -> list[AgentInsta
 
 def staffable_topologies(instances: list[AgentInstance]) -> tuple[Topology, ...]:
     """The topologies a pool of this size can staff, in index order."""
-    return tuple(t for t in Topology if len(instances) >= MIN_POOL_SIZE[t])
+    return tuple(t for t in Topology if len(instances) >= t.min_agents)
 
 
 class _Halt(Exception):
@@ -182,9 +189,8 @@ class _Runner:
         self.limits = limits
         self.max_tokens = max_tokens
         self.planned_t_in = planned_t_in
-        self.trace = RunTrace(task_id=task.task_id, topology=TOPOLOGY_NAMES[topology], budget=budget)
-        self.latest_executor_output: str | None = None
-        self.star_outputs: list[tuple[int, str]] = []
+        self.trace = RunTrace(task_id=task.task_id, topology=topology.label, budget=budget)
+        self.answer: str | None = None  # the last executor's output, or star's vote
         self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
@@ -205,7 +211,7 @@ class _Runner:
             raise _Halt(BACKEND_FAILURE, f"backend failure ({role} on {instance.label}): {exc}") from exc
         self._charge(instance, role, response.prompt_tokens, response.completion_tokens)
         if role == ROLE_EXECUTOR:
-            self.latest_executor_output = response.text
+            self.answer = response.text
         if self.spent > self.budget:
             raise _Halt(BUDGET_EXCEEDED, None)
         return response.text
@@ -236,30 +242,27 @@ class _Runner:
         self._relay(self.pool)
 
     def run_star(self) -> None:
-        for idx, inst in enumerate(self.pool):
-            text = self.call(
-                inst,
-                ROLE_EXECUTOR,
-                "You solve the task independently and give the final answer.",
-                self.task.text,
-            )
-            self.star_outputs.append((idx, text))
-
-    def _merge_star(self) -> str | None:
-        """Majority vote over normalized answers; ties and the no-vote case
-        fall back to the highest-weight executor's output."""
-        if not self.star_outputs:
-            return None
-        votes: dict[str, list[int]] = {}
-        for idx, text in self.star_outputs:
-            key = self.evaluator.normalize(text)
-            if key is not None:
-                votes.setdefault(key, []).append(idx)
-        if not votes:
-            return self.star_outputs[0][1]
-        best_count = max(len(v) for v in votes.values())
-        winner_idx = min(min(v) for v in votes.values() if len(v) == best_count)
-        return dict(self.star_outputs)[winner_idx]
+        """Every executor answers alone; the answer is the majority of the
+        normalized answers of the calls that returned, even when the run
+        halts. A tie goes to the answer the strongest seat gave first; if no
+        answer normalizes, the strongest seat's text stands."""
+        texts = []
+        try:
+            for inst in self.pool:
+                texts.append(self.call(
+                    inst,
+                    ROLE_EXECUTOR,
+                    "You solve the task independently and give the final answer.",
+                    self.task.text,
+                ))
+        finally:
+            votes: dict[str, list[int]] = {}  # normalized answer -> seats, in seat order
+            for seat, text in enumerate(texts):
+                key = self.evaluator.normalize(text)
+                if key is not None:
+                    votes.setdefault(key, []).append(seat)
+            # max keeps the first of equal counts: the one whose first seat is strongest.
+            self.answer = texts[max(votes.values(), key=len, default=[0])[0]] if texts else None
 
     def run_feedback(self) -> None:
         critic, *executors = self.pool
@@ -322,21 +325,14 @@ class _Runner:
                 break
 
 
-# Each topology's flow, indexed like TOPOLOGY_NAMES.
-_FLOWS = (_Runner.run_linear, _Runner.run_star, _Runner.run_feedback, _Runner.run_planner)
-
-
 def check_runnable(pool: Sequence[AgentInstance], topology: Topology, budget: float) -> None:
     """Raise ValueError unless the pool can staff the topology and the budget
     is positive: the preconditions of execute."""
-    n, fewest = len(pool), min(MIN_POOL_SIZE)
-    if n < fewest:
-        raise ValueError(f"{TOPOLOGY_NAMES[topology]} needs at least {fewest} instances, pool has {n}")
-    if n < MIN_POOL_SIZE[topology]:
-        raise ValueError(
-            f"planner topology needs at least {MIN_POOL_SIZE[topology]} instances "
-            f"(planner + critic + executor), pool has {n}"
-        )
+    if len(pool) < topology.min_agents:
+        need = f"needs at least {topology.min_agents} instances"
+        if topology.seats:
+            need = f"topology {need} ({topology.seats})"
+        raise ValueError(f"{topology.label} {need}, pool has {len(pool)}")
     if budget <= 0:
         raise ValueError(f"budget must be > 0, got {budget}")
 
@@ -350,7 +346,7 @@ def execute(
     evaluator: Evaluator,
     limits: ExecutionLimits = ExecutionLimits(),
     max_tokens: Mapping[str, int] | None = None,
-    planned_t_in: int = 500,
+    planned_t_in: int = DEFAULT_INPUT_TOKENS,
 ) -> RunTrace:
     """Run one task through one topology, adding up every call's cost.
 
@@ -378,15 +374,12 @@ def execute(
     )
     trace = runner.trace
     try:
-        _FLOWS[topology](runner)
+        getattr(runner, f"run_{topology.label}")()
     except _Halt as stop:
         trace.halt, trace.detail = stop.args
     trace.cumulative_cost = runner.spent
     trace.oob = runner.spent > budget
-    if topology == Topology.STAR:
-        trace.final_answer = runner._merge_star()
-    else:
-        trace.final_answer = runner.latest_executor_output
+    trace.final_answer = runner.answer
 
     if trace.halt == BACKEND_FAILURE or trace.final_answer is None:
         trace.success = False

@@ -156,7 +156,7 @@ def test_criterion_7_budget_enforcement():
     checked_calls = 0
     oob_count = 0
     for run in range(1000):
-        topo = Topology(int(rng.integers(4)))
+        topo = Topology(int(rng.integers(len(Topology))))
         pool = [AgentInstance(NANO, f"gpt-4.1-nano#{i + 1}") for i in range(int(rng.integers(3, 5)))]
         budget = float(rng.uniform(50.0, 1200.0))
         rules = []

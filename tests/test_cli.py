@@ -10,7 +10,7 @@ import budgetagents
 from budgetagents import policy, provision
 from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
-from budgetagents.cli import RunConfig, _budget_label, _build_backends, main
+from budgetagents.cli import ConfigError, RunConfig, _budget_label, _build_backends, main
 from budgetagents.profile import TaskSpec, profile_from_dict
 from synth import dominant_topology_dataset
 from test_backend import chat_payload
@@ -471,7 +471,7 @@ def test_mock_mode_without_script_errors(workdir, capsys):
     config = str(workdir / "config.json")
     assert run("provision", "--config", config) == 0
     assert run("collect", "--config", config) == 1
-    assert "mock_script" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: mock mode requires a 'mock_script' section in the task profile\n"
 
 
 def test_mock_script_missing_role_errors(workdir, capsys):
@@ -483,8 +483,7 @@ def test_mock_script_missing_role_errors(workdir, capsys):
     config = str(workdir / "config.json")
     assert run("provision", "--config", config) == 0
     assert run("collect", "--config", config) == 1
-    err = capsys.readouterr().err
-    assert "critic" in err and "planner" in err
+    assert capsys.readouterr().err == "error: mock_script has no rule for role(s): planner, critic\n"
 
 
 def test_stamp_adds_collection_timestamp(workdir):
@@ -731,6 +730,33 @@ def test_mock_backends_share_one_scripted_instance(workdir):
     assert sorted(backends) == ["cheap", "strong"]
     assert isinstance(backends["cheap"], ScriptedBackend)
     assert backends["cheap"] is backends["strong"]
+
+
+@pytest.mark.parametrize(
+    "roles, missing",
+    [
+        (["executor"], "planner, critic"),
+        (["critic"], "planner, executor"),
+        (["planner", "executor"], "critic"),
+        ([], "planner, executor, critic"),
+    ],
+)
+def test_mock_script_names_each_uncovered_role_in_role_order(workdir, roles, missing):
+    catalog = ModelCatalog.load(workdir / "catalog.json")
+    config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
+    rules = [{"role": role, "text": "42", "completion_tokens": 5} for role in roles]
+    with pytest.raises(ConfigError) as info:
+        _build_backends(config, catalog, profile_from_dict(dict(PROFILE, mock_script={"rules": rules})))
+    assert str(info.value) == f"mock_script has no rule for role(s): {missing}"
+
+
+def test_mock_script_wildcard_covers_every_role(workdir):
+    catalog = ModelCatalog.load(workdir / "catalog.json")
+    config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
+    script = {"rules": [{"role": "*", "text": "42", "completion_tokens": 5}]}
+    backends, close = _build_backends(config, catalog, profile_from_dict(dict(PROFILE, mock_script=script)))
+    close()
+    assert isinstance(backends["cheap"], ScriptedBackend)
 
 
 def test_usage_error_exits_1_not_the_infeasible_code(capsys):

@@ -4,8 +4,9 @@ Every string below was first captured from the code before the per-call
 path was made lean (plain value types, one-time run set-up, inlined rule
 matching). The trace strings were captured again when `halt` and `detail`
 replaced `terminated_early` and `note`, and differ from the first capture in
-those keys alone; the dataset bytes never changed. A trace's JSON and a
-dataset's saved rows must keep these exact bytes.
+those keys alone; the dataset bytes never changed. `star_over_budget` was
+captured from the code before star's vote moved into its flow. A trace's JSON
+and a dataset's saved rows must keep these exact bytes.
 """
 
 import pytest
@@ -71,6 +72,15 @@ RUNS = {
         backends([ScriptRule(role="executor", text="42", completion_tokens=3)]), EVAL,
     ),
     "evaluator_failure": lambda: execute(TASK, POOL, Topology.STAR, 10_000.0, backends(), ExplodingEvaluator()),
+    # The second call (132.29 + 47.3) crosses 150: it is billed, but its text
+    # does not vote, so star answers "says 7". Linear answers with the crossing text.
+    "star_over_budget": lambda: execute(
+        TASK, POOL, Topology.STAR, 150.0,
+        backends([
+            ScriptRule(role="executor", step=1, text="says 7", completion_tokens=13),
+            ScriptRule(role="executor", step=2, text="says 9", completion_tokens=9),
+        ]), EVAL,
+    ),
     # The first call crosses the budget, then grading raises: the later reason is kept.
     "over_budget_evaluator_failure": lambda: execute(
         TASK, POOL, Topology.LINEAR, 400.0,
@@ -104,6 +114,9 @@ GOLDEN_TRACES = {
     ),
     "evaluator_failure": (
         '{"task_id": "t1", "topology": "star", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": "the answer is 42", "success": false, "oob": false, "halt": "evaluator_failure", "detail": "evaluator failure: grader crashed"}'
+    ),
+    "star_over_budget": (
+        '{"task_id": "t1", "topology": "star", "budget": 150.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}], "cumulative_cost": 179.59000000000003, "final_answer": "says 7", "success": false, "oob": true, "halt": "budget_exceeded", "detail": null}'
     ),
     "over_budget_evaluator_failure": (
         '{"task_id": "t1", "topology": "linear", "budget": 400.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 384, "cost": 540.3900000000001}], "cumulative_cost": 540.3900000000001, "final_answer": "x 1", "success": false, "oob": true, "halt": "evaluator_failure", "detail": "evaluator failure: grader crashed"}'

@@ -12,7 +12,6 @@ from budgetagents.schema import check
 from budgetagents.topology import (
     AgentInstance,
     ExecutionLimits,
-    MIN_POOL_SIZE,
     TRACE_FIELDS,
     TRACE_REQUIRED,
     Topology,
@@ -74,16 +73,17 @@ def test_assign_linear_all_executors_in_order():
 
 
 def test_assign_planner_needs_three():
-    pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1"), AgentInstance(NANO, "gpt-4.1-nano#1")]
     backends, _ = registry([ScriptRule(text="x")])
-    message = "planner topology needs at least 3 instances (planner + critic + executor), pool has 2"
-    with pytest.raises(ValueError) as info:
-        execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
-    assert str(info.value) == message
-    # the pool is checked before the budget
-    with pytest.raises(ValueError) as info:
-        execute(TASK, pool, Topology.PLANNER_DRIVEN, 0.0, backends, EVAL)
-    assert str(info.value) == message
+    for size in (1, 2):
+        pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1"), AgentInstance(NANO, "gpt-4.1-nano#1")][:size]
+        message = f"planner topology needs at least 3 instances (planner + critic + executor), pool has {size}"
+        with pytest.raises(ValueError) as info:
+            execute(TASK, pool, Topology.PLANNER_DRIVEN, 10_000.0, backends, EVAL)
+        assert str(info.value) == message
+        # the pool is checked before the budget
+        with pytest.raises(ValueError) as info:
+            execute(TASK, pool, Topology.PLANNER_DRIVEN, 0.0, backends, EVAL)
+        assert str(info.value) == message
 
 
 def test_assign_planner_roles():
@@ -116,7 +116,7 @@ def test_staffable_topologies_follow_pool_minimums():
     assert staffable_topologies(nano_pool(2)) == (Topology.LINEAR, Topology.STAR, Topology.FEEDBACK)
     assert staffable_topologies(nano_pool(3)) == tuple(Topology)
     for topo in Topology:
-        pool = nano_pool(MIN_POOL_SIZE[topo])
+        pool = nano_pool(topo.min_agents)
         assert topo in staffable_topologies(pool)
         backends, _ = registry([ScriptRule(text="1. answer 42")])
         execute(TASK, pool, topo, 10_000.0, backends, EVAL)
