@@ -21,7 +21,7 @@ import base64
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import ExperienceDataset
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
-from .reward import Outcome, RewardConfig, TrainerConfig, compute_reward
+from .reward import RewardConfig, TrainerConfig, compute_reward
 from .schema import INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import TOPOLOGY_NAMES
 
@@ -40,33 +40,26 @@ NUM_TOPOLOGIES = len(TOPOLOGY_NAMES)
 # Adam's decay rates and denominator floor, as Kingma & Ba give them.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# Each layer's shape, a weight's as (fan_out, fan_in), in the order
-# init_params draws them; a saved layer of another shape does not load.
-SHAPES = {
-    "embed_w": (PROJ_DIM, EMBED_DIM),
-    "embed_b": (PROJ_DIM,),
-    "budget_w": (PROJ_DIM, 1),
-    "budget_b": (PROJ_DIM,),
-    "core_w": (HIDDEN_DIM, 2 * PROJ_DIM),
-    "core_b": (HIDDEN_DIM,),
-    "head_w": (NUM_TOPOLOGIES, HIDDEN_DIM),
-    "head_b": (NUM_TOPOLOGIES,),
-}
-PARAM_FIELDS = tuple(SHAPES)
+
+def _layer(*shape: int):
+    """A PolicyParams field holding one layer of this shape."""
+    return field(metadata={"shape": shape})
 
 
 @dataclass
 class PolicyParams:
-    """The layers of SHAPES, and the budget reference."""
+    """The layers, each declared with its shape (a weight's as (fan_out,
+    fan_in)) in the order init_params draws them, and the budget reference.
+    A saved layer of another shape does not load."""
 
-    embed_w: np.ndarray
-    embed_b: np.ndarray
-    budget_w: np.ndarray
-    budget_b: np.ndarray
-    core_w: np.ndarray
-    core_b: np.ndarray
-    head_w: np.ndarray
-    head_b: np.ndarray
+    embed_w: np.ndarray = _layer(PROJ_DIM, EMBED_DIM)
+    embed_b: np.ndarray = _layer(PROJ_DIM)
+    budget_w: np.ndarray = _layer(PROJ_DIM, 1)
+    budget_b: np.ndarray = _layer(PROJ_DIM)
+    core_w: np.ndarray = _layer(HIDDEN_DIM, 2 * PROJ_DIM)
+    core_b: np.ndarray = _layer(HIDDEN_DIM)
+    head_w: np.ndarray = _layer(NUM_TOPOLOGIES, HIDDEN_DIM)
+    head_b: np.ndarray = _layer(NUM_TOPOLOGIES)
     budget_ref: float = 1.0
 
     def copy(self) -> "PolicyParams":
@@ -74,6 +67,11 @@ class PolicyParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
+
+
+# Each layer's shape, by name, in field order.
+SHAPES = {f.name: f.metadata["shape"] for f in fields(PolicyParams) if "shape" in f.metadata}
+PARAM_FIELDS = tuple(SHAPES)
 
 
 @dataclass
@@ -84,7 +82,7 @@ class TrainResult:
 
 
 def init_params(seed: int, budget_ref: float = 1.0) -> PolicyParams:
-    """Seeded uniform Glorot weights, zero biases, drawn in SHAPES' order."""
+    """Seeded uniform Glorot weights, zero biases, drawn in field order."""
     rng = np.random.default_rng(seed)
     layers = {}
     for name, shape in SHAPES.items():
@@ -183,8 +181,7 @@ def _dataset_tensors(
     bud = np.array([exp.budget / budget_ref for exp in dataset.experiences])
     actions = np.array([exp.topology for exp in dataset.experiences], dtype=np.int64)
     rewards = np.array([
-        compute_reward(Outcome(success=exp.success, actual_cost=exp.actual_cost, budget=exp.budget), reward_config)
-        for exp in dataset.experiences
+        compute_reward(exp.success, exp.actual_cost, exp.budget, reward_config) for exp in dataset.experiences
     ])
     return emb, text_row, bud, actions, rewards
 
@@ -212,6 +209,15 @@ def _group_index(dataset: ExperienceDataset) -> np.ndarray:
     )
 
 
+def _scoring_rows(
+    dataset: ExperienceDataset, emb: np.ndarray, text_row: np.ndarray, bud: np.ndarray, rewards: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(emb, bud, rewards) per (task, budget) group in _group_index's order:
+    the group's state, from _dataset_tensors' rows, and its K rewards."""
+    index = _group_index(dataset)
+    return emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index]
+
+
 def _expected_reward(
     params: PolicyParams, emb: np.ndarray, bud: np.ndarray, group_rewards: np.ndarray
 ) -> float:
@@ -231,9 +237,8 @@ def evaluate(
     the expectation per group is sum_t pi(t|state) * reward_t, averaged over
     groups.
     """
-    index = _group_index(dataset)
     emb, text_row, bud, _, rewards = _dataset_tensors(dataset, params.budget_ref, reward_config)
-    return _expected_reward(params, emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index])
+    return _expected_reward(params, *_scoring_rows(dataset, emb, text_row, bud, rewards))
 
 
 class _Adam:
@@ -282,8 +287,7 @@ def train(
     # pass holds them anyway, and re-gathering them every epoch slowed train
     # by page faults.
     emb, text_row, bud, actions, rewards = _dataset_tensors(dataset, budget_ref, reward_config)
-    index = _group_index(dataset)
-    group_emb, group_bud, group_rewards = emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index]
+    scoring_rows = _scoring_rows(dataset, emb, text_row, bud, rewards)
     n = len(dataset)
 
     rng = np.random.default_rng(config.seed)
@@ -302,7 +306,7 @@ def train(
                 params, emb[text_row[idx]], bud[idx], actions[idx], rewards[idx], config.entropy_coeff
             )
             optimizer.step(params, grads)
-        score = _expected_reward(params, group_emb, group_bud, group_rewards)
+        score = _expected_reward(params, *scoring_rows)
         epoch_scores.append(score)
         if score > best_score:
             best_score = score

@@ -62,30 +62,22 @@ class TrainerConfig:
             raise ValueError("epochs must be > 0")
 
 
-@dataclass(frozen=True)
-class Outcome:
-    success: bool
-    actual_cost: float
-    budget: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.actual_cost) or self.actual_cost < 0:
-            raise ValueError(f"actual_cost must be finite and >= 0, got {self.actual_cost}")
-
-
-def compute_reward(outcome: Outcome, config: RewardConfig = RewardConfig()) -> float:
-    """Weighted sum of the success reward and the cost-efficiency reward.
+def compute_reward(success: bool, actual_cost: float, budget: float, config: RewardConfig = RewardConfig()) -> float:
+    """Weighted sum of the success reward and the cost-efficiency reward, for
+    one run's outcome: a dataset row's `success`, `actual_cost` and `budget`.
 
     The overflow penalty replaces the savings bonus (never both), and a failed
     run earns no bonus even when under budget.
     """
-    if outcome.budget <= 0:
-        raise ValueError(f"budget must be > 0, got {outcome.budget}")
-    r_perf = config.c_succ if outcome.success else -config.c_fail
-    if outcome.actual_cost > outcome.budget:
+    if not math.isfinite(actual_cost) or actual_cost < 0:
+        raise ValueError(f"actual_cost must be finite and >= 0, got {actual_cost}")
+    if budget <= 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
+    r_perf = config.c_succ if success else -config.c_fail
+    if actual_cost > budget:
         r_cost = -config.c_overflow
-    elif outcome.success:
-        r_cost = config.bonus_slope * (1.0 - outcome.actual_cost / outcome.budget)
+    elif success:
+        r_cost = config.bonus_slope * (1.0 - actual_cost / budget)
     else:
         r_cost = 0.0
     return config.w_perf * r_perf + config.w_cost * r_cost

@@ -182,22 +182,21 @@ class _Runner:
     ):
         self.task = task
         self.pool = pool
-        self.budget = budget
-        self.spent = 0.0
         self.backends = backends
         self.evaluator = evaluator
         self.limits = limits
         self.max_tokens = max_tokens
         self.planned_t_in = planned_t_in
+        # The run's ledger: `cumulative_cost` is its running total, and
+        # `final_answer` the last executor's output, or star's vote.
         self.trace = RunTrace(task_id=task.task_id, topology=topology.label, budget=budget)
-        self.answer: str | None = None  # the last executor's output, or star's vote
         self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
-        model, limit = instance.model, self.max_tokens[role]
+        model, limit, trace = instance.model, self.max_tokens[role], self.trace
         if self.limits.precall_slack is not None:
             worst = estimate_cost(model, self.planned_t_in, limit)
-            if self.spent + worst > self.budget + self.limits.precall_slack:
+            if trace.cumulative_cost + worst > trace.budget + self.limits.precall_slack:
                 raise _Halt(PRECALL_GUARD, f"budget guard: skipped {role} call on {instance.label}")
         occurrence = self.occurrences[role] = self.occurrences.get(role, 0) + 1
         request = CallRequest(model.name, system, user, limit, role=role, occurrence=occurrence)
@@ -211,17 +210,17 @@ class _Runner:
             raise _Halt(BACKEND_FAILURE, f"backend failure ({role} on {instance.label}): {exc}") from exc
         self._charge(instance, role, response.prompt_tokens, response.completion_tokens)
         if role == ROLE_EXECUTOR:
-            self.answer = response.text
-        if self.spent > self.budget:
+            trace.final_answer = response.text
+        if trace.cumulative_cost > trace.budget:
             raise _Halt(BUDGET_EXCEEDED, None)
         return response.text
 
     def _charge(self, instance: AgentInstance, role: str, t_in: int, t_out: int) -> None:
-        """Records one billed call and adds its cost to the run's spend."""
-        model = instance.model
+        """Records one billed call and adds its cost to the run's total."""
+        model, trace = instance.model, self.trace
         cost = estimate_cost(model, t_in, t_out)
-        self.trace.calls.append(CallRecord(model.name, instance.label, role, t_in, t_out, cost))
-        self.spent += cost
+        trace.calls.append(CallRecord(model.name, instance.label, role, t_in, t_out, cost))
+        trace.cumulative_cost += cost
 
     # -- topology flows -----------------------------------------------------
     # Each flow seats the pool by position. The pool arrives strongest first,
@@ -245,7 +244,8 @@ class _Runner:
         """Every executor answers alone; the answer is the majority of the
         normalized answers of the calls that returned, even when the run
         halts. A tie goes to the answer the strongest seat gave first; if no
-        answer normalizes, the strongest seat's text stands."""
+        answer normalizes, the strongest seat's text stands. A `normalize`
+        that raises halts the run unanswered, as `evaluator_failure`."""
         texts = []
         try:
             for inst in self.pool:
@@ -257,12 +257,16 @@ class _Runner:
                 ))
         finally:
             votes: dict[str, list[int]] = {}  # normalized answer -> seats, in seat order
-            for seat, text in enumerate(texts):
-                key = self.evaluator.normalize(text)
-                if key is not None:
-                    votes.setdefault(key, []).append(seat)
+            try:
+                for seat, text in enumerate(texts):
+                    key = self.evaluator.normalize(text)
+                    if key is not None:
+                        votes.setdefault(key, []).append(seat)
+            except Exception as exc:  # noqa: BLE001 - evaluator is user-pluggable
+                self.trace.final_answer = None
+                raise _Halt(EVALUATOR_FAILURE, f"evaluator failure: {exc}") from exc
             # max keeps the first of equal counts: the one whose first seat is strongest.
-            self.answer = texts[max(votes.values(), key=len, default=[0])[0]] if texts else None
+            self.trace.final_answer = texts[max(votes.values(), key=len, default=[0])[0]] if texts else None
 
     def run_feedback(self) -> None:
         critic, *executors = self.pool
@@ -377,9 +381,7 @@ def execute(
         getattr(runner, f"run_{topology.label}")()
     except _Halt as stop:
         trace.halt, trace.detail = stop.args
-    trace.cumulative_cost = runner.spent
-    trace.oob = runner.spent > budget
-    trace.final_answer = runner.answer
+    trace.oob = trace.cumulative_cost > budget
 
     if trace.halt == BACKEND_FAILURE or trace.final_answer is None:
         trace.success = False

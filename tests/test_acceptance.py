@@ -25,7 +25,7 @@ from budgetagents.policy import (
 )
 from budgetagents.profile import TaskSpec
 from budgetagents.provision import ProvisionProblem, compute_weights, solve
-from budgetagents.reward import Outcome, RewardConfig, compute_reward
+from budgetagents.reward import RewardConfig, compute_reward
 from budgetagents.topology import (
     AgentInstance,
     Topology,
@@ -258,13 +258,13 @@ def test_criterion_8_topology_semantics():
 
 def test_criterion_9_reward_examples():
     cases = [
-        (Outcome(success=True, actual_cost=400.0, budget=500.0), 1.1),
-        (Outcome(success=False, actual_cost=400.0, budget=500.0), -1.0),
-        (Outcome(success=True, actual_cost=600.0, budget=500.0), -1.0),
-        (Outcome(success=True, actual_cost=500.0, budget=500.0), 1.0),
+        ((True, 400.0, 500.0), 1.1),
+        ((False, 400.0, 500.0), -1.0),
+        ((True, 600.0, 500.0), -1.0),
+        ((True, 500.0, 500.0), 1.0),
     ]
     for outcome, expected in cases:
-        assert compute_reward(outcome, RewardConfig()) == pytest.approx(expected, abs=1e-12)
+        assert compute_reward(*outcome, RewardConfig()) == pytest.approx(expected, abs=1e-12)
     print("\n[PASS] criterion 9: reward examples 1.1 / -1.0 / -1.0 / 1.0 hold at defaults")
 
 

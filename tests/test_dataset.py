@@ -15,7 +15,7 @@ from budgetagents.dataset import (
 )
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
-from budgetagents.reward import Outcome, RewardConfig, compute_reward
+from budgetagents.reward import RewardConfig, compute_reward
 from budgetagents.topology import AgentInstance
 
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
@@ -112,10 +112,7 @@ def test_collect_reward_join():
     # executor call: 2000*0.1 + 250*0.4 = 300 units; critic call free
     assert feedback_row.actual_cost == pytest.approx(300.0)
     assert feedback_row.success is True
-    reward = compute_reward(
-        Outcome(feedback_row.success, feedback_row.actual_cost, 500.0),
-        RewardConfig(),
-    )
+    reward = compute_reward(feedback_row.success, feedback_row.actual_cost, 500.0, RewardConfig())
     assert reward == pytest.approx(1.2)
 
 

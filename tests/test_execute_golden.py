@@ -5,8 +5,10 @@ path was made lean (plain value types, one-time run set-up, inlined rule
 matching). The trace strings were captured again when `halt` and `detail`
 replaced `terminated_early` and `note`, and differ from the first capture in
 those keys alone; the dataset bytes never changed. `star_over_budget` was
-captured from the code before star's vote moved into its flow. A trace's JSON
-and a dataset's saved rows must keep these exact bytes.
+captured from the code before star's vote moved into its flow, and
+`star_normalize_failure` from the code that first typed a raising
+`normalize` as an evaluator failure. A trace's JSON and a dataset's saved
+rows must keep these exact bytes.
 """
 
 import pytest
@@ -52,6 +54,11 @@ class ExplodingEvaluator:
         raise RuntimeError("grader crashed")
 
 
+class RaisingNormalizer(NumericEvaluator):
+    def normalize(self, text):
+        raise RuntimeError("normalizer crashed")
+
+
 RUNS = {
     "linear": lambda: execute(TASK, POOL, Topology.LINEAR, 10_000.0, backends(), EVAL),
     "star": lambda: execute(TASK, POOL, Topology.STAR, 10_000.0, backends(), EVAL),
@@ -85,6 +92,10 @@ RUNS = {
     "over_budget_evaluator_failure": lambda: execute(
         TASK, POOL, Topology.LINEAR, 400.0,
         backends([ScriptRule(role="executor", text="x 1", completion_tokens=1000)]), ExplodingEvaluator(),
+    ),
+    # Star's vote raises: the three calls stay billed and the run is unanswered.
+    "star_normalize_failure": lambda: execute(
+        TASK, POOL, Topology.STAR, 10_000.0, backends(), RaisingNormalizer()
     ),
     # The last executor answers with the seeded filler text.
     "seeded_text": lambda: execute(TASK, POOL[:2], Topology.LINEAR, 10_000.0, backends(), EVAL),
@@ -121,6 +132,9 @@ GOLDEN_TRACES = {
     "over_budget_evaluator_failure": (
         '{"task_id": "t1", "topology": "linear", "budget": 400.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 384, "cost": 540.3900000000001}], "cumulative_cost": 540.3900000000001, "final_answer": "x 1", "success": false, "oob": true, "halt": "evaluator_failure", "detail": "evaluator failure: grader crashed"}'
     ),
+    "star_normalize_failure": (
+        '{"task_id": "t1", "topology": "star", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 13, "cost": 48.900000000000006}], "cumulative_cost": 228.49000000000004, "final_answer": null, "success": false, "oob": false, "halt": "evaluator_failure", "detail": "evaluator failure: normalizer crashed"}'
+    ),
     "seeded_text": (
         '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}], "cumulative_cost": 179.59000000000003, "final_answer": "golf juliet bravo echo golf charlie kilo india hotel", "success": false, "oob": false, "halt": null, "detail": null}'
     ),
@@ -156,3 +170,12 @@ def test_collect_rows_are_unchanged(tmp_path):
     path = tmp_path / "dataset.jsonl"
     dataset.save(collected, path)
     assert path.read_bytes() == GOLDEN_DATASET.encode()
+
+
+def test_collect_records_a_raising_normalize_and_carries_on():
+    collected = dataset.collect([TASK], [10_000.0], {10_000.0: POOL}, backends(), RaisingNormalizer())
+    rows = collected.groups()[("t1", 10_000.0)]
+    assert sorted(rows) == [int(t) for t in Topology]
+    assert rows[Topology.STAR].actual_cost == 228.49000000000004  # its three calls stay billed
+    # Grading normalizes too, so every topology's row is an evaluator failure.
+    assert all(row.error == "evaluator failure: normalizer crashed" and not row.success for row in rows.values())

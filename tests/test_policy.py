@@ -367,9 +367,9 @@ def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
         batches.append(list(texts))
         return embed(texts)
 
-    def counting_reward(outcome, config):
-        rewards[outcome] += 1
-        return compute_reward(outcome, config)
+    def counting_reward(success, actual_cost, budget, config):
+        rewards[success, actual_cost, budget] += 1
+        return compute_reward(success, actual_cost, budget, config)
 
     monkeypatch.setattr(policy, "embed", counting_embed)
     monkeypatch.setattr(policy, "compute_reward", counting_reward)

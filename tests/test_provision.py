@@ -256,3 +256,26 @@ def test_lexicographic_greedy_equivalence_when_caps_loose():
         checked += 1
         assert solve(problem).counts == tuple(greedy)
     assert checked > 50
+
+
+# -- provisioning properties --------------------------------------------------
+
+COSTS = st.lists(st.floats(min_value=10.0, max_value=2000.0) | st.integers(10, 2000).map(float), min_size=1, max_size=5)
+BUDGET = st.floats(min_value=10.0, max_value=1e4) | st.integers(10, 10_000).map(float)
+
+
+@given(costs=COSTS, budgets=st.tuples(BUDGET, BUDGET), cap=st.integers(1, 6), min_agents=st.integers(0, 4))
+def test_larger_budget_never_gives_a_smaller_pool(costs, budgets, cap, min_agents):
+    low, high = (solve(ProvisionProblem(b, tuple(costs), cap, min_agents)) for b in sorted(budgets))
+    if low.feasible:
+        assert high.feasible
+        assert high.counts >= low.counts  # lexicographically, tier 1 first
+
+
+@given(costs=COSTS, budget=BUDGET, cap=st.integers(1, 6), min_agents=st.integers(0, 4))
+def test_doubling_budget_and_costs_gives_the_same_pool(costs, budget, cap, min_agents):
+    # Doubling a float is exact here, so every feasibility sum doubles exactly too.
+    base = solve(ProvisionProblem(budget, tuple(costs), cap, min_agents))
+    doubled = solve(ProvisionProblem(2 * budget, tuple(2 * c for c in costs), cap, min_agents))
+    assert (doubled.counts, doubled.feasible, doubled.total_weight) == (base.counts, base.feasible, base.total_weight)
+    assert doubled.total_cost == 2 * base.total_cost
