@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
 from .profile import ROLE_EXECUTOR
-from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive, spec, table
+from .schema import INT, STRING, check, each, non_negative, nullable, obj, positive, spec, table, validate
 
 if TYPE_CHECKING:
     import http.client
@@ -34,7 +34,6 @@ class CallRequest:
     system: str
     user: str
     max_tokens: int
-    temperature: float = 0.0
     role: str = ROLE_EXECUTOR  # scripted backends route on role and occurrence; HttpBackend sends neither
     occurrence: int = 1  # 1-based index of this role's call within its run
 
@@ -111,6 +110,9 @@ class ScriptRule:
     seed: int | None = spec(nullable(INT), default=None)  # deterministic filler text instead of fixed text
     completion_tokens: int = spec(non_negative(INT), default=10)
     prompt_tokens: int | None = spec(nullable(non_negative(INT)), default=None)
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     def render_text(self, occurrence: int) -> str:
         if self.text is not None:
@@ -288,7 +290,7 @@ class HttpBackend:
                 {"role": "system", "content": request.system},
                 {"role": "user", "content": request.user},
             ],
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_tokens,
         }
         body = json.dumps(payload, allow_nan=False).encode()

@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .schema import INT, NUMBER, STRING, check, each, obj, read_json, spec, table
+from .schema import INT, NUMBER, STRING, check, each, non_negative, obj, positive, read_json, spec, table, validate
 
 DEFAULT_INPUT_TOKENS = 500
 DEFAULT_OUTPUT_TOKENS = 500
@@ -25,16 +25,13 @@ class ModelSpec:
     Tier 1 is the strongest rank; larger is weaker."""
 
     name: str = spec(STRING)
-    tier: int = spec(INT)
-    price_in_per_mtok: float = spec(NUMBER)
-    price_out_per_mtok: float = spec(NUMBER)
+    tier: int = spec(positive(INT))
+    price_in_per_mtok: float = spec(non_negative(NUMBER))
+    price_out_per_mtok: float = spec(non_negative(NUMBER))
     backend_id: str = spec(STRING)
 
     def __post_init__(self) -> None:
-        if self.tier < 1:
-            raise ValueError(f"model {self.name!r}: tier must be >= 1, got {self.tier}")
-        if self.price_in_per_mtok < 0 or self.price_out_per_mtok < 0:
-            raise ValueError(f"model {self.name!r}: prices must be >= 0")
+        validate(self)
 
 
 def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
@@ -49,7 +46,7 @@ def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
     return t_in * model.price_in_per_mtok + t_out * model.price_out_per_mtok
 
 
-# One entry of the catalog's 'models' list; ranges are checked by ModelSpec.
+# One entry of the catalog's 'models' list.
 _MODEL_FIELDS = table(ModelSpec)
 # Each 'backends' entry is checked where it is used (cli, real runs only).
 _CATALOG_FIELDS = {

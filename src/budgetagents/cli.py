@@ -37,24 +37,28 @@ class ConfigError(Exception):
     pass
 
 
+_BUDGET = positive(NUMBER)
+_PROBLEM_FIELDS = table(provision.ProvisionProblem)
+
+
 # The config file's fields, and the only copy of each default. Each spec is
-# the field's shape in the file; value ranges beyond it are checked by the
-# section dataclasses as the config loads, or where a field is used.
+# the field's shape and range in the file, so a bad value stops the config
+# load before any work; what a spec cannot state (a repeated budget) is
+# checked as the config loads.
 @dataclass
 class RunConfig:
     catalog: str = spec(STRING)
     task_profile: str = spec(STRING)
     out_dir: str = spec(STRING, default="out")
     budgets: list[float] = spec(
-        (lambda v: isinstance(v, list) and all(NUMBER[0](b) for b in v), "a list of finite numbers"),
+        (lambda v: isinstance(v, list) and all(_BUDGET[0](b) for b in v), "a list of finite numbers > 0"),
         default_factory=list,
     )
     seed: int = spec(non_negative(INT), default=42)  # the trainer's seed too
     jobs: int = spec(positive(INT), default=1)
-    instance_cap: int = spec(INT, default=5)
-    min_agents: int = spec(INT, default=2)
+    instance_cap: int = spec(_PROBLEM_FIELDS["instance_cap"], default=5)
+    min_agents: int = spec(_PROBLEM_FIELDS["min_agents"], default=2)
     mock: bool = spec(BOOL, default=False)
-    stamp: bool = spec(BOOL, default=False)  # include a collection timestamp in dataset headers
     limits: ExecutionLimits = spec(obj(table(ExecutionLimits)), default_factory=ExecutionLimits)
     reward: RewardConfig = spec(obj(table(RewardConfig)), default_factory=RewardConfig)
     trainer: TrainerConfig = spec(obj(table(TrainerConfig)), default_factory=TrainerConfig)
@@ -62,7 +66,7 @@ class RunConfig:
 
 _CONFIG_FIELDS = table(RunConfig)
 # `--seed`, `--jobs` and `--budget` are checked like their config fields.
-_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"], "--budget": positive(NUMBER)}
+_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"], "--budget": _BUDGET}
 # One entry of the catalog's 'backends' section (real runs only).
 _BACKEND_FIELDS = {
     "base_url": STRING,
@@ -103,8 +107,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
     if "budgets" in data:
         budgets = data["budgets"] = [float(b) for b in data["budgets"]]
-        if any(b <= 0 for b in budgets):
-            raise ConfigError("budgets must be > 0")
         for i, b in enumerate(budgets):
             if b in budgets[:i]:
                 raise ConfigError(f"budgets[{i}] repeats budget {_budget_label(b)}")
@@ -179,7 +181,6 @@ def cmd_provision(args: argparse.Namespace) -> int:
         raise ConfigError("no budgets configured")
     catalog = ModelCatalog.load(config.catalog)
     profile = load_profile(config.task_profile)
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
 
     any_infeasible = False
     for budget in config.budgets:
@@ -187,6 +188,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
         problem, solution = _solve_for_budget(config, catalog, profile, budget)
         weights = provision.compute_weights(problem)
         doc = {"budget": budget, "tier_costs": list(problem.tier_costs), **asdict(solution)}
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # only once a problem has solved
         (Path(config.out_dir) / f"provision_{label}.json").write_text(
             json.dumps(doc, ensure_ascii=False), encoding="utf-8"
         )
@@ -215,10 +217,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     evaluator = get_evaluator(profile.evaluator_kind)
 
     header = {"catalog_hash": catalog.content_hash(), "seed": config.seed}
-    if config.stamp:
-        import datetime
-
-        header["collected_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     try:
         ds = dataset.collect(
@@ -276,6 +274,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.answer is not None and not args.task:
+        raise ConfigError("--answer grades an ad-hoc task; pass --task with it")
     config = _load_config(args)
     if not config.budgets:
         raise ConfigError("no budget configured (use --budget)")
@@ -356,7 +356,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not path.exists():
         raise ConfigError(f"trace file not found: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
-    traces = [t for _, t in read_jsonl(path, lines, topology.TRACE_FIELDS, topology.TRACE_REQUIRED, "trace")]
+    traces = list(read_jsonl(path, lines, topology.TRACE_FIELDS, topology.TRACE_REQUIRED, "trace"))
 
     if not traces:
         print("warning: no traces found")

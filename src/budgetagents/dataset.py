@@ -22,7 +22,7 @@ from .backend import Backend
 from .catalog import DEFAULT_INPUT_TOKENS
 from .evaluators import Evaluator
 from .profile import TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, nullable, read_jsonl, spec, table
+from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, read_jsonl, spec, table
 from .topology import (
     BACKEND_FAILURE,
     EVALUATOR_FAILURE,
@@ -39,23 +39,21 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 # Plain, not frozen: collect builds one per run, and a frozen dataclass sets
-# each field through object.__setattr__. Each spec checks a dataset line; the
-# topology's and the cost's ranges are checked by __post_init__.
+# each field through object.__setattr__. Each spec checks a dataset line, the
+# only place a row comes from outside: collect builds its rows from Topology
+# members and traces' non-negative costs, so a constructor check would only
+# slow it down.
 @dataclass
 class Experience:
     task_id: str = spec(STRING)
     task_text: str = spec(STRING)
     budget: float = spec(NUMBER)
-    topology: int = spec(INT)
+    topology: int = spec(
+        (lambda v: INT[0](v) and 0 <= v < len(Topology), f"an integer from 0 to {len(Topology) - 1}")
+    )
     success: bool = spec(BOOL)
-    actual_cost: float = spec(NUMBER)
+    actual_cost: float = spec(non_negative(NUMBER))
     error: str | None = spec(nullable(STRING), default=None)
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.topology < len(Topology):
-            raise ValueError(f"topology index {self.topology} out of range")
-        if self.actual_cost < 0:
-            raise ValueError("actual_cost must be >= 0")
 
 
 _ROW_FIELDS = table(Experience)
@@ -172,15 +170,12 @@ def load(path: str | Path) -> ExperienceDataset:
 
     experiences = []
     texts: dict[str, str] = {}  # rows repeat each task text; they share one str
-    for lineno, record in read_jsonl(path, lines[1:], _ROW_FIELDS, _ROW_REQUIRED, "row", start=2):
+    for record in read_jsonl(path, lines[1:], _ROW_FIELDS, _ROW_REQUIRED, "row", start=2):
         text = record["task_text"]
         record["task_text"] = texts.setdefault(text, text)
         record["budget"] = float(record["budget"])
         record["actual_cost"] = float(record["actual_cost"])
-        try:
-            experiences.append(Experience(**record))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        experiences.append(Experience(**record))
 
     dataset = ExperienceDataset(
         experiences=tuple(experiences),

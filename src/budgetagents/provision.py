@@ -25,28 +25,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .schema import INT, NUMBER, non_negative, positive, spec, validate
+
 
 @dataclass(frozen=True)
 class ProvisionProblem:
     """Instance pool selection problem: budget, per-tier unit costs (tier 1
     first), a per-tier instance cap, and the minimum pool size."""
 
-    budget: float
-    tier_costs: tuple[float, ...]
-    instance_cap: int = 5
-    min_agents: int = 2
+    budget: float = spec(positive(NUMBER))
+    tier_costs: tuple[float, ...] = spec((
+        lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(NUMBER[0](c) and c > 0 for c in v),
+        "a non-empty list of finite numbers > 0",
+    ))
+    instance_cap: int = spec(positive(INT), default=5)
+    min_agents: int = spec(non_negative(INT), default=2)
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ValueError(f"budget must be > 0, got {self.budget}")
-        if not self.tier_costs:
-            raise ValueError("at least one tier cost required")
-        if any(c <= 0 for c in self.tier_costs):
-            raise ValueError(f"tier costs must be > 0, got {self.tier_costs}")
-        if self.instance_cap < 1:
-            raise ValueError("instance_cap must be >= 1")
-        if self.min_agents < 0:
-            raise ValueError("min_agents must be >= 0")
+        validate(self)
         object.__setattr__(self, "tier_costs", tuple(float(c) for c in self.tier_costs))
 
 

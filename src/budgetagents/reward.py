@@ -13,53 +13,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .schema import INT, NUMBER, nullable, spec
+from .schema import INT, NUMBER, non_negative, nullable, positive, spec, validate
 
 
 @dataclass(frozen=True)
 class RewardConfig:
-    w_perf: float = spec(NUMBER, default=1.0)
-    w_cost: float = spec(NUMBER, default=1.0)
-    c_succ: float = spec(NUMBER, default=1.0)
-    c_fail: float = spec(NUMBER, default=1.0)
-    c_overflow: float = spec(NUMBER, default=2.0)
-    bonus_slope: float = spec(NUMBER, default=0.5)
+    w_perf: float = spec(non_negative(NUMBER), default=1.0)
+    w_cost: float = spec(non_negative(NUMBER), default=1.0)
+    c_succ: float = spec(positive(NUMBER), default=1.0)
+    c_fail: float = spec(positive(NUMBER), default=1.0)
+    c_overflow: float = spec(positive(NUMBER), default=2.0)
+    bonus_slope: float = spec(non_negative(NUMBER), default=0.5)
 
     def __post_init__(self) -> None:
-        fields = (self.w_perf, self.w_cost, self.c_succ, self.c_fail, self.c_overflow, self.bonus_slope)
-        if not all(math.isfinite(v) for v in fields):
-            raise ValueError("reward constants must be finite")
-        if self.w_perf < 0 or self.w_cost < 0 or self.bonus_slope < 0:
-            raise ValueError("weights and bonus slope must be >= 0")
-        if self.c_succ <= 0 or self.c_fail <= 0 or self.c_overflow <= 0:
-            raise ValueError("reward constants must be > 0")
+        validate(self)
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
     """The policy trainer's settings: the config file's 'trainer' section,
-    whose ranges are checked here when the config loads. `seed` has no spec:
-    it is the config's top-level 'seed'."""
+    checked against these specs when the config loads and again by the
+    constructor. `seed` has no spec: it is the config's top-level 'seed'."""
 
-    learning_rate: float = spec(NUMBER, default=0.0003)
-    entropy_coeff: float = spec(NUMBER, default=0.001)
-    batch_size: int = spec(INT, default=20000)
-    epochs: int = spec(INT, default=10)
+    learning_rate: float = spec(positive(NUMBER), default=0.0003)
+    entropy_coeff: float = spec(non_negative(NUMBER), default=0.001)
+    batch_size: int = spec(positive(INT), default=20000)
+    epochs: int = spec(positive(INT), default=10)
     seed: int = 42
-    budget_ref: float | None = spec(nullable(NUMBER), default=None)  # default: max budget seen in the dataset
+    # None: the largest budget seen in the dataset.
+    budget_ref: float | None = spec(nullable(positive(NUMBER)), default=None)
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails each comparison.
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-        if not 0 <= self.entropy_coeff < math.inf:
-            raise ValueError(f"entropy_coeff must be a finite number >= 0, got {self.entropy_coeff}")
-        if self.budget_ref is not None and not 0 < self.budget_ref < math.inf:
-            raise ValueError(f"budget_ref must be a finite number > 0, got {self.budget_ref}")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be > 0")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be > 0")
+        validate(self)
 
 
 def compute_reward(success: bool, actual_cost: float, budget: float, config: RewardConfig = RewardConfig()) -> float:

@@ -6,7 +6,8 @@ that raises itself, as `obj` and `each` make for nested objects and lists.
 Errors are ValueErrors naming the field's path (`models[0].tier`) and value.
 
 A dataclass read from JSON declares each field's spec on the field itself,
-with `spec`; `table(cls)` is then its table.
+with `spec`; `table(cls)` is then its table, and `validate(instance)` checks
+a constructed instance against the same specs.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def table(cls) -> dict:
     return {f.name: f.metadata["spec"] for f in fields(cls) if "spec" in f.metadata}
 
 
+def validate(instance) -> None:
+    """Raise "<field> must be <description>, got <value>" for the first field
+    of `instance` that fails its tuple spec."""
+    for name, spec in table(type(instance)).items():
+        if type(spec) is tuple and not spec[0](value := getattr(instance, name)):
+            _fail(spec, value, name)
+
+
 # Callers test a tuple spec inline: a call per field slowed `report` by a quarter.
 def _fail(spec: tuple, value, path: str):
     raise ValueError(f"{path} must be {spec[1]}, got {_show(value)}")
@@ -67,9 +76,9 @@ def read_json(path: str | Path):
 
 
 def read_jsonl(path: str | Path, lines, table: dict, required=(), name: str = "value", start: int = 1):
-    """(line number, checked object) for each non-blank line of `lines`,
-    numbered from `start`; a ValueError "<path>: line N: ..." on the first
-    line that does not parse or check."""
+    """The checked object of each non-blank line of `lines`, numbered from
+    `start`; a ValueError "<path>: line N: ..." on the first line that does
+    not parse or check."""
     for lineno, line in enumerate(lines, start):
         if not line.strip():
             continue
@@ -77,7 +86,7 @@ def read_jsonl(path: str | Path, lines, table: dict, required=(), name: str = "v
             value = check(json.loads(line), table, required=required, name=name)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        yield lineno, value
+        yield value
 
 
 def check(value, table: dict, path: str = "", required=(), name: str = "value") -> dict:

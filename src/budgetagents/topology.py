@@ -21,7 +21,7 @@ from .backend import Backend, BackendError, CallRequest
 from .catalog import DEFAULT_INPUT_TOKENS, ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
 from .profile import DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table
+from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table, validate
 
 
 class Topology(IntEnum):
@@ -76,6 +76,9 @@ class ExecutionLimits:
     max_replans: int = spec(non_negative(INT), default=2)
     # Worst-case pre-call budget guard; None leaves enforcement purely post-call.
     precall_slack: float | None = spec(nullable(non_negative(NUMBER)), default=None)
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 # Plain, not frozen, for the speed of the per-call path (see CallRequest), and

@@ -34,6 +34,7 @@ from budgetagents.topology import (
 
 from oracle import brute_force_solve
 from synth import RecordingBackend, dominant_topology_dataset, finite_difference_check, max_lower_tier_weight_dp
+from test_cli import python_with_src
 
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
 EVAL = NumericEvaluator()
@@ -268,57 +269,87 @@ def test_criterion_9_reward_examples():
     print("\n[PASS] criterion 9: reward examples 1.1 / -1.0 / -1.0 / 1.0 hold at defaults")
 
 
-def test_criterion_10_pipeline_determinism(tmp_path):
-    catalog = {
-        "models": [
-            {"name": "strong-model", "tier": 1, "price_in_per_mtok": 0.27,
-             "price_out_per_mtok": 2.20, "backend_id": "strong"},
-            {"name": "cheap-model", "tier": 2, "price_in_per_mtok": 0.10,
-             "price_out_per_mtok": 0.40, "backend_id": "cheap"},
+_PIPELINE_CATALOG = {
+    "models": [
+        {"name": "strong-model", "tier": 1, "price_in_per_mtok": 0.27,
+         "price_out_per_mtok": 2.20, "backend_id": "strong"},
+        {"name": "cheap-model", "tier": 2, "price_in_per_mtok": 0.10,
+         "price_out_per_mtok": 0.40, "backend_id": "cheap"},
+    ],
+}
+_PIPELINE_PROFILE = {
+    "t_in": 500,
+    "t_out": 500,
+    "evaluator": "numeric",
+    "tasks": [
+        {"id": "t1", "text": "What is 6 times 7?", "answer": "42"},
+        {"id": "t2", "text": "What is 10 plus 5?", "answer": "15"},
+        {"id": "t3", "text": "What is 9 minus 2?", "answer": "7"},
+    ],
+    "mock_script": {
+        "default_prompt_tokens": 500,
+        "rules": [
+            {"role": "executor", "text": "it comes to 42", "completion_tokens": 80},
+            {"role": "critic", "text": "ACCEPT", "completion_tokens": 2},
+            {"role": "planner", "text": "1. compute\n2. answer", "completion_tokens": 10},
         ],
-    }
-    profile = {
-        "t_in": 500,
-        "t_out": 500,
-        "evaluator": "numeric",
-        "tasks": [
-            {"id": "t1", "text": "What is 6 times 7?", "answer": "42"},
-            {"id": "t2", "text": "What is 10 plus 5?", "answer": "15"},
-            {"id": "t3", "text": "What is 9 minus 2?", "answer": "7"},
-        ],
-        "mock_script": {
-            "default_prompt_tokens": 500,
-            "rules": [
-                {"role": "executor", "text": "it comes to 42", "completion_tokens": 80},
-                {"role": "critic", "text": "ACCEPT", "completion_tokens": 2},
-                {"role": "planner", "text": "1. compute\n2. answer", "completion_tokens": 10},
-            ],
-        },
-    }
-    (tmp_path / "catalog.json").write_text(json.dumps(catalog))
-    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    },
+}
+_PIPELINE_COMMANDS = ("provision", "collect", "train", "run")
 
-    def pipeline(out_dir):
-        config = {
-            "catalog": str(tmp_path / "catalog.json"),
-            "task_profile": str(tmp_path / "profile.json"),
-            "budgets": [2000.0],
-            "seed": 42,
-            "mock": True,
-            "out_dir": str(out_dir),
-            "trainer": {"learning_rate": 0.0015, "batch_size": 32, "epochs": 4},
-        }
-        config_path = tmp_path / f"{out_dir.name}.json"
-        config_path.write_text(json.dumps(config))
-        for command in ("provision", "collect", "train", "run"):
-            assert cli_main([command, "--config", str(config_path)]) == 0
 
-    first, second = tmp_path / "out_a", tmp_path / "out_b"
-    pipeline(first)
-    pipeline(second)
+def _pipeline_config(tmp_path, out_dir):
+    """The config file of criterion 10's pipeline, writing to `out_dir`."""
+    (tmp_path / "catalog.json").write_text(json.dumps(_PIPELINE_CATALOG))
+    (tmp_path / "profile.json").write_text(json.dumps(_PIPELINE_PROFILE))
+    config = {
+        "catalog": str(tmp_path / "catalog.json"),
+        "task_profile": str(tmp_path / "profile.json"),
+        "budgets": [2000.0],
+        "seed": 42,
+        "mock": True,
+        "out_dir": str(out_dir),
+        "trainer": {"learning_rate": 0.0015, "batch_size": 32, "epochs": 4},
+    }
+    config_path = tmp_path / f"{out_dir.name}.json"
+    config_path.write_text(json.dumps(config))
+    return config_path
+
+
+def _assert_same_artifacts(first, second) -> list[str]:
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
     assert names  # artifacts exist
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    return names
+
+
+def test_criterion_10_pipeline_determinism(tmp_path):
+    first, second = tmp_path / "out_a", tmp_path / "out_b"
+    for out_dir in (first, second):
+        config_path = _pipeline_config(tmp_path, out_dir)
+        for command in _PIPELINE_COMMANDS:
+            assert cli_main([command, "--config", str(config_path)]) == 0
+    names = _assert_same_artifacts(first, second)
     print(f"\n[PASS] criterion 10: pipeline artifacts byte-identical across reruns ({', '.join(names)})")
+
+
+_RUN_PIPELINE = f"""
+import sys
+from budgetagents.cli import main
+for command in {_PIPELINE_COMMANDS!r}:
+    if main([command, "--config", sys.argv[1]]) != 0:
+        sys.exit(command + " failed")
+"""
+
+
+def test_criterion_10_pipeline_determinism_across_interpreters(tmp_path):
+    # Two fresh processes with different string-hash seeds and cold caches.
+    first, second = tmp_path / "out_a", tmp_path / "out_b"
+    for out_dir, hash_seed in ((first, "1"), (second, "2")):
+        config_path = _pipeline_config(tmp_path, out_dir)
+        result = python_with_src("-c", _RUN_PIPELINE, str(config_path), PYTHONHASHSEED=hash_seed)
+        assert result.returncode == 0, result.stderr
+    names = _assert_same_artifacts(first, second)
+    print(f"\n[PASS] criterion 10: artifacts byte-identical across interpreters ({', '.join(names)})")

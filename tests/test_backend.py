@@ -27,7 +27,6 @@ def request(role="executor", max_tokens=100, occurrence=1):
 def test_request_validation():
     with pytest.raises(ValueError):
         CallRequest(model="m", system="s", user="u", max_tokens=0)
-    assert request().temperature == 0.0
 
 
 @pytest.mark.parametrize("prompt, completion", [(-1, 5), (5, -1)])

@@ -133,11 +133,11 @@ def _model(**overrides):
         ({"models": ["a"]}, "models[0] must be an object, got 'a'"),
         ({"models": "a"}, "models must be a list, got 'a'"),
         ([], "catalog must be an object, got []"),
-        (_model(tier=None), "models[0].tier must be an integer, got None"),
-        (_model(tier=1.7), "models[0].tier must be an integer, got 1.7"),
-        (_model(tier=True), "models[0].tier must be an integer, got True"),
-        (_model(price_in_per_mtok="0.1"), "models[0].price_in_per_mtok must be a finite number, got '0.1'"),
-        (_model(price_out_per_mtok=float("nan")), "models[0].price_out_per_mtok must be a finite number, got nan"),
+        (_model(tier=None), "models[0].tier must be an integer > 0, got None"),
+        (_model(tier=1.7), "models[0].tier must be an integer > 0, got 1.7"),
+        (_model(tier=True), "models[0].tier must be an integer > 0, got True"),
+        (_model(price_in_per_mtok="0.1"), "models[0].price_in_per_mtok must be a finite number >= 0, got '0.1'"),
+        (_model(price_out_per_mtok=float("nan")), "models[0].price_out_per_mtok must be a finite number >= 0, got nan"),
         (_model(name=7), "models[0].name must be a string, got 7"),
         (_model(backend_id=["x"]), "models[0].backend_id must be a string, got ['x']"),
         (_model(teir=2), "unknown field models[0].teir; expected one of name, tier, "),

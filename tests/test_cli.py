@@ -304,6 +304,15 @@ def test_run_with_topology_override_and_adhoc_task(workdir):
     assert [c["instance"] for c in trace["calls"]] == ["cheap-model#1", "cheap-model#2"]
 
 
+def test_run_answer_without_task_errors_before_any_work(workdir, capsys):
+    code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear", "--answer", "99")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --answer grades an ad-hoc task; pass --task with it\n"
+    assert captured.out == ""
+    assert not (workdir / "out").exists()
+
+
 def test_run_solves_provisioning_once(workdir, monkeypatch):
     calls = []
     real_solve = provision.solve
@@ -447,11 +456,11 @@ def _trainer_section_stops_every_command(workdir, capsys, fields, message):
 
 
 def test_zero_epoch_config_errors(workdir, capsys):
-    _trainer_section_stops_every_command(workdir, capsys, {"epochs": 0}, "epochs must be > 0")
+    _trainer_section_stops_every_command(workdir, capsys, {"epochs": 0}, "trainer.epochs must be an integer > 0, got 0")
 
 
 def test_negative_learning_rate_config_errors(workdir, capsys):
-    message = "learning_rate must be a finite number > 0, got -1.0"
+    message = "trainer.learning_rate must be a finite number > 0, got -1.0"
     _trainer_section_stops_every_command(workdir, capsys, {"learning_rate": -1.0}, message)
 
 
@@ -484,16 +493,6 @@ def test_mock_script_missing_role_errors(workdir, capsys):
     assert run("provision", "--config", config) == 0
     assert run("collect", "--config", config) == 1
     assert capsys.readouterr().err == "error: mock_script has no rule for role(s): planner, critic\n"
-
-
-def test_stamp_adds_collection_timestamp(workdir):
-    config = json.loads((workdir / "config.json").read_text())
-    config["stamp"] = True
-    (workdir / "config.json").write_text(json.dumps(config))
-    assert run("provision", "--config", str(workdir / "config.json")) == 0
-    assert run("collect", "--config", str(workdir / "config.json")) == 0
-    header = json.loads((workdir / "out" / "dataset.jsonl").read_text().splitlines()[0])
-    assert "collected_at" in header
 
 
 def test_report_empty_file_warns(workdir, capsys):
@@ -591,9 +590,10 @@ def test_malformed_config_section_rejected_before_any_work(workdir, capsys, sect
         ("budgets", "25"),
         ("budgets", [2000.0, True]),
         ("mock", "false"),
-        ("stamp", "false"),
         ("instance_cap", 2.9),
+        ("instance_cap", 0),
         ("min_agents", 2.0),
+        ("min_agents", -1),
         ("seed", "42"),
         ("seed", -1),
         ("jobs", "2"),
@@ -602,9 +602,9 @@ def test_malformed_config_section_rejected_before_any_work(workdir, capsys, sect
         ("catalog", 7),
         ("out_dir", ["out"]),
     ],
-    ids=["budgets_string", "budgets_bool", "mock_string", "stamp_string", "instance_cap_float",
-         "min_agents_float", "seed_string", "seed_negative", "jobs_string", "jobs_zero", "jobs_negative",
-         "catalog_number", "out_dir_list"],
+    ids=["budgets_string", "budgets_bool", "mock_string", "instance_cap_float", "instance_cap_zero",
+         "min_agents_float", "min_agents_negative", "seed_string", "seed_negative", "jobs_string", "jobs_zero",
+         "jobs_negative", "catalog_number", "out_dir_list"],
 )
 def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key, value):
     config = json.loads((workdir / "config.json").read_text())
@@ -612,6 +612,17 @@ def test_malformed_top_level_field_rejected_before_any_work(workdir, capsys, key
     (workdir / "config.json").write_text(json.dumps(config))
     assert run("provision", "--config", str(workdir / "config.json")) == 1
     assert f"{key} must be" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_provision_with_a_free_tier_errors_and_makes_no_out_dir(workdir, capsys):
+    catalog = json.loads(json.dumps(CATALOG))
+    catalog["models"][1].update(price_in_per_mtok=0, price_out_per_mtok=0)
+    (workdir / "catalog.json").write_text(json.dumps(catalog))
+    assert run("provision", "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tier_costs must be a non-empty list of finite numbers > 0, got (1235.0, 0.0)\n"
+    assert captured.out == ""
     assert not (workdir / "out").exists()
 
 
@@ -893,10 +904,12 @@ def test_invalid_json_names_its_file(workdir, capsys, name, command):
     assert captured.out == ""
 
 
-def python_with_src(*args):
-    """Runs a fresh interpreter that imports the package from this checkout."""
+def python_with_src(*args, **env_vars):
+    """Runs a fresh interpreter that imports the package from this checkout,
+    with `env_vars` added to its environment."""
     src = str(Path(budgetagents.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **env_vars)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 

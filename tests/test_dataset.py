@@ -222,17 +222,6 @@ def test_load_rejects_bad_header(tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("topology", [-1, 4])
-def test_experience_rejects_out_of_range_topology(topology):
-    with pytest.raises(ValueError, match=f"topology index {topology} out of range"):
-        Experience("a", "x", 500.0, topology, True, 1.0)
-
-
-def test_experience_rejects_negative_cost():
-    with pytest.raises(ValueError, match="actual_cost must be >= 0"):
-        Experience("a", "x", 500.0, 0, True, -0.5)
-
-
 def test_load_rejects_out_of_range_topology(tmp_path):
     path = tmp_path / "topo.jsonl"
     path.write_text(
@@ -266,13 +255,17 @@ _ROW = {"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 0, "succe
     "overrides, message",
     [
         ({"budget": "500"}, "budget must be a finite number, got '500'"),
-        ({"topology": 2.9}, "topology must be an integer, got 2.9"),
-        ({"actual_cost": "1.5"}, "actual_cost must be a finite number, got '1.5'"),
+        ({"topology": 2.9}, "topology must be an integer from 0 to 3, got 2.9"),
+        ({"topology": -1}, "topology must be an integer from 0 to 3, got -1"),
+        ({"topology": 4}, "topology must be an integer from 0 to 3, got 4"),
+        ({"actual_cost": "1.5"}, "actual_cost must be a finite number >= 0, got '1.5'"),
+        ({"actual_cost": -0.5}, "actual_cost must be a finite number >= 0, got -0.5"),
         ({"task_id": 5}, "task_id must be a string, got 5"),
         ({"task_text": None}, "task_text must be a string, got None"),
         ({"reward": 1.0}, "unknown field reward; expected one of task_id, task_text, "),
     ],
-    ids=["budget_string", "topology_float", "cost_string", "task_id_number", "task_text_null", "unknown_field"],
+    ids=["budget_string", "topology_float", "topology_negative", "topology_past_planner", "cost_string",
+         "cost_negative", "task_id_number", "task_text_null", "unknown_field"],
 )
 def test_load_rejects_malformed_row(tmp_path, overrides, message):
     path = tmp_path / "rows.jsonl"

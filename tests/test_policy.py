@@ -308,7 +308,7 @@ def test_train_rejects_empty_dataset():
     ],
 )
 def test_trainer_config_rejects_non_finite_and_out_of_range(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+    with pytest.raises(ValueError, match=f"^{field} must be (null or )?a finite number"):
         TrainerConfig(epochs=3, **{field: value})
 
 

@@ -3,13 +3,15 @@ dataclass built from it, so a reader and a writer of one file share one
 shape: `report` and `dataset.load` read what `run` and `collect` write, and
 the config, catalog, mock-script and `policy.json` readers build their
 dataclasses by field name. Most tables are `schema.table` of their
-dataclass; these tests also catch a field declared without a spec."""
+dataclass; these tests also catch a field declared without a spec, and a
+constructor that accepts a value its field's spec rejects."""
 
+import math
 from dataclasses import fields
 
 import pytest
 
-from budgetagents import backend, catalog, cli, dataset, policy, profile, reward, schema, topology
+from budgetagents import backend, catalog, cli, dataset, policy, profile, provision, reward, schema, topology
 
 # Fields no file states: the trainer's seed is the config's top-level 'seed'.
 UNSTATED = {reward.TrainerConfig: {"seed"}}
@@ -53,8 +55,37 @@ def test_config_fields_are_listed_in_file_order():
         schema.check({"?": 0}, cli._CONFIG_FIELDS)
     assert str(info.value) == (
         "unknown field ?; expected one of catalog, task_profile, out_dir, budgets, seed, jobs, "
-        "instance_cap, min_agents, mock, stamp, limits, reward, trainer"
+        "instance_cap, min_agents, mock, limits, reward, trainer"
     )
+
+
+# The types that check their constructor's arguments with `schema.validate`,
+# with the arguments a valid instance needs beyond the defaults.
+VALIDATED = {
+    reward.RewardConfig: {},
+    reward.TrainerConfig: {},
+    catalog.ModelSpec: {"name": "m", "tier": 1, "price_in_per_mtok": 1.0, "price_out_per_mtok": 1.0, "backend_id": "x"},
+    provision.ProvisionProblem: {"budget": 100.0, "tier_costs": (10.0,)},
+    topology.ExecutionLimits: {},
+    backend.ScriptRule: {},
+}
+CANDIDATES = (None, True, "x", -1, 0, -0.5, 0.5, math.nan, math.inf, [], [0.0], (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls in VALIDATED for name, spec in schema.table(cls).items() if type(spec) is tuple],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_constructor_rejects_what_the_field_spec_rejects(cls, name):
+    check, description = schema.table(cls)[name]
+    rejected = [value for value in CANDIDATES if not check(value)]
+    assert rejected, f"no candidate falls outside {cls.__name__}.{name}'s spec"
+    cls(**VALIDATED[cls])
+    for value in rejected:
+        with pytest.raises(ValueError) as info:
+            cls(**dict(VALIDATED[cls], **{name: value}))
+        assert str(info.value).startswith(f"{name} must be {description}, got "), value
 
 
 def test_trainer_config_is_the_policys():
