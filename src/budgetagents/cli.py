@@ -248,8 +248,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not ds_path.exists():
         raise ConfigError(f"dataset not found: {ds_path}; run 'collect' first")
     ds = dataset.load(ds_path)
-    if len(ds) == 0:
-        raise ConfigError("dataset is empty; nothing to train on")
 
     trainer = config.trainer
     result = policy.train(ds, trainer, reward_config=config.reward)
@@ -260,8 +258,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "epoch_scores": result.epoch_scores,
         "best_epoch": result.best_epoch,
         "best_score": result.epoch_scores[result.best_epoch - 1],
-        # budget_ref's resolved value is policy.json's meta.budget_ref.
-        "trainer": {k: v for k, v in asdict(trainer).items() if k != "budget_ref"},
+        "trainer": asdict(trainer),
     }
     (Path(config.out_dir) / "training_report.json").write_text(
         json.dumps(report, ensure_ascii=False), encoding="utf-8"
@@ -358,16 +355,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     lines = path.read_text(encoding="utf-8").splitlines()
     traces = list(read_jsonl(path, lines, topology.TRACE_FIELDS, topology.TRACE_REQUIRED, "trace"))
 
-    if not traces:
-        print("warning: no traces found")
-        print("Acc 0.0%  Avg Cost 0.0  OOB 0/0")
-        return EXIT_OK
-
     n = len(traces)
+    if not n:
+        print("warning: no traces found", file=sys.stderr)
+    per = n or 1  # an empty file's means are 0
     successes = sum(1 for t in traces if t.get("success"))
-    avg_cost = sum(t["cumulative_cost"] for t in traces) / n
+    avg_cost = sum(t["cumulative_cost"] for t in traces) / per
     oob = sum(1 for t in traces if t["oob"])
-    print(f"Acc {100.0 * successes / n:.1f}%  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
+    print(f"Acc {100.0 * successes / per:.1f}%  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
     counts = {name: 0 for name in topology.TOPOLOGY_NAMES}
     halts = {reason: 0 for reason in topology.HALT_REASONS}
     for t in traces:

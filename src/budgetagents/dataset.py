@@ -22,7 +22,7 @@ from .backend import Backend
 from .catalog import DEFAULT_INPUT_TOKENS
 from .evaluators import Evaluator
 from .profile import TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, read_jsonl, spec, table
+from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, positive, read_jsonl, spec, table
 from .topology import (
     BACKEND_FAILURE,
     EVALUATOR_FAILURE,
@@ -34,6 +34,7 @@ from .topology import (
 )
 
 FORMAT_VERSION = 1
+_BUDGET = positive(NUMBER)
 # One encoder for every line: json.dumps would build a new one per row.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -47,7 +48,7 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False)
 class Experience:
     task_id: str = spec(STRING)
     task_text: str = spec(STRING)
-    budget: float = spec(NUMBER)
+    budget: float = spec(_BUDGET)
     topology: int = spec(
         (lambda v: INT[0](v) and 0 <= v < len(Topology), f"an integer from 0 to {len(Topology) - 1}")
     )
@@ -75,12 +76,16 @@ class ExperienceDataset:
             key = (exp.task_id, exp.budget)
             per_topology = grouped.setdefault(key, {})
             if exp.topology in per_topology:
-                raise ValueError(
-                    f"duplicate experience for (task={exp.task_id!r}, "
-                    f"budget={exp.budget:g}, topology={exp.topology})"
-                )
+                raise duplicate_experience(exp)
             per_topology[exp.topology] = exp
         return grouped
+
+
+def duplicate_experience(exp: Experience) -> ValueError:
+    """The error for a second row with exp's (task, budget, topology)."""
+    return ValueError(
+        f"duplicate experience for (task={exp.task_id!r}, budget={exp.budget:g}, topology={exp.topology})"
+    )
 
 
 def collect(
@@ -98,11 +103,15 @@ def collect(
 ) -> ExperienceDataset:
     """Execute all topologies for every (task, budget) pair.
 
-    A run that cannot start (a pool too small for the topology, or a budget
-    <= 0) and a run that halts on a backend or evaluator failure are recorded
-    as unsuccessful zero-or-partial-cost experiences, so the dataset stays
-    rectangular. Any other exception propagates.
+    A budget that is not a finite number > 0 is a ValueError before any run.
+    A run that cannot start (a pool too small for the topology) and a run
+    that halts on a backend or evaluator failure are recorded as unsuccessful
+    zero-or-partial-cost experiences, so the dataset stays rectangular. Any
+    other exception propagates.
     """
+    for budget in budgets:
+        if not _BUDGET[0](budget):
+            raise ValueError(f"budget must be {_BUDGET[1]}, got {budget!r}")
     combos = [
         (task, budget, topo)
         for task in tasks

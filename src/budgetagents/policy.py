@@ -10,9 +10,9 @@ distribution over topologies:
 
 Forward, backward, and the Adam optimizer are written directly in numpy so a
 training run is exactly reproducible from its seed, and the gradients can be
-checked against finite differences. Budgets are normalized by a reference
-value (default: the training set's maximum) before entering the network; the
-reference rides along with the weights.
+checked against finite differences. Budgets are divided by a reference, the
+training set's largest budget, before entering the network; the reference
+rides along with the weights.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .dataset import ExperienceDataset
+from .dataset import ExperienceDataset, duplicate_experience
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
 from .reward import RewardConfig, TrainerConfig, compute_reward
@@ -161,61 +161,50 @@ def loss(
     return value, grads
 
 
-def _dataset_tensors(
-    dataset: ExperienceDataset,
-    budget_ref: float,
-    reward_config: RewardConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(emb, text_row, bud, actions, rewards): emb holds one embedding per
-    distinct task text in first-seen order, and experience i's state is
-    (emb[text_row[i]], bud[i]).
+def _dataset_rows(
+    dataset: ExperienceDataset, reward_config: RewardConfig, budget_ref: float | None = None
+) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(budget_ref, training rows, scoring rows), from one pass over
+    dataset.experiences; a budget_ref of None is the dataset's largest budget.
 
-    A dataset repeats each text once per (budget, topology), so a row per
-    experience would hold every embedding that many times over.
+    The training rows are (emb, text_row, bud, actions, rewards): emb holds
+    one embedding per distinct task text in first-seen order, and experience
+    i's state is (emb[text_row[i]], bud[i]). A dataset repeats each text once
+    per (budget, topology), so a row per experience would hold every
+    embedding that many times over. The scoring rows are (emb, bud, rewards),
+    one per (task, budget) group in sorted order: its state and K rewards.
+
+    Raises on an empty dataset, a repeated (task, budget, topology), and a
+    group without an outcome for every topology.
     """
-    rows: dict[str, int] = {}
-    text_row = np.array(
-        [rows.setdefault(exp.task_text, len(rows)) for exp in dataset.experiences], dtype=np.int64
-    )
-    emb = embed(list(rows))
-    bud = np.array([exp.budget / budget_ref for exp in dataset.experiences])
-    actions = np.array([exp.topology for exp in dataset.experiences], dtype=np.int64)
-    rewards = np.array([
-        compute_reward(exp.success, exp.actual_cost, exp.budget, reward_config) for exp in dataset.experiences
-    ])
-    return emb, text_row, bud, actions, rewards
-
-
-def _group_index(dataset: ExperienceDataset) -> np.ndarray:
-    """(groups x K) positions in dataset.experiences, one row per (task,
-    budget) group in sorted order and one column per topology.
-
-    Raises unless every group contains an outcome for every topology.
-    """
-    groups = dataset.groups()
+    texts: dict[str, int] = {}
+    groups: dict[tuple[str, float], dict[int, int]] = {}  # (task, budget) -> topology -> row
+    text_row, budgets, actions, rewards = [], [], [], []
+    for i, exp in enumerate(dataset.experiences):
+        text_row.append(texts.setdefault(exp.task_text, len(texts)))
+        budgets.append(exp.budget)
+        actions.append(exp.topology)
+        rewards.append(compute_reward(exp.success, exp.actual_cost, exp.budget, reward_config))
+        group = groups.setdefault((exp.task_id, exp.budget), {})
+        if exp.topology in group:
+            raise duplicate_experience(exp)
+        group[exp.topology] = i
     if not groups:
         raise ValueError("dataset is empty")
-    keys = sorted(groups)
-    for key in keys:
-        missing = [TOPOLOGY_NAMES[t] for t in range(NUM_TOPOLOGIES) if t not in groups[key]]
+    index = []
+    for task_id, budget in sorted(groups):
+        group = groups[task_id, budget]
+        missing = [TOPOLOGY_NAMES[t] for t in range(NUM_TOPOLOGIES) if t not in group]
         if missing:
-            raise ValueError(
-                f"(task={key[0]!r}, budget={key[1]:g}) lacks outcomes for: {', '.join(missing)}"
-            )
-    position = {(exp.task_id, exp.budget, exp.topology): i for i, exp in enumerate(dataset.experiences)}
-    return np.array(
-        [[position[(task_id, budget, t)] for t in range(NUM_TOPOLOGIES)] for task_id, budget in keys],
-        dtype=np.int64,
-    )
-
-
-def _scoring_rows(
-    dataset: ExperienceDataset, emb: np.ndarray, text_row: np.ndarray, bud: np.ndarray, rewards: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(emb, bud, rewards) per (task, budget) group in _group_index's order:
-    the group's state, from _dataset_tensors' rows, and its K rewards."""
-    index = _group_index(dataset)
-    return emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index]
+            raise ValueError(f"(task={task_id!r}, budget={budget:g}) lacks outcomes for: {', '.join(missing)}")
+        index.append([group[t] for t in range(NUM_TOPOLOGIES)])
+    if budget_ref is None:
+        budget_ref = max(budgets)
+    index = np.array(index, dtype=np.int64)
+    emb, text_row = embed(list(texts)), np.array(text_row, dtype=np.int64)
+    bud, rewards = np.array(budgets) / budget_ref, np.array(rewards)
+    training = (emb, text_row, bud, np.array(actions, dtype=np.int64), rewards)
+    return budget_ref, training, (emb[text_row[index[:, 0]]], bud[index[:, 0]], rewards[index])
 
 
 def _expected_reward(
@@ -237,8 +226,8 @@ def evaluate(
     the expectation per group is sum_t pi(t|state) * reward_t, averaged over
     groups.
     """
-    emb, text_row, bud, _, rewards = _dataset_tensors(dataset, params.budget_ref, reward_config)
-    return _expected_reward(params, *_scoring_rows(dataset, emb, text_row, bud, rewards))
+    _, _, scoring_rows = _dataset_rows(dataset, reward_config, params.budget_ref)
+    return _expected_reward(params, *scoring_rows)
 
 
 class _Adam:
@@ -266,28 +255,20 @@ def train(
     reward_config: RewardConfig = RewardConfig(),
 ) -> TrainResult:
     """Mini-batch Adam on the policy-gradient loss; keeps the epoch whose
-    policy scores the highest expected reward over the full dataset.
+    policy scores the highest expected reward over the full dataset. The
+    budget reference is the dataset's largest budget.
 
     Batches are seeded permutations of the experience list; a batch size
     larger than the dataset degenerates to full-batch updates. Fully
     deterministic given config.seed. Raises ValueError if training diverges,
     so that no epoch's score is finite.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    budget_ref = config.budget_ref
-    if budget_ref is None:
-        budget_ref = max(exp.budget for exp in dataset.experiences)
-    if budget_ref <= 0:
-        raise ValueError("budget_ref must be > 0")
-
     # Every text is embedded and every reward computed once per call. Each
     # batch gathers its embedding rows, so no (experiences x EMBED_DIM) matrix
     # is held. The per-epoch score's group rows are gathered once: its forward
     # pass holds them anyway, and re-gathering them every epoch slowed train
     # by page faults.
-    emb, text_row, bud, actions, rewards = _dataset_tensors(dataset, budget_ref, reward_config)
-    scoring_rows = _scoring_rows(dataset, emb, text_row, bud, rewards)
+    budget_ref, (emb, text_row, bud, actions, rewards), scoring_rows = _dataset_rows(dataset, reward_config)
     n = len(dataset)
 
     rng = np.random.default_rng(config.seed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .schema import INT, NUMBER, non_negative, nullable, positive, spec, validate
+from .schema import INT, NUMBER, non_negative, positive, spec, validate
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ class TrainerConfig:
     batch_size: int = spec(positive(INT), default=20000)
     epochs: int = spec(positive(INT), default=10)
     seed: int = 42
-    # None: the largest budget seen in the dataset.
-    budget_ref: float | None = spec(nullable(positive(NUMBER)), default=None)
 
     def __post_init__(self) -> None:
         validate(self)

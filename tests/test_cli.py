@@ -12,6 +12,7 @@ from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
 from budgetagents.cli import ConfigError, RunConfig, _budget_label, _build_backends, main
 from budgetagents.profile import TaskSpec, profile_from_dict
+from budgetagents.topology import HALT_REASONS, TOPOLOGY_NAMES
 from synth import dominant_topology_dataset
 from test_backend import chat_payload
 
@@ -496,11 +497,29 @@ def test_mock_script_missing_role_errors(workdir, capsys):
 
 
 def test_report_empty_file_warns(workdir, capsys):
+    # The warning goes to stderr, and stdout has the shape a full file's has,
+    # its summary first.
     empty = workdir / "none.jsonl"
     empty.write_text("")
     assert run("report", str(empty)) == 0
-    out = capsys.readouterr().out
-    assert "warning" in out and "0/0" in out
+    captured = capsys.readouterr()
+    assert captured.err == "warning: no traces found\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == "Acc 0.0%  Avg Cost 0  OOB 0/0"
+    assert lines[1:] == [f"  {name}: 0/0" for name in TOPOLOGY_NAMES] + [
+        f"  halt {reason}: 0/0" for reason in HALT_REASONS
+    ]
+
+
+def test_train_on_empty_dataset_errors(workdir, capsys):
+    profile = dict(PROFILE, tasks=[])
+    (workdir / "profile.json").write_text(json.dumps(profile))
+    config = str(workdir / "config.json")
+    assert run("collect", "--config", config) == 0
+    capsys.readouterr()
+    assert run("train", "--config", config) == 1
+    assert capsys.readouterr().err == "error: dataset is empty\n"
+    assert not (workdir / "out" / "policy.json").exists()
 
 
 def test_report_math(workdir, capsys):
@@ -572,8 +591,12 @@ def test_missing_config_file(capsys):
         ("trainer", {"seed": 3}, "trainer.seed"),
         ("trainer", {"epochs": "5"}, "trainer.epochs"),
         ("trainer", {"adam_beta1": 0.9}, "unknown field trainer.adam_beta1"),
+        ("trainer", {"budget_ref": 800.0}, "unknown field trainer.budget_ref"),
     ],
-    ids=["slack_string", "negative_replans", "misspelt_reward", "trainer_seed", "epochs_string", "adam_constant"],
+    ids=[
+        "slack_string", "negative_replans", "misspelt_reward", "trainer_seed", "epochs_string", "adam_constant",
+        "budget_ref",
+    ],
 )
 def test_malformed_config_section_rejected_before_any_work(workdir, capsys, section, fields, named):
     config = json.loads((workdir / "config.json").read_text())
@@ -930,7 +953,6 @@ def test_explicit_config_sections_accepted(workdir):
     config = json.loads((workdir / "config.json").read_text())
     config["limits"] = {"max_feedback_rounds": 0, "max_replans": 0, "precall_slack": 0.5}
     config["reward"] = {"w_cost": 2, "bonus_slope": 0.25}
-    config["trainer"]["budget_ref"] = None
     (workdir / "config.json").write_text(json.dumps(config))
     assert run("provision", "--config", str(workdir / "config.json")) == 0
 

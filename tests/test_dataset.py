@@ -17,6 +17,7 @@ from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
 from budgetagents.reward import RewardConfig, compute_reward
 from budgetagents.topology import AgentInstance
+from synth import RecordingBackend
 
 NANO = ModelSpec("gpt-4.1-nano", 2, 0.10, 0.40, "openai")
 
@@ -88,11 +89,17 @@ def test_collect_propagates_unexpected_errors(jobs):
 
 
 def test_collect_records_non_positive_budget_as_failure():
+    # A row at such a budget would not load back, so collect refuses it
+    # before any run, even one at a good budget listed first.
     pool = [*two_agent_pool(), AgentInstance(NANO, "gpt-4.1-nano#3")]
-    dataset = collect([TaskSpec("a", "t", "42")], [0.0], {0.0: pool}, scripted(basic_rules()), NumericEvaluator())
-    assert [(exp.success, exp.actual_cost, exp.error) for exp in dataset.experiences] == [
-        (False, 0.0, "budget must be > 0, got 0.0")
-    ] * 4
+    for budget in (0.0, -500.0):
+        backend = RecordingBackend(basic_rules())
+        with pytest.raises(ValueError, match=rf"^budget must be a finite number > 0, got {budget!r}$"):
+            collect(
+                [TaskSpec("a", "t", "42")], [500.0, budget], {500.0: pool, budget: pool},
+                {"openai": backend}, NumericEvaluator(),
+            )
+        assert backend.calls == []
 
 
 def test_collect_reward_join():
@@ -254,7 +261,9 @@ _ROW = {"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 0, "succe
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"budget": "500"}, "budget must be a finite number, got '500'"),
+        ({"budget": "500"}, "budget must be a finite number > 0, got '500'"),
+        ({"budget": 0}, "budget must be a finite number > 0, got 0"),
+        ({"budget": -500.0}, "budget must be a finite number > 0, got -500.0"),
         ({"topology": 2.9}, "topology must be an integer from 0 to 3, got 2.9"),
         ({"topology": -1}, "topology must be an integer from 0 to 3, got -1"),
         ({"topology": 4}, "topology must be an integer from 0 to 3, got 4"),
@@ -264,8 +273,8 @@ _ROW = {"task_id": "a", "task_text": "x", "budget": 500.0, "topology": 0, "succe
         ({"task_text": None}, "task_text must be a string, got None"),
         ({"reward": 1.0}, "unknown field reward; expected one of task_id, task_text, "),
     ],
-    ids=["budget_string", "topology_float", "topology_negative", "topology_past_planner", "cost_string",
-         "cost_negative", "task_id_number", "task_text_null", "unknown_field"],
+    ids=["budget_string", "budget_zero", "budget_negative", "topology_float", "topology_negative",
+         "topology_past_planner", "cost_string", "cost_negative", "task_id_number", "task_text_null", "unknown_field"],
 )
 def test_load_rejects_malformed_row(tmp_path, overrides, message):
     path = tmp_path / "rows.jsonl"

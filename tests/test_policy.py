@@ -254,6 +254,16 @@ def test_evaluate_rejects_missing_topology():
         evaluate(init_params(seed=2), incomplete)
 
 
+def test_train_and_evaluate_reject_a_repeated_experience():
+    dataset = one_task_dataset([1.0, -1.0, -1.0, -1.0])
+    repeated = ExperienceDataset(experiences=dataset.experiences + dataset.experiences[1:2])
+    message = r"^duplicate experience for \(task='t0', budget=100, topology=1\)$"
+    with pytest.raises(ValueError, match=message):
+        train(repeated, TrainerConfig(epochs=1))
+    with pytest.raises(ValueError, match=message):
+        evaluate(init_params(seed=2, budget_ref=100.0), repeated)
+
+
 # -- training -----------------------------------------------------------------
 
 
@@ -304,12 +314,21 @@ def test_train_rejects_empty_dataset():
     [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
         ("entropy_coeff", math.nan), ("entropy_coeff", math.inf), ("entropy_coeff", -0.5),
-        ("budget_ref", math.nan), ("budget_ref", math.inf), ("budget_ref", 0.0),
     ],
 )
 def test_trainer_config_rejects_non_finite_and_out_of_range(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be (null or )?a finite number"):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
         TrainerConfig(epochs=3, **{field: value})
+
+
+@pytest.mark.parametrize("order", [tuple, lambda rows: tuple(reversed(rows))], ids=["sorted", "reversed"])
+def test_budget_ref_is_the_largest_budget(order):
+    rows = [
+        exp for budget in (300.0, 500.0, 800.0)
+        for exp in dominant_topology_dataset(n_tasks=3, budget=budget).experiences
+    ]
+    result = train(ExperienceDataset(experiences=order(rows)), TrainerConfig(epochs=1))
+    assert result.params.budget_ref == 800.0
 
 
 def test_train_that_diverges_raises():
@@ -380,7 +399,7 @@ def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
 
 def test_training_tensors_hold_one_row_per_text():
     dataset = two_budget_dataset(n_tasks=7)
-    emb, text_row, *_ = policy._dataset_tensors(dataset, 800.0, RewardConfig())
+    _, (emb, text_row, *_), _ = policy._dataset_rows(dataset, RewardConfig(), 800.0)
     assert emb.shape == (7, 384)
     assert text_row.dtype == np.int64 and text_row.shape == (len(dataset),)
     for row, exp in zip(text_row, dataset.experiences):
@@ -407,7 +426,7 @@ def test_train_peak_memory_scales_with_distinct_texts():
 
 def test_gathered_batch_loss_matches_dense_rows():
     dataset = two_budget_dataset(n_tasks=9)
-    emb, text_row, bud, actions, rewards = policy._dataset_tensors(dataset, 800.0, RewardConfig())
+    _, (emb, text_row, bud, actions, rewards), _ = policy._dataset_rows(dataset, RewardConfig(), 800.0)
     dense = np.stack([embed([exp.task_text])[0] for exp in dataset.experiences])
     params = init_params(seed=8, budget_ref=800.0)
     idx = np.random.default_rng(8).permutation(len(dataset))[:40]
