@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import backend, dataset, provision, topology
 from .catalog import ModelCatalog
 from .evaluators import get_evaluator
 from .profile import ROLES, TaskProfile, TaskSpec, load_profile
-from .reward import RewardConfig, TrainerConfig
+from .reward import BUDGET, RewardConfig, TrainerConfig
 from .schema import (
     BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json, read_jsonl, spec, table,
 )
@@ -37,7 +38,6 @@ class ConfigError(Exception):
     pass
 
 
-_BUDGET = positive(NUMBER)
 _PROBLEM_FIELDS = table(provision.ProvisionProblem)
 
 
@@ -51,7 +51,7 @@ class RunConfig:
     task_profile: str = spec(STRING)
     out_dir: str = spec(STRING, default="out")
     budgets: list[float] = spec(
-        (lambda v: isinstance(v, list) and all(_BUDGET[0](b) for b in v), "a list of finite numbers > 0"),
+        (lambda v: isinstance(v, list) and all(BUDGET[0](b) for b in v), "a list of finite numbers > 0"),
         default_factory=list,
     )
     seed: int = spec(non_negative(INT), default=42)  # the trainer's seed too
@@ -65,8 +65,8 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = table(RunConfig)
-# `--seed`, `--jobs` and `--budget` are checked like their config fields.
-_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"], "--budget": _BUDGET}
+# `--seed`, `--jobs` and `--budget` are checked like one value of the field each sets.
+_FLAG_FIELDS = {"--seed": _CONFIG_FIELDS["seed"], "--jobs": _CONFIG_FIELDS["jobs"], "--budget": BUDGET}
 # One entry of the catalog's 'backends' section (real runs only).
 _BACKEND_FIELDS = {
     "base_url": STRING,
@@ -82,20 +82,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         data = check(read_json(path), _CONFIG_FIELDS, name=f"config file {path}")
-    flags = {flag: getattr(args, flag[2:]) for flag in _FLAG_FIELDS}
+    flags = {"--seed": args.seed, "--jobs": args.jobs, "--budget": args.budgets}
     check({flag: value for flag, value in flags.items() if value is not None}, _FLAG_FIELDS)
 
-    # A given flag wins over the file's field; "" and a missing --mock are not given.
-    given = {
-        "catalog": args.catalog,
-        "task_profile": args.profile,
-        "out_dir": args.out,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "mock": args.mock or None,
-        "budgets": None if args.budget is None else [args.budget],
-    }
-    data.update((key, value) for key, value in given.items() if value is not None and value != "")
+    # Each common flag's dest is the field it sets, and a given flag wins over
+    # the file's field. An absent flag is None (0 is given), and "" is not given.
+    data.update(
+        (key, value) for key, value in vars(args).items() if key in _CONFIG_FIELDS and value not in (None, "")
+    )
+    if args.budgets is not None:  # the flag gives one budget, the file a list
+        data["budgets"] = [args.budgets]
 
     if not data.get("catalog"):
         raise ConfigError("no catalog configured (use --catalog or 'catalog' in the config file)")
@@ -149,6 +145,32 @@ def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfi
     return endpoints, close
 
 
+def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, ModelCatalog, TaskProfile]:
+    """The config, catalog and profile of a command that serves budgets:
+    `provision`, `collect` and `run`."""
+    config = _load_config(args)
+    if not config.budgets:
+        raise ConfigError("no budgets configured (use --budget or 'budgets')")
+    return config, ModelCatalog.load(config.catalog), load_profile(config.task_profile)
+
+
+@contextmanager
+def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
+    """The keyword arguments every run takes, `dataset.collect`'s and
+    `topology.execute`'s alike; the backends close as the block ends."""
+    backends, close_backends = _build_backends(config, catalog, profile)
+    try:
+        yield {
+            "backends": backends,
+            "evaluator": get_evaluator(profile.evaluator_kind),
+            "limits": config.limits,
+            "max_tokens": profile.max_tokens,
+            "planned_t_in": profile.t_in,
+        }
+    finally:
+        close_backends()
+
+
 def _budget_label(budget: float) -> str:
     """How a budget is printed and how its provision file is named: `:g` where
     that reads back as the same number, so distinct budgets never share one."""
@@ -176,11 +198,7 @@ def _pool(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget
 
 
 def cmd_provision(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if not config.budgets:
-        raise ConfigError("no budgets configured")
-    catalog = ModelCatalog.load(config.catalog)
-    profile = load_profile(config.task_profile)
+    config, catalog, profile = _load_inputs(args)
 
     any_infeasible = False
     for budget in config.budgets:
@@ -207,32 +225,13 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    if not config.budgets:
-        raise ConfigError("no budgets configured")
-    catalog = ModelCatalog.load(config.catalog)
-    profile = load_profile(config.task_profile)
+    config, catalog, profile = _load_inputs(args)
     pools = {budget: _pool(config, catalog, profile, budget) for budget in config.budgets}
-    backends, close_backends = _build_backends(config, catalog, profile)
-    evaluator = get_evaluator(profile.evaluator_kind)
-
     header = {"catalog_hash": catalog.content_hash(), "seed": config.seed}
-
-    try:
+    with _run_settings(config, catalog, profile) as settings:
         ds = dataset.collect(
-            list(profile.tasks),
-            config.budgets,
-            pools,
-            backends,
-            evaluator,
-            limits=config.limits,
-            max_tokens=profile.max_tokens,
-            planned_t_in=profile.t_in,
-            header=header,
-            jobs=config.jobs,
+            list(profile.tasks), config.budgets, pools, header=header, jobs=config.jobs, **settings
         )
-    finally:
-        close_backends()
     out_path = Path(config.out_dir) / "dataset.jsonl"
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     dataset.save(ds, out_path)
@@ -273,17 +272,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.answer is not None and not args.task:
         raise ConfigError("--answer grades an ad-hoc task; pass --task with it")
-    config = _load_config(args)
-    if not config.budgets:
-        raise ConfigError("no budget configured (use --budget)")
+    config, catalog, profile = _load_inputs(args)
     if len(config.budgets) > 1:
         raise ConfigError(
             f"{len(config.budgets)} budgets are configured and 'run' serves one; pass --budget"
         )
-    catalog = ModelCatalog.load(config.catalog)
-    profile = load_profile(config.task_profile)
-    backends, close_backends = _build_backends(config, catalog, profile)
-    evaluator = get_evaluator(profile.evaluator_kind)
 
     override = topology_from_name(args.topology) if args.topology else None
     params = None
@@ -299,10 +292,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.task:
         tasks = [TaskSpec(task_id="adhoc", text=args.task, answer=args.answer)]
-        out_path = Path(config.out_dir) / "trace.json"
     else:
         tasks = list(profile.tasks)
-        out_path = Path(config.out_dir) / "traces.jsonl"
     if not tasks:
         raise ConfigError("no tasks to run")
 
@@ -318,32 +309,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         topologies = [override] * len(tasks)
     traces = []
-    try:
+    with _run_settings(config, catalog, profile) as settings:
         for task, topo in zip(tasks, topologies):
-            trace = topology.execute(
-                task,
-                pool,
-                topo,
-                budget,
-                backends,
-                evaluator,
-                limits=config.limits,
-                max_tokens=profile.max_tokens,
-                planned_t_in=profile.t_in,
-            )
+            trace = topology.execute(task, pool, topo, budget, **settings)
             traces.append(trace)
             print(
                 f"{task.task_id}: topology={trace.topology} cost={trace.cumulative_cost:g} "
                 f"success={trace.success} oob={trace.oob} answer={trace.final_answer!r}"
             )
-    finally:
-        close_backends()
 
+    out_path = Path(config.out_dir) / "traces.jsonl"
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    if args.task:
-        out_path.write_text(traces[0].to_json(), encoding="utf-8")
-    else:
-        out_path.write_text("\n".join(t.to_json() for t in traces) + "\n", encoding="utf-8")
+    out_path.write_text("\n".join(t.to_json() for t in traces) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -384,16 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The flags every pipeline command shares, built once.
+    # The flags every pipeline command shares, built once; each one's dest is
+    # the `RunConfig` field it sets (`--config` aside).
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its fields")
     common.add_argument("--catalog", help="model catalog JSON")
-    common.add_argument("--profile", help="task profile JSON")
-    common.add_argument("--budget", type=float, help="single budget override")
+    common.add_argument("--profile", dest="task_profile", metavar="PROFILE", help="task profile JSON")
+    common.add_argument("--budget", dest="budgets", metavar="BUDGET", type=float, help="single budget override")
     common.add_argument("--seed", type=int, help="global random seed (default 42)")
-    common.add_argument("--out", help="output directory (default 'out')")
+    common.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory (default 'out')")
     common.add_argument("--jobs", type=int, help="worker pool size for collection")
-    common.add_argument("--mock", action="store_true", help="use the profile's scripted backend")
+    common.add_argument("--mock", action="store_true", default=None, help="use the profile's scripted backend")
 
     p = sub.add_parser("provision", parents=[common], help="solve the budgeted pool selection")
     p.add_argument("--explain", action="store_true", help="print per-tier decision weights")

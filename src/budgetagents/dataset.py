@@ -22,7 +22,8 @@ from .backend import Backend
 from .catalog import DEFAULT_INPUT_TOKENS
 from .evaluators import Evaluator
 from .profile import TaskSpec
-from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, positive, read_jsonl, spec, table
+from .reward import BUDGET, check_budget
+from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, read_jsonl, spec, table
 from .topology import (
     BACKEND_FAILURE,
     EVALUATOR_FAILURE,
@@ -34,7 +35,6 @@ from .topology import (
 )
 
 FORMAT_VERSION = 1
-_BUDGET = positive(NUMBER)
 # One encoder for every line: json.dumps would build a new one per row.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -48,7 +48,7 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False)
 class Experience:
     task_id: str = spec(STRING)
     task_text: str = spec(STRING)
-    budget: float = spec(_BUDGET)
+    budget: float = spec(BUDGET)
     topology: int = spec(
         (lambda v: INT[0](v) and 0 <= v < len(Topology), f"an integer from 0 to {len(Topology) - 1}")
     )
@@ -110,8 +110,7 @@ def collect(
     other exception propagates.
     """
     for budget in budgets:
-        if not _BUDGET[0](budget):
-            raise ValueError(f"budget must be {_BUDGET[1]}, got {budget!r}")
+        check_budget(budget)
     combos = [
         (task, budget, topo)
         for task in tasks

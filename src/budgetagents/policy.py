@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import ExperienceDataset, duplicate_experience
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
-from .reward import RewardConfig, TrainerConfig, compute_reward
+from .reward import RewardConfig, TrainerConfig, check_budget, compute_reward
 from .schema import INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import TOPOLOGY_NAMES
 
@@ -308,17 +308,15 @@ def select_topology(
 
     Each pick is the argmax probability (ties resolve to the lowest index)
     among the allowed topology indices (default: all). Raises ValueError on a
-    non-finite budget, embedding or weight.
+    budget that is not a finite number > 0, and on a non-finite embedding or
+    weight.
     """
     mask = np.ones(NUM_TOPOLOGIES, dtype=bool)
     if allowed is not None:
         mask = np.isin(np.arange(NUM_TOPOLOGIES), list(allowed))
     if not mask.any():
         raise ValueError("allowed names no topology")
-    if not math.isfinite(budget):
-        raise ValueError(f"non-finite budget {budget!r}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget!r}")
+    check_budget(budget)
     for name, arr in params.arrays().items():
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite parameter in {name}")

@@ -6,6 +6,9 @@ budget left over) that is granted only when the task succeeded.
 
 `TrainerConfig`, the policy trainer's settings, lives here too: this module
 loads no numpy, so every command checks a config's trainer section in full.
+`BUDGET` lives here for the same reason: it is the one rule for a budget
+wherever one enters, a config or flag, a dataset row, `execute`, this reward
+and the policy's pick.
 """
 
 from __future__ import annotations
@@ -14,6 +17,14 @@ import math
 from dataclasses import dataclass
 
 from .schema import INT, NUMBER, non_negative, positive, spec, validate
+
+BUDGET = positive(NUMBER)
+
+
+def check_budget(budget) -> None:
+    """Raise "budget must be a finite number > 0, got <value>" unless it is one."""
+    if not BUDGET[0](budget):
+        raise ValueError(f"budget must be {BUDGET[1]}, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,7 @@ def compute_reward(success: bool, actual_cost: float, budget: float, config: Rew
     """
     if not math.isfinite(actual_cost) or actual_cost < 0:
         raise ValueError(f"actual_cost must be finite and >= 0, got {actual_cost}")
-    if budget <= 0:
-        raise ValueError(f"budget must be > 0, got {budget}")
+    check_budget(budget)
     r_perf = config.c_succ if success else -config.c_fail
     if actual_cost > budget:
         r_cost = -config.c_overflow

@@ -21,6 +21,7 @@ from .backend import Backend, BackendError, CallRequest
 from .catalog import DEFAULT_INPUT_TOKENS, ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
 from .profile import DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, TaskSpec
+from .reward import check_budget
 from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table, validate
 
 
@@ -334,14 +335,13 @@ class _Runner:
 
 def check_runnable(pool: Sequence[AgentInstance], topology: Topology, budget: float) -> None:
     """Raise ValueError unless the pool can staff the topology and the budget
-    is positive: the preconditions of execute."""
+    is a finite number > 0: the preconditions of execute."""
     if len(pool) < topology.min_agents:
         need = f"needs at least {topology.min_agents} instances"
         if topology.seats:
             need = f"topology {need} ({topology.seats})"
         raise ValueError(f"{topology.label} {need}, pool has {len(pool)}")
-    if budget <= 0:
-        raise ValueError(f"budget must be > 0, got {budget}")
+    check_budget(budget)
 
 
 def execute(

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import budgetagents
-from budgetagents import policy, provision
+from budgetagents import dataset, policy, provision, topology
 from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
-from budgetagents.cli import ConfigError, RunConfig, _budget_label, _build_backends, main
+from budgetagents.cli import ConfigError, RunConfig, _budget_label, _build_backends, build_parser, main
 from budgetagents.profile import TaskSpec, profile_from_dict
-from budgetagents.topology import HALT_REASONS, TOPOLOGY_NAMES
+from budgetagents.topology import HALT_REASONS, TOPOLOGY_NAMES, ExecutionLimits
 from synth import dominant_topology_dataset
 from test_backend import chat_payload
 
@@ -290,7 +293,7 @@ def test_collect_then_train_then_run(workdir, capsys):
     assert "Acc" in out and "OOB" in out
 
 
-def test_run_with_topology_override_and_adhoc_task(workdir):
+def test_run_with_topology_override_and_adhoc_task(workdir, capsys):
     # budget 500 provisions the two cheap agents; linear gives the 180.0 trace
     config = str(workdir / "config.json")
     code = run(
@@ -298,11 +301,20 @@ def test_run_with_topology_override_and_adhoc_task(workdir):
         "--topology", "linear", "--budget", "500",
     )
     assert code == 0
-    trace = json.loads((workdir / "out" / "trace.json").read_text())
+    # the ad-hoc trace is one line of the traces file that `report` reads
+    assert not (workdir / "out" / "trace.json").exists()
+    traces_path = workdir / "out" / "traces.jsonl"
+    (line,) = traces_path.read_text().splitlines()
+    trace = json.loads(line)
     assert trace["topology"] == "linear"
     assert trace["success"] is True
     assert trace["cumulative_cost"] == pytest.approx(180.0)
     assert [c["instance"] for c in trace["calls"]] == ["cheap-model#1", "cheap-model#2"]
+    capsys.readouterr()
+    assert run("report", str(traces_path)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "OOB 0/1" in out[0]
+    assert "  linear: 1/1" in out
 
 
 def test_run_answer_without_task_errors_before_any_work(workdir, capsys):
@@ -962,6 +974,68 @@ def test_flags_override_config(workdir):
     assert run("provision", "--config", config, "--budget", "500") == 0
     doc = json.loads((workdir / "out" / "provision_500.json").read_text())
     assert doc["counts"] == [0, 2]
+
+
+def test_each_common_flag_is_stored_under_the_config_field_it_sets():
+    dests = set(vars(build_parser().parse_args(["provision"]))) - {"command", "func", "config", "explain"}
+    assert dests == {"catalog", "task_profile", "budgets", "seed", "out_dir", "jobs", "mock"}
+    assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_flag_given_as_zero_wins_over_the_config(workdir):
+    assert run("collect", "--config", str(workdir / "config.json"), "--seed", "0") == 0
+    header = json.loads((workdir / "out" / "dataset.jsonl").read_text().splitlines()[0])
+    assert header["seed"] == 0
+
+
+def test_collect_and_run_hand_execute_the_same_settings(workdir, monkeypatch):
+    max_tokens = {"planner": 300, "executor": 200, "critic": 100}
+    (workdir / "profile.json").write_text(json.dumps(dict(PROFILE, t_in=400, evaluator="literal", max_tokens=max_tokens)))
+    edit_config(workdir, limits={"max_feedback_rounds": 1, "precall_slack": 50.0})
+    seen = {"collect": [], "run": []}
+
+    def recording(command, real):
+        def execute(task, pool, topo, budget, backends, evaluator, **settings):
+            seen[command].append({"evaluator": evaluator.name, **settings})
+            return real(task, pool, topo, budget, backends, evaluator, **settings)
+
+        return execute
+
+    monkeypatch.setattr(dataset, "execute", recording("collect", dataset.execute))
+    monkeypatch.setattr(topology, "execute", recording("run", topology.execute))
+    config = str(workdir / "config.json")
+    assert run("collect", "--config", config) == 0
+    assert run("run", "--config", config, "--topology", "linear") == 0
+    expected = {
+        "evaluator": "literal",
+        "limits": ExecutionLimits(max_feedback_rounds=1, precall_slack=50.0),
+        "max_tokens": max_tokens,
+        "planned_t_in": 400,
+    }
+    assert len(seen["collect"]) == 8 and len(seen["run"]) == 2
+    assert all(settings == expected for settings in seen["collect"] + seen["run"])
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    quick_start = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```jsonc\n(.*?)```", quick_start, re.S)
+    assert len(blocks) == 3
+    for block in blocks:
+        name = re.match(r"// (\S+)\n", block).group(1)
+        # a comment starts a line or follows whitespace, so "https://" stays
+        text = re.sub(r"(^|\s)//.*", r"\1", block, flags=re.M)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (commands,) = re.findall(r"Then run the pipeline:\n\n```bash\n(.*?)```", quick_start, re.S)
+    monkeypatch.chdir(tmp_path)
+    for line in [
+        *commands.splitlines(),
+        'budgetagents run --config config.json --budget 1000 --task "What is 6 times 7?" --answer 42 --topology linear',
+        "budgetagents report out/traces.jsonl",
+    ]:
+        program, *argv = shlex.split(line)
+        assert program == "budgetagents"
+        assert main(argv) == 0, (line, capsys.readouterr().err)
 
 
 def test_pipeline_byte_determinism(workdir, tmp_path):

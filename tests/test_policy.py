@@ -145,9 +145,16 @@ def test_forward_deterministic_bitwise():
     assert first["logits"].tobytes() == second["logits"].tobytes()
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_select_topology_rejects_a_budget_that_is_not_finite_and_positive(budget):
+    with pytest.raises(ValueError) as info:
+        select_topology(init_params(seed=1), [TaskSpec("t1", "first ticket")], budget)
+    assert str(info.value) == f"budget must be a finite number > 0, got {budget!r}"
+
+
 def test_forward_rejects_non_finite(monkeypatch):
     tasks = [TaskSpec("t1", "first ticket"), TaskSpec("t2", "second ticket")]
-    with pytest.raises(ValueError, match="non-finite budget"):
+    with pytest.raises(ValueError, match="budget must be a finite number > 0, got inf"):
         select_topology(init_params(seed=1), tasks, math.inf)
     params = init_params(seed=1)
     params.core_w[0, 0] = np.nan

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,10 +30,9 @@ def test_success_at_exact_budget():
 
 
 def test_nonpositive_budget_rejected():
-    with pytest.raises(ValueError):
-        compute_reward(success=True, actual_cost=1.0, budget=0.0)
-    with pytest.raises(ValueError):
-        compute_reward(success=True, actual_cost=1.0, budget=-5.0)
+    for budget, shown in ((0.0, "0.0"), (-5.0, "-5.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(ValueError, match=rf"^budget must be a finite number > 0, got {shown}$"):
+            compute_reward(success=True, actual_cost=1.0, budget=budget)
 
 
 def test_config_validation():

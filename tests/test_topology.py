@@ -86,6 +86,15 @@ def test_assign_planner_needs_three():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_execute_rejects_a_budget_that_is_not_finite_and_positive(budget):
+    backends, backend = registry([ScriptRule(text="42", completion_tokens=10)])
+    with pytest.raises(ValueError) as info:
+        execute(TASK, nano_pool(2), Topology.LINEAR, budget, backends, EVAL)
+    assert str(info.value) == f"budget must be a finite number > 0, got {budget!r}"
+    assert backend.calls == []
+
+
 def test_assign_planner_roles():
     pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1")] + nano_pool(2)
     backends, _ = registry(
