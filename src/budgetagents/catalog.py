@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .schema import INT, NUMBER, STRING, check, each, non_negative, obj, positive, read_json, spec, table, validate
+from .schema import (
+    INT, NUMBER, STRING, check, each, non_negative, obj, positive, read_json, spec, table, unique, validate,
+)
 
 DEFAULT_INPUT_TOKENS = 500
 DEFAULT_OUTPUT_TOKENS = 500
@@ -48,63 +50,51 @@ def estimate_cost(model: ModelSpec, t_in: int, t_out: int) -> float:
 
 # One entry of the catalog's 'models' list.
 _MODEL_FIELDS = table(ModelSpec)
-# Each 'backends' entry is checked where it is used (cli, real runs only).
-_CATALOG_FIELDS = {
-    "models": each(obj(_MODEL_FIELDS, required=tuple(_MODEL_FIELDS))),
-    "backends": (lambda v: isinstance(v, dict), "an object"),
-}
 
 
+@dataclass(frozen=True)
 class ModelCatalog:
     """Immutable collection of models; validated once at construction.
 
-    Tiers must be contiguous from 1 with at least one model each. When a tier
-    declares several models, its unit cost is the most expensive member
-    (conservative for budgeting) and its instances cycle through the members
-    in declaration order (see topology.expand_pool). `backends` is the
-    catalog file's endpoint section, keyed by backend_id; it is not part of
-    the content hash.
+    Each field is a key of the catalog file, checked by its spec. Names are
+    unique, and tiers must be contiguous from 1 with at least one model each.
+    When a tier declares several models, its unit cost is the most expensive
+    member (conservative for budgeting) and its instances cycle through the
+    members in declaration order (see topology.expand_pool). `backends` is
+    the catalog file's endpoint section, keyed by backend_id; it is not part
+    of the content hash.
     """
 
-    def __init__(self, models: list[ModelSpec], backends: dict | None = None):
-        if not models:
+    models: tuple[ModelSpec, ...] = spec(each(obj(_MODEL_FIELDS, required=tuple(_MODEL_FIELDS))))
+    # Each entry is checked where it is used (cli, real runs only).
+    backends: dict = spec((lambda v: isinstance(v, dict), "an object"), default_factory=dict)
+    num_tiers: int = field(init=False)  # the weakest tier, derived from the models
+
+    def __post_init__(self) -> None:
+        if not self.models:
             raise ValueError("catalog has no models")
-        self._models = tuple(models)
-        self._backends = dict(backends or {})
-        declared = sorted({m.tier for m in models})
-        self._num_tiers = declared[-1]
-        if declared != list(range(1, self._num_tiers + 1)):
+        object.__setattr__(self, "models", tuple(self.models))
+        unique((m.name for m in self.models), "models", "name")
+        declared = sorted({m.tier for m in self.models})
+        object.__setattr__(self, "num_tiers", declared[-1])
+        if declared != list(range(1, self.num_tiers + 1)):
             raise ValueError(f"tiers must cover 1..L without gaps, got {declared}")
 
-    @property
-    def models(self) -> tuple[ModelSpec, ...]:
-        return self._models
-
-    @property
-    def backends(self) -> dict:
-        return self._backends
-
-    @property
-    def num_tiers(self) -> int:
-        return self._num_tiers
-
     def tier_models(self, tier: int) -> list[ModelSpec]:
-        """Models of one tier, in declaration order."""
-        found = [m for m in self._models if m.tier == tier]
-        if not found:
-            raise ValueError(f"no models in tier {tier}")
-        return found
+        """Models of one tier, in declaration order; construction leaves no
+        tier from 1 to num_tiers empty."""
+        return [m for m in self.models if m.tier == tier]
 
     def tier_costs(self, t_in: int = DEFAULT_INPUT_TOKENS, t_out: int = DEFAULT_OUTPUT_TOKENS) -> list[float]:
         """Per-tier unit costs, strongest tier first; a tier costs as much as
         its most expensive member."""
         return [
             max(estimate_cost(m, t_in, t_out) for m in self.tier_models(t))
-            for t in range(1, self._num_tiers + 1)
+            for t in range(1, self.num_tiers + 1)
         ]
 
     def to_dict(self) -> dict:
-        return {"models": [asdict(m) for m in self._models]}
+        return {"models": [asdict(m) for m in self.models]}
 
     def content_hash(self) -> str:
         """Stable identity of the catalog contents, for provenance headers."""
@@ -115,15 +105,18 @@ class ModelCatalog:
     def from_dict(cls, data: dict) -> "ModelCatalog":
         check(data, _CATALOG_FIELDS, required=("models",), name="catalog")
         # Integer prices become floats, so a catalog hashes the same either way.
-        return cls([
+        return cls(**dict(data, models=[
             ModelSpec(**dict(
                 entry,
                 price_in_per_mtok=float(entry["price_in_per_mtok"]),
                 price_out_per_mtok=float(entry["price_out_per_mtok"]),
             ))
             for entry in data["models"]
-        ], data.get("backends"))
+        ]))
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelCatalog":
         return cls.from_dict(read_json(path))
+
+
+_CATALOG_FIELDS = table(ModelCatalog)

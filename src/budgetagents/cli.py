@@ -47,8 +47,8 @@ _PROBLEM_FIELDS = table(provision.ProvisionProblem)
 # checked as the config loads.
 @dataclass
 class RunConfig:
-    catalog: str = spec(STRING)
-    task_profile: str = spec(STRING)
+    catalog: str = spec(STRING, default="")  # `train` reads neither file
+    task_profile: str = spec(STRING, default="")
     out_dir: str = spec(STRING, default="out")
     budgets: list[float] = spec(
         (lambda v: isinstance(v, list) and all(BUDGET[0](b) for b in v), "a list of finite numbers > 0"),
@@ -92,14 +92,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     )
     if args.budgets is not None:  # the flag gives one budget, the file a list
         data["budgets"] = [args.budgets]
-
-    if not data.get("catalog"):
-        raise ConfigError("no catalog configured (use --catalog or 'catalog' in the config file)")
-    if not data.get("task_profile"):
-        raise ConfigError("no task profile configured (use --profile or 'task_profile')")
-    for p in (data["catalog"], data["task_profile"]):
-        if not Path(p).exists():
-            raise ConfigError(f"file not found: {p}")
 
     if "budgets" in data:
         budgets = data["budgets"] = [float(b) for b in data["budgets"]]
@@ -149,6 +141,13 @@ def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, ModelCatalog, Tas
     """The config, catalog and profile of a command that serves budgets:
     `provision`, `collect` and `run`."""
     config = _load_config(args)
+    if not config.catalog:
+        raise ConfigError("no catalog configured (use --catalog or 'catalog' in the config file)")
+    if not config.task_profile:
+        raise ConfigError("no task profile configured (use --profile or 'task_profile')")
+    for p in (config.catalog, config.task_profile):
+        if not Path(p).exists():
+            raise ConfigError(f"file not found: {p}")
     if not config.budgets:
         raise ConfigError("no budgets configured (use --budget or 'budgets')")
     return config, ModelCatalog.load(config.catalog), load_profile(config.task_profile)
@@ -162,7 +161,7 @@ def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile
     try:
         yield {
             "backends": backends,
-            "evaluator": get_evaluator(profile.evaluator_kind),
+            "evaluator": get_evaluator(profile.evaluator),
             "limits": config.limits,
             "max_tokens": profile.max_tokens,
             "planned_t_in": profile.t_in,
@@ -291,7 +290,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         params = policy.load_params(weights_path)
 
     if args.task:
-        tasks = [TaskSpec(task_id="adhoc", text=args.task, answer=args.answer)]
+        tasks = [TaskSpec(id="adhoc", text=args.task, answer=args.answer)]
     else:
         tasks = list(profile.tasks)
     if not tasks:
@@ -314,7 +313,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             trace = topology.execute(task, pool, topo, budget, **settings)
             traces.append(trace)
             print(
-                f"{task.task_id}: topology={trace.topology} cost={trace.cumulative_cost:g} "
+                f"{task.id}: topology={trace.topology} cost={trace.cumulative_cost:g} "
                 f"success={trace.success} oob={trace.oob} answer={trace.final_answer!r}"
             )
 

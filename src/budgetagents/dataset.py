@@ -69,17 +69,6 @@ class ExperienceDataset:
     def __len__(self) -> int:
         return len(self.experiences)
 
-    def groups(self) -> dict[tuple[str, float], dict[int, Experience]]:
-        """Experiences grouped by (task_id, budget), keyed by topology inside."""
-        grouped: dict[tuple[str, float], dict[int, Experience]] = {}
-        for exp in self.experiences:
-            key = (exp.task_id, exp.budget)
-            per_topology = grouped.setdefault(key, {})
-            if exp.topology in per_topology:
-                raise duplicate_experience(exp)
-            per_topology[exp.topology] = exp
-        return grouped
-
 
 def duplicate_experience(exp: Experience) -> ValueError:
     """The error for a second row with exp's (task, budget, topology)."""
@@ -124,7 +113,7 @@ def collect(
         try:
             check_runnable(pool, topo, budget)
         except ValueError as exc:
-            return Experience(task.task_id, task.text, budget, int(topo), False, 0.0, str(exc))
+            return Experience(task.id, task.text, budget, int(topo), False, 0.0, str(exc))
         trace = execute(
             task,
             pool,
@@ -138,7 +127,7 @@ def collect(
         )
         error = trace.detail if trace.halt in (BACKEND_FAILURE, EVALUATOR_FAILURE) else None
         success, cost = bool(trace.success), trace.cumulative_cost
-        return Experience(task.task_id, task.text, budget, int(topo), success, cost, error)
+        return Experience(task.id, task.text, budget, int(topo), success, cost, error)
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging too; a sequential collect never needs it
@@ -173,7 +162,7 @@ def load(path: str | Path) -> ExperienceDataset:
         raise ValueError(f"{path}: line 1: malformed header: {exc}") from None
     if not isinstance(header, dict) or "version" not in header:
         raise ValueError(f"{path}: line 1: header must be an object with 'version'")
-    if header["version"] != FORMAT_VERSION:
+    if not INT[0](header["version"]) or header["version"] != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {header['version']}")
 
     experiences = []
@@ -185,9 +174,7 @@ def load(path: str | Path) -> ExperienceDataset:
         record["actual_cost"] = float(record["actual_cost"])
         experiences.append(Experience(**record))
 
-    dataset = ExperienceDataset(
+    return ExperienceDataset(
         experiences=tuple(experiences),
         header={k: v for k, v in header.items() if k != "version"},
     )
-    dataset.groups()  # raises on duplicate (task, budget, topology) triples
-    return dataset

@@ -47,7 +47,7 @@ class NumericEvaluator:
         got = self.normalize(text)
         expected = self.normalize(task.answer)
         if expected is None:
-            raise ValueError(f"task {task.task_id!r}: expected answer {task.answer!r} is not numeric")
+            raise ValueError(f"task {task.id!r}: expected answer {task.answer!r} is not numeric")
         return got is not None and got == expected
 
 

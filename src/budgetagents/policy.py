@@ -356,7 +356,7 @@ def save_params(params: PolicyParams, path: str | Path, seed: int | None = None)
 _LAYER = obj({"shape": each(non_negative(INT)), "values": STRING}, required=("shape", "values"))
 _META = {"topologies": each(STRING), "embed_dim": INT, "budget_ref": positive(NUMBER), "seed": nullable(INT)}
 _WEIGHTS_FIELDS = {
-    "format_version": (lambda v: v == 2, "2 (retrain to replace a file of an older format)"),
+    "format_version": (lambda v: INT[0](v) and v == 2, "2 (retrain to replace a file of an older format)"),
     "meta": obj(_META, required=("topologies", "embed_dim", "budget_ref")),
     "layers": obj({name: _LAYER for name in PARAM_FIELDS}, required=PARAM_FIELDS),
 }

@@ -65,6 +65,15 @@ def _fail(spec: tuple, value, path: str):
     raise ValueError(f"{path} must be {spec[1]}, got {_show(value)}")
 
 
+def unique(values, path: str, what: str) -> None:
+    """Raise "<path>[i] and <path>[j] have the same <what> <value>" for the
+    first value that `values` repeats."""
+    first = {}  # value -> index of the entry that has it
+    for i, value in enumerate(values):
+        if first.setdefault(value, i) != i:
+            raise ValueError(f"{path}[{first[value]}] and {path}[{i}] have the same {what} {value!r}")
+
+
 def read_json(path: str | Path):
     """The value a JSON file holds; a ValueError naming the file if it does
     not parse."""

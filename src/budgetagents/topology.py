@@ -193,7 +193,7 @@ class _Runner:
         self.planned_t_in = planned_t_in
         # The run's ledger: `cumulative_cost` is its running total, and
         # `final_answer` the last executor's output, or star's vote.
-        self.trace = RunTrace(task_id=task.task_id, topology=topology.label, budget=budget)
+        self.trace = RunTrace(task_id=task.id, topology=topology.label, budget=budget)
         self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:

@@ -141,9 +141,11 @@ def _model(**overrides):
         (_model(name=7), "models[0].name must be a string, got 7"),
         (_model(backend_id=["x"]), "models[0].backend_id must be a string, got ['x']"),
         (_model(teir=2), "unknown field models[0].teir; expected one of name, tier, "),
+        ({"models": [_model(name=n, tier=t)["models"][0] for n, t in [("x", 1), ("x", 2), ("y", 2), ("y", 2)]]},
+         "models[0] and models[1] have the same name 'x'"),
     ],
     ids=["entry_not_object", "models_not_list", "doc_not_object", "tier_null", "tier_float", "tier_bool",
-         "price_string", "price_nan", "name_number", "backend_id_list", "unknown_model_field"],
+         "price_string", "price_nan", "name_number", "backend_id_list", "unknown_model_field", "repeated_name"],
 )
 def test_from_dict_rejects_malformed_entries(doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

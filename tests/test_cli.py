@@ -398,7 +398,7 @@ def test_run_selects_every_topology_in_one_call(workdir, monkeypatch):
     real_select = policy.select_topology
 
     def counting_select(params, tasks, budget, allowed=None):
-        calls.append([task.task_id for task in tasks])
+        calls.append([task.id for task in tasks])
         return real_select(params, tasks, budget, allowed)
 
     monkeypatch.setattr(policy, "select_topology", counting_select)
@@ -455,6 +455,64 @@ def test_run_without_weights_errors(workdir, capsys):
 
 def test_train_without_dataset_errors(workdir):
     assert run("train", "--config", str(workdir / "config.json")) == 1
+
+
+def _trained(out_dir):
+    return [(out_dir / name).read_bytes() for name in ("policy.json", "training_report.json")]
+
+
+def test_train_reads_only_the_dataset(workdir):
+    # `train` reads the config's out_dir, seed, reward and trainer, and the
+    # dataset: it needs no catalog and no profile, and they change nothing.
+    config = json.loads((workdir / "config.json").read_text())
+    assert run("collect", "--config", str(workdir / "config.json")) == 0
+    rows = (workdir / "out" / "dataset.jsonl").read_bytes()
+    for name in ("bare", "flags", "only"):
+        (workdir / name).mkdir()
+        (workdir / name / "dataset.jsonl").write_bytes(rows)
+    bare = {key: value for key, value in config.items() if key not in ("catalog", "task_profile")}
+    (workdir / "bare.json").write_text(json.dumps(dict(bare, out_dir=str(workdir / "bare"))))
+
+    assert run("train", "--config", str(workdir / "config.json")) == 0
+    assert run("train", "--config", str(workdir / "bare.json")) == 0
+    assert _trained(workdir / "bare") == _trained(workdir / "out")
+    files = ["--catalog", config["catalog"], "--profile", config["task_profile"]]
+    assert run("train", "--out", str(workdir / "flags"), *files) == 0
+    assert run("train", "--out", str(workdir / "only")) == 0
+    assert _trained(workdir / "only") == _trained(workdir / "flags")
+
+
+def test_train_rejects_a_repeated_row(workdir, capsys):
+    rows = [dataset.Experience("a", "the task", 500.0, topology, True, 100.0) for topology in range(4)]
+    (workdir / "out").mkdir()
+    dataset.save(dataset.ExperienceDataset((*rows, rows[0])), workdir / "out" / "dataset.jsonl")
+    assert run("train", "--config", str(workdir / "config.json")) == 1
+    assert capsys.readouterr().err == "error: duplicate experience for (task='a', budget=500, topology=0)\n"
+    assert not (workdir / "out" / "policy.json").exists()
+
+
+@pytest.mark.parametrize("command", ["provision", "collect", "run"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("catalog", None, "no catalog configured (use --catalog or 'catalog' in the config file)"),
+        ("task_profile", None, "no task profile configured (use --profile or 'task_profile')"),
+        ("catalog", "missing.json", "file not found: {}"),
+        ("task_profile", "missing.json", "file not found: {}"),
+    ],
+    ids=["no_catalog", "no_profile", "missing_catalog", "missing_profile"],
+)
+def test_a_command_that_reads_the_inputs_needs_them(workdir, capsys, command, key, value, message):
+    config = json.loads((workdir / "config.json").read_text())
+    del config[key]
+    if value is not None:
+        config[key] = str(workdir / value)
+    (workdir / "config.json").write_text(json.dumps(config))
+    assert run(command, "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(workdir / 'missing.json')}\n"
+    assert captured.out == ""
+    assert not (workdir / "out").exists()
 
 
 def _trainer_section_stops_every_command(workdir, capsys, fields, message):

@@ -44,9 +44,8 @@ def test_collect_cardinality():
         tasks, [500.0], {500.0: two_agent_pool()}, scripted(basic_rules()), NumericEvaluator()
     )
     assert len(dataset) == 8  # 2 tasks x 1 budget x 4 topologies
-    groups = dataset.groups()
-    assert set(groups) == {("a", 500.0), ("b", 500.0)}
-    assert all(set(g) == {0, 1, 2, 3} for g in groups.values())
+    keys = [(exp.task_id, exp.budget, exp.topology) for exp in dataset.experiences]
+    assert sorted(keys) == [(task, 500.0, topology) for task in "ab" for topology in range(4)]
 
 
 def test_collect_records_pool_deficit_as_failure():
@@ -58,7 +57,7 @@ def test_collect_records_pool_deficit_as_failure():
         scripted(basic_rules()),
         NumericEvaluator(),
     )
-    planner_row = dataset.groups()[("a", 500.0)][3]
+    (planner_row,) = [exp for exp in dataset.experiences if exp.topology == 3]
     assert planner_row.success is False
     # the message is written verbatim into dataset.jsonl's error field
     assert planner_row.error == (
@@ -115,7 +114,7 @@ def test_collect_reward_join():
         scripted(feedback_rules),
         NumericEvaluator(),
     )
-    feedback_row = dataset.groups()[("a", 500.0)][2]
+    (feedback_row,) = [exp for exp in dataset.experiences if exp.topology == 2]
     # executor call: 2000*0.1 + 250*0.4 = 300 units; critic call free
     assert feedback_row.actual_cost == pytest.approx(300.0)
     assert feedback_row.success is True
@@ -206,15 +205,6 @@ def test_empty_dataset_round_trips_to_header_only(tmp_path):
     assert load(path) == dataset
 
 
-def test_load_rejects_duplicate_triple(tmp_path):
-    dataset = sample_dataset()
-    experiences = dataset.experiences + (dataset.experiences[0],)
-    path = tmp_path / "dup.jsonl"
-    save(ExperienceDataset(experiences=experiences, header=dataset.header), path)
-    with pytest.raises(ValueError, match=r"task='a'.*topology=0"):
-        load(path)
-
-
 def test_load_reports_malformed_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"version": 1}\n{"task_id": "a", "task_text": "x"\n')
@@ -226,6 +216,16 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "nohdr.jsonl"
     path.write_text('{"task_id": "a"}\n')
     with pytest.raises(ValueError, match="version"):
+        load(path)
+
+
+def test_load_rejects_a_version_that_is_not_an_integer(tmp_path):
+    # JSON's true equals 1 in Python; the header must hold the integer.
+    path = tmp_path / "bool_version.jsonl"
+    save(sample_dataset(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(['{"version": true}', *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported version True$"):
         load(path)
 
 

@@ -174,7 +174,7 @@ def test_collect_rows_are_unchanged(tmp_path):
 
 def test_collect_records_a_raising_normalize_and_carries_on():
     collected = dataset.collect([TASK], [10_000.0], {10_000.0: POOL}, backends(), RaisingNormalizer())
-    rows = collected.groups()[("t1", 10_000.0)]
+    rows = {row.topology: row for row in collected.experiences}  # one task, one budget
     assert sorted(rows) == [int(t) for t in Topology]
     assert rows[Topology.STAR].actual_cost == 228.49000000000004  # its three calls stay billed
     # Grading normalizes too, so every topology's row is an evaluator failure.

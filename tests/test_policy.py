@@ -566,6 +566,8 @@ def _drop(*keys):
         (_drop("layers", "head_w", "values"), "missing field layers.head_w.values$"),
         (lambda doc: dict(doc, format_version=1),
          r"format_version must be 2 \(retrain to replace a file of an older format\), got 1$"),
+        (lambda doc: dict(doc, format_version=2.0),
+         r"format_version must be 2 \(retrain to replace a file of an older format\), got 2.0$"),
         (_set_layers(head_b=np.zeros(1)), r"layer head_b has shape \[1\], this build's is \[4\]$"),
         (_set_layers(budget_w=np.zeros((1, 1))), r"layer budget_w has shape \[1, 1\], this build's is \[64, 1\]$"),
         (_set_layers(head_w=np.zeros((3, 128)), head_b=np.zeros(3)),
@@ -573,7 +575,7 @@ def _drop(*keys):
     ],
     ids=[
         "short", "not_base64", "inf", "nan", "not_object", "no_meta", "no_layers", "no_layer", "no_shape", "no_values",
-        "format_1", "head_b_of_one", "budget_w_of_one", "three_heads",
+        "format_1", "format_2_float", "head_b_of_one", "budget_w_of_one", "three_heads",
     ],
 )
 def test_load_rejects_corrupt_layer(tmp_path, tamper, message):

@@ -12,7 +12,7 @@ def test_defaults():
     profile = profile_from_dict({"tasks": [{"id": "a", "text": "do it"}]})
     assert profile.t_in == 500
     assert profile.t_out == 500
-    assert profile.evaluator_kind == "numeric"
+    assert profile.evaluator == "numeric"
     assert profile.max_tokens == {"planner": 384, "executor": 384, "critic": 384}
     assert profile.tasks == (TaskSpec("a", "do it", None),)
 
@@ -148,7 +148,7 @@ def test_load_from_file(tmp_path):
         "max_tokens": {"executor": 1024},
     }))
     profile = load_profile(path)
-    assert profile.evaluator_kind == "literal"
+    assert profile.evaluator == "literal"
     assert profile.max_tokens["executor"] == 1024
     assert profile.max_tokens["critic"] == 384
     assert profile.tasks[0].answer == "1"

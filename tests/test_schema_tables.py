@@ -1,7 +1,7 @@
 """Each table that checks a JSON object names exactly the fields of the
 dataclass built from it, so a reader and a writer of one file share one
 shape: `report` and `dataset.load` read what `run` and `collect` write, and
-the config, catalog, mock-script and `policy.json` readers build their
+the config, catalog, profile, mock-script and `policy.json` readers build their
 dataclasses by field name. Most tables are `schema.table` of their
 dataclass; these tests also catch a field declared without a spec, and a
 constructor that accepts a value its field's spec rejects."""
@@ -13,8 +13,9 @@ import pytest
 
 from budgetagents import backend, catalog, cli, dataset, policy, profile, provision, reward, schema, topology
 
-# Fields no file states: the trainer's seed is the config's top-level 'seed'.
-UNSTATED = {reward.TrainerConfig: {"seed"}}
+# Fields no file states: the trainer's seed is the config's top-level 'seed',
+# and a catalog's tier count is its weakest model's tier.
+UNSTATED = {reward.TrainerConfig: {"seed"}, catalog.ModelCatalog: {"num_tiers"}}
 
 
 def _stated(cls) -> list[str]:
@@ -29,6 +30,11 @@ def test_tables_match_their_dataclasses():
         (cli._CONFIG_FIELDS, cli.RunConfig, ()),
         (catalog._MODEL_FIELDS, catalog.ModelSpec, ()),
         (backend._RULE_FIELDS, backend.ScriptRule, ()),
+        (catalog._CATALOG_FIELDS, catalog.ModelCatalog, ()),
+        # A task entry's table sits inside the profile table's 'tasks' spec.
+        (schema.table(profile.TaskSpec), profile.TaskSpec, ()),
+        # The profile file's one key with no field bounds t_out.
+        ({k: v for k, v in profile._PROFILE_FIELDS.items() if k != "output_token_samples"}, profile.TaskProfile, ()),
     ]:
         assert list(table) == _stated(cls) == list(schema.table(cls)), cls.__name__
         assert set(required) <= set(table), cls.__name__
@@ -94,17 +100,3 @@ def test_trainer_config_is_the_policys():
 
 def test_policy_shapes_name_every_layer():
     assert set(policy.SHAPES) == {f.name for f in fields(policy.PolicyParams)} - {"budget_ref"}
-
-
-def test_profile_tables_map_onto_their_dataclasses():
-    # File key -> field. output_token_samples has no field: it bounds t_out.
-    task_keys = {"id": "task_id", "text": "text", "answer": "answer"}
-    profile_keys = {
-        "tasks": "tasks", "t_in": "t_in", "t_out": "t_out", "output_token_samples": "t_out",
-        "evaluator": "evaluator_kind", "max_tokens": "max_tokens", "mock_script": "mock_script",
-    }
-    assert set(profile._TASK_FIELDS) == set(task_keys)
-    assert set(task_keys.values()) == {f.name for f in fields(profile.TaskSpec)}
-    assert set(profile._PROFILE_FIELDS) == set(profile_keys)
-    assert set(profile_keys.values()) == {f.name for f in fields(profile.TaskProfile)}
-    assert profile._PROFILE_KEYS.items() <= profile_keys.items()
