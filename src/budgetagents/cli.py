@@ -203,7 +203,6 @@ def cmd_provision(args: argparse.Namespace) -> int:
     for budget in config.budgets:
         label = _budget_label(budget)
         problem, solution = _solve_for_budget(config, catalog, profile, budget)
-        weights = provision.compute_weights(problem)
         doc = {"budget": budget, "tier_costs": list(problem.tier_costs), **asdict(solution)}
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # only once a problem has solved
         (Path(config.out_dir) / f"provision_{label}.json").write_text(
@@ -218,6 +217,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
             any_infeasible = True
             print(f"budget {label}: infeasible ({solution.reason})")
         if args.explain:
+            weights = provision.compute_weights(problem)
             for tier, (w, c) in enumerate(zip(weights, problem.tier_costs), start=1):
                 print(f"  tier {tier}: unit cost {c:g}, decision weight {w}")
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
@@ -226,15 +226,12 @@ def cmd_provision(args: argparse.Namespace) -> int:
 def cmd_collect(args: argparse.Namespace) -> int:
     config, catalog, profile = _load_inputs(args)
     pools = {budget: _pool(config, catalog, profile, budget) for budget in config.budgets}
-    header = {"catalog_hash": catalog.content_hash(), "seed": config.seed}
     with _run_settings(config, catalog, profile) as settings:
-        ds = dataset.collect(
-            list(profile.tasks), config.budgets, pools, header=header, jobs=config.jobs, **settings
-        )
+        rows = dataset.collect(list(profile.tasks), config.budgets, pools, jobs=config.jobs, **settings)
     out_path = Path(config.out_dir) / "dataset.jsonl"
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    dataset.save(ds, out_path)
-    print(f"collected {len(ds)} experiences -> {out_path}")
+    dataset.save(rows, out_path, {"catalog_hash": catalog.content_hash(), "seed": config.seed})
+    print(f"collected {len(rows)} experiences -> {out_path}")
     return EXIT_OK
 
 
@@ -245,10 +242,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     ds_path = Path(config.out_dir) / "dataset.jsonl"
     if not ds_path.exists():
         raise ConfigError(f"dataset not found: {ds_path}; run 'collect' first")
-    ds = dataset.load(ds_path)
+    _, rows = dataset.load(ds_path)
 
     trainer = config.trainer
-    result = policy.train(ds, trainer, reward_config=config.reward)
+    result = policy.train(rows, trainer, reward_config=config.reward)
 
     weights_path = Path(config.out_dir) / "policy.json"
     policy.save_params(result.params, weights_path, seed=trainer.seed)

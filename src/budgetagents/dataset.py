@@ -1,4 +1,5 @@
-"""Offline experience dataset: build, persist, and load.
+"""Offline experience dataset: build, persist, and load. A dataset is its
+rows, a tuple of Experience; its file also carries a provenance header.
 
 Collection executes every topology for every (task, budget) pair so the
 trainer can evaluate exact expected rewards per task. Rewards themselves are
@@ -14,9 +15,9 @@ outright.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .backend import Backend
 from .catalog import DEFAULT_INPUT_TOKENS
@@ -61,22 +62,6 @@ _ROW_FIELDS = table(Experience)
 _ROW_REQUIRED = tuple(key for key in _ROW_FIELDS if key != "error")
 
 
-@dataclass(frozen=True)
-class ExperienceDataset:
-    experiences: tuple[Experience, ...]
-    header: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.experiences)
-
-
-def duplicate_experience(exp: Experience) -> ValueError:
-    """The error for a second row with exp's (task, budget, topology)."""
-    return ValueError(
-        f"duplicate experience for (task={exp.task_id!r}, budget={exp.budget:g}, topology={exp.topology})"
-    )
-
-
 def collect(
     tasks: list[TaskSpec],
     budgets: list[float],
@@ -87,10 +72,10 @@ def collect(
     limits: ExecutionLimits = ExecutionLimits(),
     max_tokens: Mapping[str, int] | None = None,
     planned_t_in: int = DEFAULT_INPUT_TOKENS,
-    header: dict | None = None,
     jobs: int = 1,
-) -> ExperienceDataset:
-    """Execute all topologies for every (task, budget) pair.
+) -> tuple[Experience, ...]:
+    """Execute all topologies for every (task, budget) pair; one row per run,
+    task-major, then budget, then topology.
 
     A budget that is not a finite number > 0 is a ValueError before any run.
     A run that cannot start (a pool too small for the topology) and a run
@@ -133,17 +118,14 @@ def collect(
         from concurrent.futures import ThreadPoolExecutor  # loads logging too; a sequential collect never needs it
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            experiences = list(pool.map(run_one, combos))
-    else:
-        experiences = [run_one(c) for c in combos]
-    return ExperienceDataset(experiences=tuple(experiences), header=dict(header or {}))
+            return tuple(pool.map(run_one, combos))
+    return tuple(run_one(c) for c in combos)
 
 
-def save(dataset: ExperienceDataset, path: str | Path) -> None:
-    header = {"version": FORMAT_VERSION}
-    header.update(dataset.header)
-    lines = [_ENCODER.encode(header)]
-    for exp in dataset.experiences:
+def save(rows: Sequence[Experience], path: str | Path, header: Mapping) -> None:
+    """Write header (provenance; `version` is added first) and rows to path."""
+    lines = [_ENCODER.encode({"version": FORMAT_VERSION, **header})]
+    for exp in rows:
         record = vars(exp).copy()  # Experience's fields, in declaration order
         if record["error"] is None:
             del record["error"]
@@ -151,7 +133,8 @@ def save(dataset: ExperienceDataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load(path: str | Path) -> ExperienceDataset:
+def load(path: str | Path) -> tuple[dict, tuple[Experience, ...]]:
+    """(header without `version`, rows) of a file `save` wrote."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -165,16 +148,13 @@ def load(path: str | Path) -> ExperienceDataset:
     if not INT[0](header["version"]) or header["version"] != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {header['version']}")
 
-    experiences = []
+    rows = []
     texts: dict[str, str] = {}  # rows repeat each task text; they share one str
     for record in read_jsonl(path, lines[1:], _ROW_FIELDS, _ROW_REQUIRED, "row", start=2):
         text = record["task_text"]
         record["task_text"] = texts.setdefault(text, text)
         record["budget"] = float(record["budget"])
         record["actual_cost"] = float(record["actual_cost"])
-        experiences.append(Experience(**record))
-
-    return ExperienceDataset(
-        experiences=tuple(experiences),
-        header={k: v for k, v in header.items() if k != "version"},
-    )
+        rows.append(Experience(**record))
+    del header["version"]
+    return header, tuple(rows)

@@ -37,7 +37,7 @@ class NumericEvaluator:
             return None
         value = matches[-1].replace(",", "")
         try:
-            return repr(float(value))
+            return repr(float(value) + 0.0)  # + 0.0 folds -0.0 into 0.0
         except ValueError:
             return None
 

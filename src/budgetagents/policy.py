@@ -27,7 +27,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .dataset import ExperienceDataset, duplicate_experience
+from .dataset import Experience
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
 from .reward import RewardConfig, TrainerConfig, check_budget, compute_reward
@@ -162,10 +162,10 @@ def loss(
 
 
 def _dataset_rows(
-    dataset: ExperienceDataset, reward_config: RewardConfig, budget_ref: float | None = None
+    dataset: Sequence[Experience], reward_config: RewardConfig, budget_ref: float | None = None
 ) -> tuple[float, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(budget_ref, training rows, scoring rows), from one pass over
-    dataset.experiences; a budget_ref of None is the dataset's largest budget.
+    """(budget_ref, training rows, scoring rows), from one pass over the
+    dataset; a budget_ref of None is the dataset's largest budget.
 
     The training rows are (emb, text_row, bud, actions, rewards): emb holds
     one embedding per distinct task text in first-seen order, and experience
@@ -180,14 +180,16 @@ def _dataset_rows(
     texts: dict[str, int] = {}
     groups: dict[tuple[str, float], dict[int, int]] = {}  # (task, budget) -> topology -> row
     text_row, budgets, actions, rewards = [], [], [], []
-    for i, exp in enumerate(dataset.experiences):
+    for i, exp in enumerate(dataset):
         text_row.append(texts.setdefault(exp.task_text, len(texts)))
         budgets.append(exp.budget)
         actions.append(exp.topology)
         rewards.append(compute_reward(exp.success, exp.actual_cost, exp.budget, reward_config))
         group = groups.setdefault((exp.task_id, exp.budget), {})
         if exp.topology in group:
-            raise duplicate_experience(exp)
+            raise ValueError(
+                f"duplicate experience for (task={exp.task_id!r}, budget={exp.budget:g}, topology={exp.topology})"
+            )
         group[exp.topology] = i
     if not groups:
         raise ValueError("dataset is empty")
@@ -217,7 +219,7 @@ def _expected_reward(
 
 def evaluate(
     params: PolicyParams,
-    dataset: ExperienceDataset,
+    dataset: Sequence[Experience],
     reward_config: RewardConfig = RewardConfig(),
 ) -> float:
     """Exact expected reward of the policy over the dataset.
@@ -250,7 +252,7 @@ class _Adam:
 
 
 def train(
-    dataset: ExperienceDataset,
+    dataset: Sequence[Experience],
     config: TrainerConfig,
     reward_config: RewardConfig = RewardConfig(),
 ) -> TrainResult:

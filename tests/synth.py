@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from budgetagents.backend import CallRequest, CallResponse, ScriptedBackend
-from budgetagents.dataset import Experience, ExperienceDataset
+from budgetagents.dataset import Experience
 from budgetagents.policy import loss
 
 
@@ -39,7 +39,7 @@ def dominant_topology_dataset(
     budget: float = 500.0,
     dominant_cost: float = 300.0,
     other_cost: float = 450.0,
-) -> ExperienceDataset:
+) -> tuple[Experience, ...]:
     """Every task succeeds only under one topology; all four rows per task."""
     experiences = []
     for i in range(n_tasks):
@@ -56,7 +56,7 @@ def dominant_topology_dataset(
                     actual_cost=dominant_cost if success else other_cost,
                 )
             )
-    return ExperienceDataset(experiences=tuple(experiences))
+    return tuple(experiences)
 
 
 def random_batch(rng: np.random.Generator, count: int, num_actions: int = 4, reward_scale: float = 1.0):

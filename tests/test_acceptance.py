@@ -127,7 +127,7 @@ def test_criterion_5_offline_training_convergence():
             learning_rate=0.0015, entropy_coeff=0.001, batch_size=20000, epochs=10, seed=seed
         )
         result = train(dataset, config)
-        texts = sorted({e.task_text for e in dataset.experiences})
+        texts = sorted({e.task_text for e in dataset})
         picks = select_topology(result.params, [TaskSpec(f"t{i}", t) for i, t in enumerate(texts)], 500.0)
         accuracies.append(picks.count(2) / len(texts))
     elapsed = time.monotonic() - start
@@ -144,7 +144,7 @@ def test_criterion_6_entropy_regularization_direction():
         learning_rate=0.0015, entropy_coeff=10.0, batch_size=20000, epochs=10, seed=42
     )
     result = train(dataset, config)
-    texts = sorted({e.task_text for e in dataset.experiences})
+    texts = sorted({e.task_text for e in dataset})
     emb = embed(texts)
     probs = forward(result.params, emb, np.full(len(texts), 500.0 / result.params.budget_ref))["probs"]
     mean_entropy = float(np.mean(-(probs * np.log(probs)).sum(axis=1)))

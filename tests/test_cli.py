@@ -485,7 +485,7 @@ def test_train_reads_only_the_dataset(workdir):
 def test_train_rejects_a_repeated_row(workdir, capsys):
     rows = [dataset.Experience("a", "the task", 500.0, topology, True, 100.0) for topology in range(4)]
     (workdir / "out").mkdir()
-    dataset.save(dataset.ExperienceDataset((*rows, rows[0])), workdir / "out" / "dataset.jsonl")
+    dataset.save((*rows, rows[0]), workdir / "out" / "dataset.jsonl", {})
     assert run("train", "--config", str(workdir / "config.json")) == 1
     assert capsys.readouterr().err == "error: duplicate experience for (task='a', budget=500, topology=0)\n"
     assert not (workdir / "out" / "policy.json").exists()

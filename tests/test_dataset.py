@@ -6,13 +6,7 @@ import pytest
 
 from budgetagents.backend import ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelSpec
-from budgetagents.dataset import (
-    Experience,
-    ExperienceDataset,
-    collect,
-    load,
-    save,
-)
+from budgetagents.dataset import Experience, collect, load, save
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
 from budgetagents.reward import RewardConfig, compute_reward
@@ -44,7 +38,7 @@ def test_collect_cardinality():
         tasks, [500.0], {500.0: two_agent_pool()}, scripted(basic_rules()), NumericEvaluator()
     )
     assert len(dataset) == 8  # 2 tasks x 1 budget x 4 topologies
-    keys = [(exp.task_id, exp.budget, exp.topology) for exp in dataset.experiences]
+    keys = [(exp.task_id, exp.budget, exp.topology) for exp in dataset]
     assert sorted(keys) == [(task, 500.0, topology) for task in "ab" for topology in range(4)]
 
 
@@ -57,7 +51,7 @@ def test_collect_records_pool_deficit_as_failure():
         scripted(basic_rules()),
         NumericEvaluator(),
     )
-    (planner_row,) = [exp for exp in dataset.experiences if exp.topology == 3]
+    (planner_row,) = [exp for exp in dataset if exp.topology == 3]
     assert planner_row.success is False
     # the message is written verbatim into dataset.jsonl's error field
     assert planner_row.error == (
@@ -114,7 +108,7 @@ def test_collect_reward_join():
         scripted(feedback_rules),
         NumericEvaluator(),
     )
-    (feedback_row,) = [exp for exp in dataset.experiences if exp.topology == 2]
+    (feedback_row,) = [exp for exp in dataset if exp.topology == 2]
     # executor call: 2000*0.1 + 250*0.4 = 300 units; critic call free
     assert feedback_row.actual_cost == pytest.approx(300.0)
     assert feedback_row.success is True
@@ -128,12 +122,12 @@ def test_collect_deterministic_bytes(tmp_path):
     def build():
         return collect(
             tasks, [500.0], {500.0: two_agent_pool()}, scripted(basic_rules()),
-            NumericEvaluator(), header={"catalog_hash": "abc", "seed": 42},
+            NumericEvaluator(),
         )
 
     p1, p2 = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
-    save(build(), p1)
-    save(build(), p2)
+    save(build(), p1, {"catalog_hash": "abc", "seed": 42})
+    save(build(), p2, {"catalog_hash": "abc", "seed": 42})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -154,9 +148,9 @@ def test_collect_parallel_matches_serial():
         parallel = collect(tasks, **kwargs, jobs=4)
     finally:
         sys.setswitchinterval(interval)
-    assert serial.experiences == parallel.experiences
+    assert serial == parallel
     # executor, critic (REJECT), executor, critic (ACCEPT) in every feedback run
-    feedback_costs = [exp.actual_cost for exp in serial.experiences if exp.topology == 2]
+    feedback_costs = [exp.actual_cost for exp in serial if exp.topology == 2]
     assert feedback_costs == [pytest.approx(2 * 54.0 + 2 * 50.8)] * 8
 
 
@@ -178,31 +172,44 @@ def sample_dataset():
                     error=None if topo != 3 else "planner pool too small",
                 )
             )
-    return ExperienceDataset(experiences=tuple(experiences), header={"catalog_hash": "ff", "seed": 1})
+    return tuple(experiences)
+
+
+HEADER = {"catalog_hash": "ff", "seed": 1}
+
+
+def assert_byte_round_trip(path, tmp_path):
+    """Saving what load read back writes path's exact bytes."""
+    header, rows = load(path)
+    again = tmp_path / "again.jsonl"
+    save(rows, again, header)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_round_trip_identity(tmp_path):
-    dataset = sample_dataset()
+    header = {**HEADER, "pool_counts": {"500": [0, 2]}}  # a key the program does not read
+    rows = sample_dataset()
     path = tmp_path / "data.jsonl"
-    save(dataset, path)
-    assert load(path) == dataset
+    save(rows, path, header)
+    assert load(path) == (header, rows)
+    assert_byte_round_trip(path, tmp_path)
 
 
 def test_load_shares_one_string_per_text(tmp_path):
     path = tmp_path / "data.jsonl"
-    save(sample_dataset(), path)
+    save(sample_dataset(), path, HEADER)
     texts = {}
-    for exp in load(path).experiences:
+    for exp in load(path)[1]:
         assert texts.setdefault(exp.task_text, exp.task_text) is exp.task_text
     assert len(texts) == 2
 
 
 def test_empty_dataset_round_trips_to_header_only(tmp_path):
-    dataset = ExperienceDataset(experiences=(), header={"seed": 7})
     path = tmp_path / "empty.jsonl"
-    save(dataset, path)
+    save((), path, {"seed": 7})
     assert path.read_text().count("\n") == 1
-    assert load(path) == dataset
+    assert load(path) == ({"seed": 7}, ())
+    assert_byte_round_trip(path, tmp_path)
 
 
 def test_load_reports_malformed_line_number(tmp_path):
@@ -222,7 +229,7 @@ def test_load_rejects_bad_header(tmp_path):
 def test_load_rejects_a_version_that_is_not_an_integer(tmp_path):
     # JSON's true equals 1 in Python; the header must hold the integer.
     path = tmp_path / "bool_version.jsonl"
-    save(sample_dataset(), path)
+    save(sample_dataset(), path, HEADER)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(['{"version": true}', *lines[1:]]) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported version True$"):
@@ -284,5 +291,5 @@ def test_load_rejects_malformed_row(tmp_path, overrides, message):
 
 def test_rewards_not_stored(tmp_path):
     path = tmp_path / "data.jsonl"
-    save(sample_dataset(), path)
+    save(sample_dataset(), path, HEADER)
     assert "reward" not in path.read_text()

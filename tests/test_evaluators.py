@@ -2,6 +2,8 @@ import pytest
 
 from budgetagents.evaluators import LiteralEvaluator, NumericEvaluator, get_evaluator
 from budgetagents.profile import TaskSpec
+from budgetagents.topology import Topology, execute
+from test_topology import nano_pool, registry, star_rules
 
 
 def test_numeric_extracts_final_number():
@@ -9,6 +11,7 @@ def test_numeric_extracts_final_number():
     assert ev.normalize("3 + 4 = 7, so the answer is 7") == "7.0"
     assert ev.normalize("first 5 then 12.5") == "12.5"
     assert ev.normalize("no digits at all") is None
+    assert ev.normalize("#### -0") == ev.normalize("-0.0") == ev.normalize("0") == "0.0"  # one zero
 
 
 def test_numeric_honors_answer_marker():
@@ -24,6 +27,16 @@ def test_numeric_grade():
     assert ev.grade("the result is 42.0", task) is True
     assert ev.grade("the result is 41", task) is False
     assert ev.grade("nothing numeric", task) is False
+    assert ev.grade("#### -0", TaskSpec("t", "two minus two", answer="0")) is True
+    assert ev.grade("the result is 0", TaskSpec("t", "two minus two", answer="-0")) is True
+
+
+def test_star_counts_negative_zero_and_zero_as_one_answer():
+    backends, _ = registry(star_rules(["I get 3", "#### -0", "it is 0"]))
+    task = TaskSpec("t", "What is 2 minus 2?", answer="0")
+    trace = execute(task, nano_pool(3), Topology.STAR, 10_000.0, backends, NumericEvaluator())
+    assert trace.final_answer == "#### -0"  # two votes for zero outweigh the first seat's 3
+    assert trace.success is True
 
 
 def test_numeric_ungraded_without_answer():

@@ -164,17 +164,15 @@ def test_trace_bytes_are_unchanged(case):
 
 def test_collect_rows_are_unchanged(tmp_path):
     tasks = [TASK, TaskSpec("t2", "Add 19 and 23.", answer="42")]
-    collected = dataset.collect(
-        tasks, [400.0], {400.0: POOL}, backends(), EVAL, header={"catalog_hash": "abc", "seed": 3}
-    )
+    collected = dataset.collect(tasks, [400.0], {400.0: POOL}, backends(), EVAL)
     path = tmp_path / "dataset.jsonl"
-    dataset.save(collected, path)
+    dataset.save(collected, path, {"catalog_hash": "abc", "seed": 3})
     assert path.read_bytes() == GOLDEN_DATASET.encode()
 
 
 def test_collect_records_a_raising_normalize_and_carries_on():
     collected = dataset.collect([TASK], [10_000.0], {10_000.0: POOL}, backends(), RaisingNormalizer())
-    rows = {row.topology: row for row in collected.experiences}  # one task, one budget
+    rows = {row.topology: row for row in collected}  # one task, one budget
     assert sorted(rows) == [int(t) for t in Topology]
     assert rows[Topology.STAR].actual_cost == 228.49000000000004  # its three calls stay billed
     # Grading normalizes too, so every topology's row is an evaluator failure.

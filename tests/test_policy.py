@@ -21,7 +21,7 @@ from budgetagents.policy import (
     select_topology,
     train,
 )
-from budgetagents.dataset import Experience, ExperienceDataset
+from budgetagents.dataset import Experience
 from budgetagents.profile import TaskSpec
 from budgetagents.reward import RewardConfig, compute_reward
 from synth import dominant_topology_dataset, finite_difference_check, random_batch, seeded_ticket_texts
@@ -229,7 +229,7 @@ def one_task_dataset(rewards_by_topology):
                 actual_cost=100.0,
             )
         )
-    return ExperienceDataset(experiences=tuple(experiences))
+    return tuple(experiences)
 
 
 def test_evaluate_uniform_policy():
@@ -249,21 +249,21 @@ def test_evaluate_degenerate_policy():
 
 def test_evaluate_order_invariant():
     dataset = one_task_dataset([1.0, -1.0, -1.0, -1.0])
-    reordered = ExperienceDataset(experiences=tuple(reversed(dataset.experiences)))
+    reordered = tuple(reversed(dataset))
     params = init_params(seed=2, budget_ref=100.0)
     assert evaluate(params, dataset) == evaluate(params, reordered)
 
 
 def test_evaluate_rejects_missing_topology():
     dataset = one_task_dataset([1.0, -1.0, -1.0, -1.0])
-    incomplete = ExperienceDataset(experiences=dataset.experiences[:3])
+    incomplete = dataset[:3]
     with pytest.raises(ValueError, match="planner"):
         evaluate(init_params(seed=2), incomplete)
 
 
 def test_train_and_evaluate_reject_a_repeated_experience():
     dataset = one_task_dataset([1.0, -1.0, -1.0, -1.0])
-    repeated = ExperienceDataset(experiences=dataset.experiences + dataset.experiences[1:2])
+    repeated = dataset + dataset[1:2]
     message = r"^duplicate experience for \(task='t0', budget=100, topology=1\)$"
     with pytest.raises(ValueError, match=message):
         train(repeated, TrainerConfig(epochs=1))
@@ -275,7 +275,7 @@ def test_train_and_evaluate_reject_a_repeated_experience():
 
 
 def greedy_accuracy(params, dataset, dominant, budget):
-    texts = sorted({e.task_text for e in dataset.experiences})
+    texts = sorted({e.task_text for e in dataset})
     picks = select_topology(params, [TaskSpec(f"t{i}", text) for i, text in enumerate(texts)], budget)
     return picks.count(dominant) / len(texts)
 
@@ -287,7 +287,7 @@ def test_train_learns_dominant_topology():
     acc = greedy_accuracy(result.params, dataset, dominant=1, budget=500.0)
     assert acc > 0.9
     # dominant probability itself is high on a sample task
-    text = dataset.experiences[0].task_text
+    text = dataset[0].task_text
     probs = probs_for(result.params, [text], 500.0)[0]
     assert probs[1] > 0.9
 
@@ -296,7 +296,7 @@ def test_train_large_entropy_flattens_policy():
     dataset = dominant_topology_dataset(n_tasks=60, dominant=1)
     config = TrainerConfig(learning_rate=0.0015, entropy_coeff=10.0, batch_size=64, epochs=10, seed=0)
     result = train(dataset, config)
-    text = dataset.experiences[0].task_text
+    text = dataset[0].task_text
     probs = probs_for(result.params, [text], 500.0)[0]
     entropy = float(-(probs * np.log(probs)).sum())
     assert entropy > 1.2
@@ -313,7 +313,7 @@ def test_train_deterministic_given_seed():
 
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
-        train(ExperienceDataset(experiences=()), TrainerConfig())
+        train((), TrainerConfig())
 
 
 @pytest.mark.parametrize(
@@ -332,9 +332,9 @@ def test_trainer_config_rejects_non_finite_and_out_of_range(field, value):
 def test_budget_ref_is_the_largest_budget(order):
     rows = [
         exp for budget in (300.0, 500.0, 800.0)
-        for exp in dominant_topology_dataset(n_tasks=3, budget=budget).experiences
+        for exp in dominant_topology_dataset(n_tasks=3, budget=budget)
     ]
-    result = train(ExperienceDataset(experiences=order(rows)), TrainerConfig(epochs=1))
+    result = train(order(rows), TrainerConfig(epochs=1))
     assert result.params.budget_ref == 800.0
 
 
@@ -356,7 +356,7 @@ def two_budget_dataset(n_tasks=20):
     low = dominant_topology_dataset(n_tasks=n_tasks, dominant=1, budget=500.0)
     high = dominant_topology_dataset(n_tasks=n_tasks, dominant=2, budget=800.0, other_cost=900.0)
     # Reversed so the sorted group order differs from the experience order.
-    return ExperienceDataset(experiences=tuple(reversed(low.experiences + high.experiences)))
+    return tuple(reversed(low + high))
 
 
 def scored_epochs(monkeypatch):
@@ -400,7 +400,7 @@ def test_train_embeds_each_text_and_rewards_each_experience_once(monkeypatch):
     monkeypatch.setattr(policy, "embed", counting_embed)
     monkeypatch.setattr(policy, "compute_reward", counting_reward)
     train(dataset, TrainerConfig(learning_rate=0.0015, batch_size=32, epochs=3, seed=1))
-    assert batches == [list(dict.fromkeys(e.task_text for e in dataset.experiences))]  # one batch, each text once
+    assert batches == [list(dict.fromkeys(e.task_text for e in dataset))]  # one batch, each text once
     assert sum(rewards.values()) == len(dataset)
 
 
@@ -409,7 +409,7 @@ def test_training_tensors_hold_one_row_per_text():
     _, (emb, text_row, *_), _ = policy._dataset_rows(dataset, RewardConfig(), 800.0)
     assert emb.shape == (7, 384)
     assert text_row.dtype == np.int64 and text_row.shape == (len(dataset),)
-    for row, exp in zip(text_row, dataset.experiences):
+    for row, exp in zip(text_row, dataset):
         assert emb[row].tobytes() == embed([exp.task_text])[0].tobytes()
 
 
@@ -417,11 +417,11 @@ def test_train_peak_memory_scales_with_distinct_texts():
     # 12 rows per text (3 budgets x 4 topologies): one embedding row per
     # experience would take dense_bytes on its own.
     budgets = (300.0, 500.0, 800.0)
-    dataset = ExperienceDataset(experiences=tuple(
-        exp for budget in budgets for exp in dominant_topology_dataset(n_tasks=1000, budget=budget).experiences
-    ))
+    dataset = tuple(
+        exp for budget in budgets for exp in dominant_topology_dataset(n_tasks=1000, budget=budget)
+    )
     dense_bytes = len(dataset) * 384 * 8
-    embed(sorted({exp.task_text for exp in dataset.experiences}))  # fill the token cache outside the traced window
+    embed(sorted({exp.task_text for exp in dataset}))  # fill the token cache outside the traced window
     tracemalloc.start()
     try:
         train(dataset, TrainerConfig(learning_rate=0.0015, batch_size=256, epochs=1, seed=3))
@@ -434,7 +434,7 @@ def test_train_peak_memory_scales_with_distinct_texts():
 def test_gathered_batch_loss_matches_dense_rows():
     dataset = two_budget_dataset(n_tasks=9)
     _, (emb, text_row, bud, actions, rewards), _ = policy._dataset_rows(dataset, RewardConfig(), 800.0)
-    dense = np.stack([embed([exp.task_text])[0] for exp in dataset.experiences])
+    dense = np.stack([embed([exp.task_text])[0] for exp in dataset])
     params = init_params(seed=8, budget_ref=800.0)
     idx = np.random.default_rng(8).permutation(len(dataset))[:40]
     gathered_value, gathered_grads = loss(params, emb[text_row[idx]], bud[idx], actions[idx], rewards[idx], 0.01)
@@ -446,7 +446,7 @@ def test_gathered_batch_loss_matches_dense_rows():
 
 def test_dominant_probability_rises_monotonically_without_entropy(monkeypatch):
     dataset = dominant_topology_dataset(n_tasks=40, dominant=2)
-    texts = sorted({e.task_text for e in dataset.experiences})
+    texts = sorted({e.task_text for e in dataset})
     scored = scored_epochs(monkeypatch)
     for seed in range(5):
         scored.clear()
