@@ -114,9 +114,9 @@ class ScriptRule:
     def __post_init__(self) -> None:
         validate(self)
 
-    def render_text(self, occurrence: int) -> str:
-        if self.text is not None:
-            return self.text
+    def filler_text(self, occurrence: int) -> str:
+        """The response of a rule without fixed `text`: words drawn from its
+        seed and the call's occurrence."""
         rng = random.Random((self.seed or 0) * 1000003 + occurrence)
         n_words = max(1, min(self.completion_tokens, 40))
         return " ".join(rng.choice(_FILLER_WORDS) for _ in range(n_words))
@@ -149,11 +149,11 @@ class ScriptedBackend:
         role, occurrence = request.role, request.occurrence
         for rule in self.rules:
             if (rule.role == role or rule.role == "*") and (rule.step is None or rule.step == occurrence):
-                prompt = rule.prompt_tokens
+                text, prompt, completion = rule.text, rule.prompt_tokens, rule.completion_tokens
                 return CallResponse(
-                    rule.render_text(occurrence),
+                    rule.filler_text(occurrence) if text is None else text,
                     self.default_prompt_tokens if prompt is None else prompt,
-                    min(rule.completion_tokens, request.max_tokens),
+                    completion if completion < request.max_tokens else request.max_tokens,
                 )
         raise ScriptError(f"script exhausted: no rule for role={role!r} occurrence={occurrence}")
 

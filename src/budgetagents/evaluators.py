@@ -13,7 +13,17 @@ from typing import Protocol
 
 from .profile import TaskSpec
 
-_NUMBER_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
+# A number: digits that may hold commas and a decimal part, or a decimal part
+# alone (".5"); either may be negative and take an exponent. A decimal part
+# alone is one only where no digit or dot comes before its dot, so "1.2.3"
+# reads 3, not .3. A match with commas is resolved in `normalize`: thousands
+# groups of three, or else a list whose last item counts. Each branch starts
+# with a fixed character, which lets the scan skip to the next candidate; a
+# leading optional sign or lookbehind would not.
+_DIGITS = r"\d[\d,]*(?:\.\d+)?"
+_FRACTION = r"\.(?<![\d.]\.)\d+"
+_NUMBER_RE = re.compile(rf"(?:{_DIGITS}|-{_DIGITS}|{_FRACTION}|-{_FRACTION})(?:[eE][-+]?\d+)?")
+_GROUPED_RE = re.compile(r"-?\d{1,3}(?:,\d{3})+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 class Evaluator(Protocol):
@@ -30,12 +40,16 @@ class NumericEvaluator:
     name = "numeric"
 
     def normalize(self, text: str) -> str | None:
-        if "####" in text:
-            text = text.rsplit("####", 1)[1]
-        matches = _NUMBER_RE.findall(text)
+        tail = text.rpartition("####")[2].strip()  # after the last marker, if any
+        if tail.isdecimal():  # a bare number, the common graded form: the scan would match all of it
+            return repr(float(tail) + 0.0)
+        matches = _NUMBER_RE.findall(tail)
         if not matches:
             return None
-        value = matches[-1].replace(",", "")
+        value = matches[-1]
+        if "," in value:
+            value = value.rstrip(",")
+            value = value.replace(",", "") if _GROUPED_RE.fullmatch(value) else value.rpartition(",")[2]
         try:
             return repr(float(value) + 0.0)  # + 0.0 folds -0.0 into 0.0
         except ValueError:

@@ -29,16 +29,18 @@ class Topology(IntEnum):
     """Each topology's one declaration: its index (the dataset's column), its
     name (`label`, as traces and `--topology` spell it), the fewest agents it
     can staff, and the seats they fill when they are more than executors.
-    `execute` runs its flow, `_Runner.run_<label>`."""
+    `execute` runs its flow, `_Runner.run_<label>`, whose name is `flow`."""
 
     label: str
     min_agents: int
     seats: str | None
+    flow: str
 
     def __new__(cls, index: int, label: str, min_agents: int, seats: str | None = None) -> Topology:
         member = int.__new__(cls, index)
         member._value_ = index
         member.label, member.min_agents, member.seats = label, min_agents, seats
+        member.flow = f"run_{label}"  # named once, not by every run
         return member
 
     LINEAR = 0, "linear", 2
@@ -193,7 +195,7 @@ class _Runner:
         self.planned_t_in = planned_t_in
         # The run's ledger: `cumulative_cost` is its running total, and
         # `final_answer` the last executor's output, or star's vote.
-        self.trace = RunTrace(task_id=task.id, topology=topology.label, budget=budget)
+        self.trace = RunTrace(task.id, topology.label, budget)
         self.occurrences: dict[str, int] = {}  # calls made so far, per role
 
     def call(self, instance: AgentInstance, role: str, system: str, user: str) -> str:
@@ -203,7 +205,7 @@ class _Runner:
             if trace.cumulative_cost + worst > trace.budget + self.limits.precall_slack:
                 raise _Halt(PRECALL_GUARD, f"budget guard: skipped {role} call on {instance.label}")
         occurrence = self.occurrences[role] = self.occurrences.get(role, 0) + 1
-        request = CallRequest(model.name, system, user, limit, role=role, occurrence=occurrence)
+        request = CallRequest(model.name, system, user, limit, role, occurrence)
         backend = self.backends[model.backend_id]
         try:
             # Backends own the retry policy: HttpBackend retries a retryable failure once.
@@ -369,19 +371,13 @@ def execute(
     """
     check_runnable(pool, topology, budget)
     runner = _Runner(
-        task=task,
-        pool=pool,
-        topology=topology,
-        budget=budget,
-        backends=backends,
-        evaluator=evaluator,
-        limits=limits,
-        max_tokens={**DEFAULT_MAX_TOKENS, **max_tokens} if max_tokens else DEFAULT_MAX_TOKENS,
-        planned_t_in=planned_t_in,
+        task, pool, topology, budget, backends, evaluator, limits,
+        {**DEFAULT_MAX_TOKENS, **max_tokens} if max_tokens else DEFAULT_MAX_TOKENS,
+        planned_t_in,
     )
     trace = runner.trace
     try:
-        getattr(runner, f"run_{topology.label}")()
+        getattr(runner, topology.flow)()
     except _Halt as stop:
         trace.halt, trace.detail = stop.args
     trace.oob = trace.cumulative_cost > budget

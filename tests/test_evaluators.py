@@ -14,6 +14,25 @@ def test_numeric_extracts_final_number():
     assert ev.normalize("#### -0") == ev.normalize("-0.0") == ev.normalize("0") == "0.0"  # one zero
 
 
+@pytest.mark.parametrize("text, expected", [
+    (".5", "0.5"),  # a leading dot
+    ("#### -.25", "-0.25"),
+    ("1e3", "1000.0"),  # an exponent
+    ("2.5e-3", "0.0025"),
+    ("the values are 1,2,3", "3.0"),  # commas not in groups of three separate a list
+    ("1,000", "1000.0"),  # thousands groups
+    ("#### 1,234.5", "1234.5"),
+    ("12,345,678.9", "12345678.9"),
+    ("total 12.", "12.0"),  # a full stop is not a decimal point
+    ("-0", "0.0"),
+    ("Adding 34 and 122. #### 156", "156.0"),
+    ("12.05.2024", "2024.0"),  # a dot after a number's decimal part starts no fraction
+    ("1.2.3", "3.0"),
+])
+def test_numeric_reads_number_forms(text, expected):
+    assert NumericEvaluator().normalize(text) == expected
+
+
 def test_numeric_honors_answer_marker():
     ev = NumericEvaluator()
     assert ev.normalize("We add 40 and 2.\n#### 42") == "42.0"

@@ -7,14 +7,17 @@ replaced `terminated_early` and `note`, and differ from the first capture in
 those keys alone; the dataset bytes never changed. `star_over_budget` was
 captured from the code before star's vote moved into its flow, and
 `star_normalize_failure` from the code that first typed a raising
-`normalize` as an evaluator failure. A trace's JSON and a dataset's saved
-rows must keep these exact bytes.
+`normalize` as an evaluator failure. `billed_failure` (a failed call whose
+usage the provider billed) and `wildcard_rule` (one `role: "*"` rule serving
+every role) were captured from the code before a successful call's charge
+moved into `_Runner.call`. A trace's JSON and a dataset's saved rows must
+keep these exact bytes.
 """
 
 import pytest
 
 from budgetagents import dataset
-from budgetagents.backend import ScriptedBackend, ScriptRule
+from budgetagents.backend import ProtocolError, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelSpec
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
@@ -42,6 +45,16 @@ RULES = [
 def backends(rules=RULES):
     backend = ScriptedBackend(rules, default_prompt_tokens=437)
     return {"openai": backend, "deepseek": backend}
+
+
+class BilledFailureBackend(ScriptedBackend):
+    """Scripted, except that the second executor call fails after the
+    provider billed it."""
+
+    def invoke(self, request):
+        if request.role == "executor" and request.occurrence == 2:
+            raise ProtocolError("response had no message content", usage=(437, 5))
+        return super().invoke(request)
 
 
 class ExplodingEvaluator:
@@ -99,6 +112,17 @@ RUNS = {
     ),
     # The last executor answers with the seeded filler text.
     "seeded_text": lambda: execute(TASK, POOL[:2], Topology.LINEAR, 10_000.0, backends(), EVAL),
+    # The second call fails but is billed (437 + 5 tokens): it is charged, and
+    # the run halts ungraded with the first call's answer.
+    "billed_failure": lambda: execute(
+        TASK, POOL, Topology.LINEAR, 10_000.0,
+        dict.fromkeys(("openai", "deepseek"), BilledFailureBackend(RULES, default_prompt_tokens=437)), EVAL,
+    ),
+    # One rule for every role: both executors and the critic, which accepts.
+    "wildcard_rule": lambda: execute(
+        TASK, POOL, Topology.FEEDBACK, 10_000.0,
+        backends([ScriptRule(role="*", text="ACCEPT, the answer is 42", completion_tokens=11)]), EVAL,
+    ),
 }
 
 GOLDEN_TRACES = {
@@ -137,6 +161,12 @@ GOLDEN_TRACES = {
     ),
     "seeded_text": (
         '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 9, "cost": 47.300000000000004}], "cumulative_cost": 179.59000000000003, "final_answer": "golf juliet bravo echo golf charlie kilo india hotel", "success": false, "oob": false, "halt": null, "detail": null}'
+    ),
+    "billed_failure": (
+        '{"task_id": "t1", "topology": "linear", "budget": 10000.0, "calls": [{"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "executor", "t_in": 437, "t_out": 13, "cost": 132.29000000000002}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 5, "cost": 45.7}], "cumulative_cost": 177.99, "final_answer": "the answer is 42", "success": false, "oob": false, "halt": "backend_failure", "detail": "backend failure (executor on gpt-4.1-nano#1): response had no message content"}'
+    ),
+    "wildcard_rule": (
+        '{"task_id": "t1", "topology": "feedback", "budget": 10000.0, "calls": [{"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#1", "role": "executor", "t_in": 437, "t_out": 11, "cost": 48.1}, {"model": "gpt-4.1-nano", "instance": "gpt-4.1-nano#2", "role": "executor", "t_in": 437, "t_out": 11, "cost": 48.1}, {"model": "deepseek-v3", "instance": "deepseek-v3#1", "role": "critic", "t_in": 437, "t_out": 11, "cost": 130.09}], "cumulative_cost": 226.29000000000002, "final_answer": "ACCEPT, the answer is 42", "success": true, "oob": false, "halt": null, "detail": null}'
     ),
 }
 

@@ -5,13 +5,16 @@ ACCEPT or REJECT verdicts and plans of 0 to 5 steps), calls that fail with or
 without a billed usage, a pool of 2 to 6 agents over a small catalog,
 ExecutionLimits with and without a pre-call slack, per-role token caps and a
 budget. Every topology the pool can staff then runs, and its trace must keep
-the ledger's invariants.
+the ledger's invariants. A second test runs each topology with no budget in
+reach and no failing call, and checks the number of calls its flow makes.
 """
+
+import re
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from budgetagents.backend import ProtocolError, ScriptedBackend, ScriptRule
+from budgetagents.backend import CallRequest, ProtocolError, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelSpec, estimate_cost
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, ROLES, TaskSpec
@@ -21,6 +24,7 @@ from budgetagents.topology import (
     EVALUATOR_FAILURE,
     AgentInstance,
     ExecutionLimits,
+    Topology,
     execute,
     staffable_topologies,
 )
@@ -120,3 +124,39 @@ def test_every_topology_keeps_the_ledger(case):
             assert trace.halt in (BUDGET_EXCEEDED, BACKEND_FAILURE, EVALUATOR_FAILURE)
         if trace.halt == BUDGET_EXCEEDED:
             assert trace.oob
+
+
+def plan_steps(backend, occurrence):
+    """The numbered lines of the plan the scripted backend returns for the
+    run's `occurrence`-th planner call."""
+    text = backend.invoke(CallRequest("strong", "", "", 1, role=ROLE_PLANNER, occurrence=occurrence)).text
+    return sum(1 for line in text.splitlines() if re.match(r"\s*\d+[.)]\s*\S", line))
+
+
+@given(
+    rules=st.tuples(*(role_rules(role) for role in ROLES)).map(lambda per_role: [r for rules in per_role for r in rules]),
+    models=st.lists(st.sampled_from(CATALOG), min_size=2, max_size=6),
+    limits=st.builds(ExecutionLimits, max_feedback_rounds=st.integers(0, 3), max_replans=st.integers(0, 2)),
+)
+def test_each_topology_makes_its_call_count(rules, models, limits):
+    models = sorted(models, key=lambda m: m.tier)
+    pool = [AgentInstance(model, f"{model.name}#{k}") for k, model in enumerate(models, start=1)]
+    backend = ScriptedBackend(rules, default_prompt_tokens=300)
+    n, rounds = len(pool), limits.max_feedback_rounds
+    for topology in staffable_topologies(pool):
+        trace = execute(TASK, pool, topology, 1e12, {"scripted": backend}, NumericEvaluator(), limits)
+        assert trace.halt is None  # no budget in reach and no failing call: the flow ran to its end
+        calls = len(trace.calls)
+        if topology in (Topology.LINEAR, Topology.STAR):
+            assert calls == n
+        elif topology == Topology.FEEDBACK and rounds == 0:
+            assert calls == n - 1  # the relay alone
+        elif topology == Topology.FEEDBACK:
+            assert n <= calls <= n + 2 * rounds - 2
+        else:
+            # Each attempt makes a plan call, then, if the plan has steps, a
+            # call per step and a critic call.
+            attempts = [c.role for c in trace.calls].count(ROLE_PLANNER)
+            assert 1 <= attempts <= limits.max_replans + 1
+            per_attempt = [plan_steps(backend, k) for k in range(1, attempts + 1)]
+            assert calls == sum(steps + 2 if steps else 1 for steps in per_attempt)

@@ -3,10 +3,13 @@
 numpy serves only the policy (`train`, and `run` without `--topology`);
 HTTP and TLS serve only real backends; a thread pool only `collect --jobs N`;
 nothing needs `fractions`, or the `decimal` it imports.
-Each test starts a fresh interpreter, since this process has loaded them all.
+Each of those tests starts a fresh interpreter, since this process has loaded
+them all. The last test pins what each module imports as it loads.
 """
 
+import ast
 import json
+from pathlib import Path
 
 from test_cli import CATALOG, PROFILE, python_with_src
 
@@ -48,3 +51,58 @@ def test_commands_without_the_policy_load_no_heavy_module(tmp_path):
     codes, loaded = result.stdout.splitlines()[-2:]
     assert json.loads(codes) == [0, 0, 0, 0]
     assert json.loads(loaded) == []
+
+
+# What each program module imports at module level, as its import statements
+# name it; an import inside a function, or under `if TYPE_CHECKING:`, is not
+# run at start-up and is not listed. A new entry here is a new cost at every
+# start-up: say why it is needed.
+MODULE_IMPORTS = {
+    "__init__": set(),
+    "backend": {".profile", ".schema", "__future__", "dataclasses", "json", "random", "threading", "time",
+                "typing", "urllib.parse"},
+    "catalog": {".schema", "__future__", "dataclasses", "hashlib", "json", "pathlib"},
+    "cli": {".", ".catalog", ".evaluators", ".profile", ".reward", ".schema", ".topology", "__future__",
+            "argparse", "contextlib", "dataclasses", "functools", "json", "os", "pathlib", "sys"},
+    "dataset": {".backend", ".catalog", ".evaluators", ".profile", ".reward", ".schema", ".topology",
+                "__future__", "dataclasses", "json", "pathlib", "typing"},
+    "embedder": {"__future__", "functools", "hashlib", "numpy", "re", "typing"},
+    "evaluators": {".profile", "__future__", "re", "typing"},
+    "policy": {".dataset", ".embedder", ".profile", ".reward", ".schema", ".topology", "__future__", "base64",
+               "copy", "dataclasses", "json", "math", "numpy", "pathlib", "typing"},
+    "profile": {".catalog", ".schema", "__future__", "dataclasses", "pathlib"},
+    "provision": {".schema", "__future__", "dataclasses"},
+    "reward": {".schema", "__future__", "dataclasses", "math"},
+    "schema": {"__future__", "dataclasses", "json", "math", "pathlib", "reprlib"},
+    "topology": {".backend", ".catalog", ".evaluators", ".profile", ".reward", ".schema", "__future__",
+                 "dataclasses", "enum", "json", "re", "typing"},
+}
+SRC = Path(__file__).resolve().parent.parent / "src" / "budgetagents"
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    found = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # runs when called, not when the module loads
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found.add("." * node.level + (node.module or ""))
+            visit(ast.iter_child_nodes(node))
+
+    visit(tree.body)
+    return found
+
+
+def test_each_module_imports_only_its_pinned_modules_at_load():
+    found = {
+        path.stem: module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert found == MODULE_IMPORTS
