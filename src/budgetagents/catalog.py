@@ -17,9 +17,6 @@ from .schema import (
     INT, NUMBER, STRING, check, each, non_negative, obj, positive, read_json, spec, table, unique, validate,
 )
 
-DEFAULT_INPUT_TOKENS = 500
-DEFAULT_OUTPUT_TOKENS = 500
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -85,7 +82,7 @@ class ModelCatalog:
         tier from 1 to num_tiers empty."""
         return [m for m in self.models if m.tier == tier]
 
-    def tier_costs(self, t_in: int = DEFAULT_INPUT_TOKENS, t_out: int = DEFAULT_OUTPUT_TOKENS) -> list[float]:
+    def tier_costs(self, t_in: int, t_out: int) -> list[float]:
         """Per-tier unit costs, strongest tier first; a tier costs as much as
         its most expensive member."""
         return [

@@ -107,36 +107,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _build_backends(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
-    """Returns (backends, close): the one registry every run shares, by
-    backend_id, and a close that ends HTTP backends' kept-alive connections."""
-    if config.mock:
-        script = profile.mock_script
-        if script is None:
-            raise ConfigError("mock mode requires a 'mock_script' section in the task profile")
-        mock = backend.ScriptedBackend.from_config(script)
-        covered = {rule.role for rule in mock.rules}
-        missing = [] if "*" in covered else [role for role in ROLES if role not in covered]
-        if missing:
-            raise ConfigError(f"mock_script has no rule for role(s): {', '.join(missing)}")
-        return {m.backend_id: mock for m in catalog.models}, lambda: None
-
-    endpoints = {}
-    for model in catalog.models:
-        if model.backend_id in endpoints:
-            continue
-        where = f"backends.{model.backend_id}"
-        entry = check(catalog.backends.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
-        api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
-        endpoints[model.backend_id] = backend.HttpBackend(api_key=api_key, **entry)
-
-    def close():
-        for endpoint in endpoints.values():
-            endpoint.close()
-
-    return endpoints, close
-
-
 def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, ModelCatalog, TaskProfile]:
     """The config, catalog and profile of a command that serves budgets:
     `provision`, `collect` and `run`."""
@@ -154,20 +124,47 @@ def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, ModelCatalog, Tas
 
 
 @contextmanager
-def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile):
-    """The keyword arguments every run takes, `dataset.collect`'s and
-    `topology.execute`'s alike; the backends close as the block ends."""
-    backends, close_backends = _build_backends(config, catalog, profile)
+def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, tasks: list[TaskSpec]):
+    """The keyword arguments every run of `tasks` takes, `dataset.collect`'s
+    and `topology.execute`'s alike, among them the one backend registry every
+    run shares, by backend_id. A task whose expected answer the evaluator
+    cannot read is refused before any call; HTTP backends' kept-alive
+    connections close as the block ends."""
+    evaluator = get_evaluator(profile.evaluator)
+    for task in tasks:
+        if task.answer is not None and evaluator.normalize(task.answer) is None:
+            raise ConfigError(f"task {task.id!r}: the {evaluator.name} evaluator cannot read answer {task.answer!r}")
+    if config.mock:
+        script = profile.mock_script
+        if script is None:
+            raise ConfigError("mock mode requires a 'mock_script' section in the task profile")
+        mock = backend.ScriptedBackend.from_config(script)
+        covered = {rule.role for rule in mock.rules}
+        missing = [] if "*" in covered else [role for role in ROLES if role not in covered]
+        if missing:
+            raise ConfigError(f"mock_script has no rule for role(s): {', '.join(missing)}")
+        backends = {m.backend_id: mock for m in catalog.models}
+    else:
+        backends = {}
+        for model in catalog.models:
+            if model.backend_id in backends:
+                continue
+            where = f"backends.{model.backend_id}"
+            entry = check(catalog.backends.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
+            api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
+            backends[model.backend_id] = backend.HttpBackend(api_key=api_key, **entry)
     try:
         yield {
             "backends": backends,
-            "evaluator": get_evaluator(profile.evaluator),
+            "evaluator": evaluator,
             "limits": config.limits,
             "max_tokens": profile.max_tokens,
             "planned_t_in": profile.t_in,
         }
     finally:
-        close_backends()
+        if not config.mock:
+            for endpoint in backends.values():
+                endpoint.close()
 
 
 def _budget_label(budget: float) -> str:
@@ -226,8 +223,9 @@ def cmd_provision(args: argparse.Namespace) -> int:
 def cmd_collect(args: argparse.Namespace) -> int:
     config, catalog, profile = _load_inputs(args)
     pools = {budget: _pool(config, catalog, profile, budget) for budget in config.budgets}
-    with _run_settings(config, catalog, profile) as settings:
-        rows = dataset.collect(list(profile.tasks), config.budgets, pools, jobs=config.jobs, **settings)
+    tasks = list(profile.tasks)
+    with _run_settings(config, catalog, profile, tasks) as settings:
+        rows = dataset.collect(tasks, config.budgets, pools, jobs=config.jobs, **settings)
     out_path = Path(config.out_dir) / "dataset.jsonl"
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     dataset.save(rows, out_path, {"catalog_hash": catalog.content_hash(), "seed": config.seed})
@@ -305,7 +303,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         topologies = [override] * len(tasks)
     traces = []
-    with _run_settings(config, catalog, profile) as settings:
+    with _run_settings(config, catalog, profile, tasks) as settings:
         for task, topo in zip(tasks, topologies):
             trace = topology.execute(task, pool, topo, budget, **settings)
             traces.append(trace)
@@ -331,11 +329,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     n = len(traces)
     if not n:
         print("warning: no traces found", file=sys.stderr)
-    per = n or 1  # an empty file's means are 0
-    successes = sum(1 for t in traces if t.get("success"))
-    avg_cost = sum(t["cumulative_cost"] for t in traces) / per
+    # Accuracy is over the graded runs, those whose `success` is not null.
+    graded = [t["success"] for t in traces if t.get("success") is not None]
+    acc = f"{100.0 * sum(graded) / len(graded):.1f}%" if graded else "n/a"
+    avg_cost = sum(t["cumulative_cost"] for t in traces) / (n or 1)  # an empty file's mean is 0
     oob = sum(1 for t in traces if t["oob"])
-    print(f"Acc {100.0 * successes / per:.1f}%  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
+    print(f"Acc {acc}  Avg Cost {avg_cost:g}  OOB {oob}/{n}")
     counts = {name: 0 for name in topology.TOPOLOGY_NAMES}
     halts = {reason: 0 for reason in topology.HALT_REASONS}
     for t in traces:

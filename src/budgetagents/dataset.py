@@ -20,20 +20,11 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend
-from .catalog import DEFAULT_INPUT_TOKENS
 from .evaluators import Evaluator
 from .profile import TaskSpec
 from .reward import BUDGET, check_budget
 from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, read_jsonl, spec, table
-from .topology import (
-    BACKEND_FAILURE,
-    EVALUATOR_FAILURE,
-    AgentInstance,
-    ExecutionLimits,
-    Topology,
-    check_runnable,
-    execute,
-)
+from .topology import BACKEND_FAILURE, EVALUATOR_FAILURE, AgentInstance, Topology, check_runnable, execute
 
 FORMAT_VERSION = 1
 # One encoder for every line: json.dumps would build a new one per row.
@@ -69,13 +60,12 @@ def collect(
     backends: Mapping[str, Backend],
     evaluator: Evaluator,
     *,
-    limits: ExecutionLimits = ExecutionLimits(),
-    max_tokens: Mapping[str, int] | None = None,
-    planned_t_in: int = DEFAULT_INPUT_TOKENS,
     jobs: int = 1,
+    **settings,
 ) -> tuple[Experience, ...]:
     """Execute all topologies for every (task, budget) pair; one row per run,
-    task-major, then budget, then topology.
+    task-major, then budget, then topology. `settings` are the rest of
+    `execute`'s keyword arguments, passed to every run.
 
     A budget that is not a finite number > 0 is a ValueError before any run.
     A run that cannot start (a pool too small for the topology) and a run
@@ -85,12 +75,7 @@ def collect(
     """
     for budget in budgets:
         check_budget(budget)
-    combos = [
-        (task, budget, topo)
-        for task in tasks
-        for budget in budgets
-        for topo in Topology
-    ]
+    combos = [(task, budget, topo) for task in tasks for budget in budgets for topo in Topology]
 
     def run_one(combo: tuple[TaskSpec, float, Topology]) -> Experience:
         task, budget, topo = combo
@@ -99,17 +84,7 @@ def collect(
             check_runnable(pool, topo, budget)
         except ValueError as exc:
             return Experience(task.id, task.text, budget, int(topo), False, 0.0, str(exc))
-        trace = execute(
-            task,
-            pool,
-            topo,
-            budget,
-            backends,
-            evaluator,
-            limits=limits,
-            max_tokens=max_tokens,
-            planned_t_in=planned_t_in,
-        )
+        trace = execute(task, pool, topo, budget, backends, evaluator, **settings)
         error = trace.detail if trace.halt in (BACKEND_FAILURE, EVALUATOR_FAILURE) else None
         success, cost = bool(trace.success), trace.cumulative_cost
         return Experience(task.id, task.text, budget, int(topo), success, cost, error)

@@ -10,12 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import DEFAULT_INPUT_TOKENS, DEFAULT_OUTPUT_TOKENS
 from .schema import ANY, INT, STRING, check, each, non_negative, nullable, obj, positive, read_json, spec, table, unique
 
 # The roles a topology seats an agent in; a profile caps each role's output.
 ROLE_PLANNER, ROLE_EXECUTOR, ROLE_CRITIC = ROLES = ("planner", "executor", "critic")
 DEFAULT_MAX_TOKENS = dict.fromkeys(ROLES, 384)
+# A call's token estimates when the profile gives none: provisioning prices a
+# tier at (t_in, t_out), and the pre-call guard plans each prompt at t_in.
+DEFAULT_INPUT_TOKENS = 500
+DEFAULT_OUTPUT_TOKENS = 500
 
 
 # Each field is a key of a profile's task entry, checked by its spec; a file

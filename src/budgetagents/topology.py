@@ -18,9 +18,9 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .backend import Backend, BackendError, CallRequest
-from .catalog import DEFAULT_INPUT_TOKENS, ModelCatalog, ModelSpec, estimate_cost
+from .catalog import ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
-from .profile import DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, TaskSpec
+from .profile import DEFAULT_INPUT_TOKENS, DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, TaskSpec
 from .reward import check_budget
 from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table, validate
 
@@ -354,7 +354,7 @@ def execute(
     backends: Mapping[str, Backend],
     evaluator: Evaluator,
     limits: ExecutionLimits = ExecutionLimits(),
-    max_tokens: Mapping[str, int] | None = None,
+    max_tokens: Mapping[str, int] = DEFAULT_MAX_TOKENS,
     planned_t_in: int = DEFAULT_INPUT_TOKENS,
 ) -> RunTrace:
     """Run one task through one topology, adding up every call's cost.
@@ -366,15 +366,10 @@ def execute(
     cost exceeds the budget, and no call is initiated once the running total
     has crossed it. `halt` names the last reason the run stopped or went
     ungraded (HALT_REASONS); a run halted by a backend failure is not graded.
-    A role that `max_tokens` leaves out is capped at its DEFAULT_MAX_TOKENS
-    entry.
+    `max_tokens` caps each role's completion; it names every role a flow seats.
     """
     check_runnable(pool, topology, budget)
-    runner = _Runner(
-        task, pool, topology, budget, backends, evaluator, limits,
-        {**DEFAULT_MAX_TOKENS, **max_tokens} if max_tokens else DEFAULT_MAX_TOKENS,
-        planned_t_in,
-    )
+    runner = _Runner(task, pool, topology, budget, backends, evaluator, limits, max_tokens, planned_t_in)
     trace = runner.trace
     try:
         getattr(runner, topology.flow)()

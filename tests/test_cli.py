@@ -13,7 +13,7 @@ import budgetagents
 from budgetagents import dataset, policy, provision, topology
 from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
-from budgetagents.cli import ConfigError, RunConfig, _budget_label, _build_backends, build_parser, main
+from budgetagents.cli import ConfigError, RunConfig, _budget_label, _run_settings, build_parser, main
 from budgetagents.profile import TaskSpec, profile_from_dict
 from budgetagents.topology import HALT_REASONS, TOPOLOGY_NAMES, ExecutionLimits
 from synth import dominant_topology_dataset
@@ -317,6 +317,47 @@ def test_run_with_topology_override_and_adhoc_task(workdir, capsys):
     assert "  linear: 1/1" in out
 
 
+@pytest.mark.parametrize(
+    "evaluator, answer, argv",
+    [
+        ("numeric", "forty-two", ["collect"]),
+        ("literal", "   ", ["collect"]),
+        ("numeric", None, ["run", "--topology", "linear", "--task", "What is 40 plus 2?", "--answer", "forty-two"]),
+    ],
+    ids=["collect_numeric", "collect_literal", "run_adhoc"],
+)
+def test_an_answer_the_evaluator_cannot_read_is_refused_before_any_call(
+    workdir, capsys, monkeypatch, evaluator, answer, argv
+):
+    tasks = [PROFILE["tasks"][0], dict(PROFILE["tasks"][1], answer=answer)]
+    (workdir / "profile.json").write_text(json.dumps(dict(PROFILE, evaluator=evaluator, tasks=tasks)))
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "invoke", lambda self, request: calls.append(request))
+    assert run(*argv, "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    task_id, shown = ("adhoc", "forty-two") if answer is None else ("t2", answer)
+    assert captured.err == f"error: task {task_id!r}: the {evaluator} evaluator cannot read answer {shown!r}\n"
+    assert captured.out == "" and calls == []
+    assert not (workdir / "out" / "dataset.jsonl").exists() and not (workdir / "out" / "traces.jsonl").exists()
+
+
+def test_report_accuracy_is_over_graded_runs(workdir, capsys):
+    # An ad-hoc task without --answer runs ungraded: its success is null.
+    config = str(workdir / "config.json")
+    assert run("run", "--config", config, "--topology", "linear", "--task", "What is 40 plus 2?") == 0
+    traces_path = workdir / "out" / "traces.jsonl"
+    (line,) = traces_path.read_text().splitlines()
+    assert json.loads(line)["success"] is None
+    capsys.readouterr()
+    assert run("report", str(traces_path)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Acc n/a  Avg Cost 625  OOB 0/1"
+    # Graded runs beside it: one success and one failure read 50%.
+    for success in (True, False):
+        traces_path.write_text(traces_path.read_text() + json.dumps(dict(json.loads(line), success=success)) + "\n")
+    assert run("report", str(traces_path)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Acc 50.0%  Avg Cost 625  OOB 0/3"
+
+
 def test_run_answer_without_task_errors_before_any_work(workdir, capsys):
     code = run("run", "--config", str(workdir / "config.json"), "--topology", "linear", "--answer", "99")
     assert code == 1
@@ -575,7 +616,7 @@ def test_report_empty_file_warns(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.err == "warning: no traces found\n"
     lines = captured.out.splitlines()
-    assert lines[0] == "Acc 0.0%  Avg Cost 0  OOB 0/0"
+    assert lines[0] == "Acc n/a  Avg Cost 0  OOB 0/0"
     assert lines[1:] == [f"  {name}: 0/0" for name in TOPOLOGY_NAMES] + [
         f"  halt {reason}: 0/0" for reason in HALT_REASONS
     ]
@@ -816,21 +857,19 @@ def test_backends_are_built_from_the_loaded_catalog(workdir):
     catalog = ModelCatalog.load(path)
     path.write_text("{not json")  # a second parse of the file would fail
     config = RunConfig(catalog=str(path), task_profile=str(workdir / "profile.json"), budgets=[2000.0])
-    endpoints, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
-    try:
+    with _run_settings(config, catalog, profile_from_dict(PROFILE), []) as settings:
+        endpoints = settings["backends"]
         assert sorted(endpoints) == ["cheap", "strong"]
         assert all(isinstance(endpoint, HttpBackend) for endpoint in endpoints.values())
         assert (endpoints["strong"]._host, endpoints["strong"].timeout) == ("example.invalid", 60.0)
         assert (endpoints["cheap"]._host, endpoints["cheap"]._port, endpoints["cheap"].timeout) == ("localhost", 8, 5.0)
-    finally:
-        close()
 
 
 def test_mock_backends_share_one_scripted_instance(workdir):
     catalog = ModelCatalog.load(workdir / "catalog.json")
     config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
-    backends, close = _build_backends(config, catalog, profile_from_dict(PROFILE))
-    close()
+    with _run_settings(config, catalog, profile_from_dict(PROFILE), []) as settings:
+        backends = settings["backends"]
     assert sorted(backends) == ["cheap", "strong"]
     assert isinstance(backends["cheap"], ScriptedBackend)
     assert backends["cheap"] is backends["strong"]
@@ -850,7 +889,8 @@ def test_mock_script_names_each_uncovered_role_in_role_order(workdir, roles, mis
     config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
     rules = [{"role": role, "text": "42", "completion_tokens": 5} for role in roles]
     with pytest.raises(ConfigError) as info:
-        _build_backends(config, catalog, profile_from_dict(dict(PROFILE, mock_script={"rules": rules})))
+        with _run_settings(config, catalog, profile_from_dict(dict(PROFILE, mock_script={"rules": rules})), []):
+            pass
     assert str(info.value) == f"mock_script has no rule for role(s): {missing}"
 
 
@@ -858,9 +898,8 @@ def test_mock_script_wildcard_covers_every_role(workdir):
     catalog = ModelCatalog.load(workdir / "catalog.json")
     config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
     script = {"rules": [{"role": "*", "text": "42", "completion_tokens": 5}]}
-    backends, close = _build_backends(config, catalog, profile_from_dict(dict(PROFILE, mock_script=script)))
-    close()
-    assert isinstance(backends["cheap"], ScriptedBackend)
+    with _run_settings(config, catalog, profile_from_dict(dict(PROFILE, mock_script=script)), []) as settings:
+        assert isinstance(settings["backends"]["cheap"], ScriptedBackend)
 
 
 def test_usage_error_exits_1_not_the_infeasible_code(capsys):

@@ -97,7 +97,7 @@ def cases(draw):
         "backends": {"scripted": FailingBackend(rules, failures)},
         "evaluator": draw(st.sampled_from([NumericEvaluator(), NumericEvaluator(), RaisingGrade()])),
         "limits": limits,
-        "max_tokens": max_tokens,
+        "max_tokens": {**DEFAULT_MAX_TOKENS, **max_tokens},
         "planned_t_in": draw(st.integers(0, 600)),
     }
 
@@ -105,7 +105,6 @@ def cases(draw):
 @given(case=cases())
 def test_every_topology_keeps_the_ledger(case):
     budget, limits = case["budget"], case["limits"]
-    caps = {**DEFAULT_MAX_TOKENS, **case["max_tokens"]}
     for topology in staffable_topologies(case["pool"]):
         trace = execute(TASK, topology=topology, **case)
         assert execute(TASK, topology=topology, **case).to_json() == trace.to_json()
@@ -114,7 +113,7 @@ def test_every_topology_keeps_the_ledger(case):
             model = MODELS[call.model]
             assert total <= budget, "a call started after the running total crossed the budget"
             if limits.precall_slack is not None:
-                worst = estimate_cost(model, case["planned_t_in"], caps[call.role])
+                worst = estimate_cost(model, case["planned_t_in"], case["max_tokens"][call.role])
                 assert total + worst <= budget + limits.precall_slack
             assert call.cost == estimate_cost(model, call.t_in, call.t_out)
             total += call.cost

@@ -17,6 +17,11 @@ def test_defaults():
     assert profile.tasks == (TaskSpec("a", "do it", None),)
 
 
+def test_partial_max_tokens_fills_the_other_roles_from_the_default():
+    profile = profile_from_dict({"tasks": [], "max_tokens": {"executor": 50}})
+    assert profile.max_tokens == {"planner": 384, "executor": 50, "critic": 384}
+
+
 def test_t_out_from_samples():
     profile = profile_from_dict({"tasks": [], "output_token_samples": [120, 480, 333]})
     assert profile.t_out == 480

@@ -64,13 +64,13 @@ MODULE_IMPORTS = {
     "catalog": {".schema", "__future__", "dataclasses", "hashlib", "json", "pathlib"},
     "cli": {".", ".catalog", ".evaluators", ".profile", ".reward", ".schema", ".topology", "__future__",
             "argparse", "contextlib", "dataclasses", "functools", "json", "os", "pathlib", "sys"},
-    "dataset": {".backend", ".catalog", ".evaluators", ".profile", ".reward", ".schema", ".topology",
+    "dataset": {".backend", ".evaluators", ".profile", ".reward", ".schema", ".topology",
                 "__future__", "dataclasses", "json", "pathlib", "typing"},
     "embedder": {"__future__", "functools", "hashlib", "numpy", "re", "typing"},
     "evaluators": {".profile", "__future__", "re", "typing"},
     "policy": {".dataset", ".embedder", ".profile", ".reward", ".schema", ".topology", "__future__", "base64",
                "copy", "dataclasses", "json", "math", "numpy", "pathlib", "typing"},
-    "profile": {".catalog", ".schema", "__future__", "dataclasses", "pathlib"},
+    "profile": {".schema", "__future__", "dataclasses", "pathlib"},
     "provision": {".schema", "__future__", "dataclasses"},
     "reward": {".schema", "__future__", "dataclasses", "math"},
     "schema": {"__future__", "dataclasses", "json", "math", "pathlib", "reprlib"},

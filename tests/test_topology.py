@@ -7,7 +7,7 @@ from budgetagents import cli
 from budgetagents.backend import HttpBackend, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
 from budgetagents.evaluators import NumericEvaluator
-from budgetagents.profile import DEFAULT_MAX_TOKENS, TaskSpec
+from budgetagents.profile import TaskSpec
 from budgetagents.schema import check
 from budgetagents.topology import (
     AgentInstance,
@@ -411,21 +411,6 @@ def test_precall_guard_skips_when_enabled():
     assert len(trace.calls) == 0
     assert not trace.oob and trace.halt == "precall_guard"
     assert "budget guard" in trace.detail
-
-
-def test_partial_max_tokens_leaves_other_roles_at_the_default():
-    pool = [AgentInstance(DEEPSEEK, "deepseek-v3#1")] + nano_pool(2)
-    rules = [
-        ScriptRule(role="planner", text="1. multiply", completion_tokens=1000),
-        ScriptRule(role="executor", text="42", completion_tokens=1000),
-        ScriptRule(role="critic", text="ACCEPT", completion_tokens=1000),
-    ]
-    backends, backend = registry(rules)
-    for topo in (Topology.FEEDBACK, Topology.PLANNER_DRIVEN):
-        execute(TASK, pool, topo, 100_000.0, backends, EVAL, max_tokens={"executor": 50})
-    caps = {(c.role, c.max_tokens) for c in backend.calls}
-    assert caps == {("executor", 50), ("critic", 384), ("planner", 384)}
-    assert DEFAULT_MAX_TOKENS == {"planner": 384, "executor": 384, "critic": 384}  # not merged into
 
 
 def test_nonretryable_backend_failure_halts_without_retry():
