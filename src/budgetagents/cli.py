@@ -21,9 +21,9 @@ from pathlib import Path
 # provision, collect, report and `run --topology` never load numpy.
 from . import backend, dataset, provision, topology
 from .catalog import ModelCatalog
-from .evaluators import get_evaluator
+from .evaluators import expected_answer, get_evaluator
 from .profile import ROLES, TaskProfile, TaskSpec, load_profile
-from .reward import BUDGET, RewardConfig, TrainerConfig
+from .reward import BUDGET, RewardConfig, TrainerConfig, budget_label
 from .schema import (
     BOOL, INT, NUMBER, STRING, check, non_negative, nullable, obj, positive, read_json, read_jsonl, spec, table,
 )
@@ -32,10 +32,6 @@ from .topology import ExecutionLimits, Topology, topology_from_name
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
-
-
-class ConfigError(Exception):
-    pass
 
 
 _PROBLEM_FIELDS = table(provision.ProvisionProblem)
@@ -80,7 +76,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         path = Path(args.config)
         if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         data = check(read_json(path), _CONFIG_FIELDS, name=f"config file {path}")
     flags = {"--seed": args.seed, "--jobs": args.jobs, "--budget": args.budgets}
     check({flag: value for flag, value in flags.items() if value is not None}, _FLAG_FIELDS)
@@ -97,7 +93,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         budgets = data["budgets"] = [float(b) for b in data["budgets"]]
         for i, b in enumerate(budgets):
             if b in budgets[:i]:
-                raise ConfigError(f"budgets[{i}] repeats budget {_budget_label(b)}")
+                raise ValueError(f"budgets[{i}] repeats budget {budget_label(b)}")
     trainer = data.pop("trainer", {})
     for key, build in (("reward", RewardConfig), ("limits", ExecutionLimits)):
         if key in data:
@@ -112,14 +108,14 @@ def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, ModelCatalog, Tas
     `provision`, `collect` and `run`."""
     config = _load_config(args)
     if not config.catalog:
-        raise ConfigError("no catalog configured (use --catalog or 'catalog' in the config file)")
+        raise ValueError("no catalog configured (use --catalog or 'catalog' in the config file)")
     if not config.task_profile:
-        raise ConfigError("no task profile configured (use --profile or 'task_profile')")
+        raise ValueError("no task profile configured (use --profile or 'task_profile')")
     for p in (config.catalog, config.task_profile):
         if not Path(p).exists():
-            raise ConfigError(f"file not found: {p}")
+            raise ValueError(f"file not found: {p}")
     if not config.budgets:
-        raise ConfigError("no budgets configured (use --budget or 'budgets')")
+        raise ValueError("no budgets configured (use --budget or 'budgets')")
     return config, ModelCatalog.load(config.catalog), load_profile(config.task_profile)
 
 
@@ -128,21 +124,20 @@ def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile
     """The keyword arguments every run of `tasks` takes, `dataset.collect`'s
     and `topology.execute`'s alike, among them the one backend registry every
     run shares, by backend_id. A task whose expected answer the evaluator
-    cannot read is refused before any call; HTTP backends' kept-alive
-    connections close as the block ends."""
+    cannot read is refused, and `out_dir` made, before any call; HTTP
+    backends' kept-alive connections close as the block ends."""
     evaluator = get_evaluator(profile.evaluator)
     for task in tasks:
-        if task.answer is not None and evaluator.normalize(task.answer) is None:
-            raise ConfigError(f"task {task.id!r}: the {evaluator.name} evaluator cannot read answer {task.answer!r}")
+        expected_answer(evaluator, task)
     if config.mock:
         script = profile.mock_script
         if script is None:
-            raise ConfigError("mock mode requires a 'mock_script' section in the task profile")
+            raise ValueError("mock mode requires a 'mock_script' section in the task profile")
         mock = backend.ScriptedBackend.from_config(script)
         covered = {rule.role for rule in mock.rules}
         missing = [] if "*" in covered else [role for role in ROLES if role not in covered]
         if missing:
-            raise ConfigError(f"mock_script has no rule for role(s): {', '.join(missing)}")
+            raise ValueError(f"mock_script has no rule for role(s): {', '.join(missing)}")
         backends = {m.backend_id: mock for m in catalog.models}
     else:
         backends = {}
@@ -153,6 +148,7 @@ def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile
             entry = check(catalog.backends.get(model.backend_id, {}), _BACKEND_FIELDS, where, required=("base_url",))
             api_key = os.environ.get(f"{model.backend_id.upper()}_API_KEY", "")
             backends[model.backend_id] = backend.HttpBackend(api_key=api_key, **entry)
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     try:
         yield {
             "backends": backends,
@@ -165,13 +161,6 @@ def _run_settings(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile
         if not config.mock:
             for endpoint in backends.values():
                 endpoint.close()
-
-
-def _budget_label(budget: float) -> str:
-    """How a budget is printed and how its provision file is named: `:g` where
-    that reads back as the same number, so distinct budgets never share one."""
-    short = f"{budget:g}"
-    return short if float(short) == budget else repr(budget)
 
 
 def _solve_for_budget(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget: float):
@@ -189,7 +178,7 @@ def _pool(config: RunConfig, catalog: ModelCatalog, profile: TaskProfile, budget
     and config: `collect` and `run` both take their pools from here."""
     _, solution = _solve_for_budget(config, catalog, profile, budget)
     if not solution.feasible:
-        raise ConfigError(f"provisioning infeasible for budget {_budget_label(budget)}: {solution.reason}")
+        raise ValueError(f"provisioning infeasible for budget {budget_label(budget)}: {solution.reason}")
     return topology.expand_pool(catalog, solution.counts)
 
 
@@ -198,7 +187,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
     any_infeasible = False
     for budget in config.budgets:
-        label = _budget_label(budget)
+        label = budget_label(budget)
         problem, solution = _solve_for_budget(config, catalog, profile, budget)
         doc = {"budget": budget, "tier_costs": list(problem.tier_costs), **asdict(solution)}
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)  # only once a problem has solved
@@ -227,7 +216,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     with _run_settings(config, catalog, profile, tasks) as settings:
         rows = dataset.collect(tasks, config.budgets, pools, jobs=config.jobs, **settings)
     out_path = Path(config.out_dir) / "dataset.jsonl"
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     dataset.save(rows, out_path, {"catalog_hash": catalog.content_hash(), "seed": config.seed})
     print(f"collected {len(rows)} experiences -> {out_path}")
     return EXIT_OK
@@ -239,7 +227,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ds_path = Path(config.out_dir) / "dataset.jsonl"
     if not ds_path.exists():
-        raise ConfigError(f"dataset not found: {ds_path}; run 'collect' first")
+        raise ValueError(f"dataset not found: {ds_path}; run 'collect' first")
     _, rows = dataset.load(ds_path)
 
     trainer = config.trainer
@@ -265,10 +253,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.answer is not None and not args.task:
-        raise ConfigError("--answer grades an ad-hoc task; pass --task with it")
+        raise ValueError("--answer grades an ad-hoc task; pass --task with it")
     config, catalog, profile = _load_inputs(args)
     if len(config.budgets) > 1:
-        raise ConfigError(
+        raise ValueError(
             f"{len(config.budgets)} budgets are configured and 'run' serves one; pass --budget"
         )
 
@@ -279,7 +267,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         weights_path = Path(config.out_dir) / "policy.json"
         if not weights_path.exists():
-            raise ConfigError(
+            raise ValueError(
                 f"no trained policy at {weights_path}; run 'train' or pass --topology"
             )
         params = policy.load_params(weights_path)
@@ -289,14 +277,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         tasks = list(profile.tasks)
     if not tasks:
-        raise ConfigError("no tasks to run")
+        raise ValueError("no tasks to run")
 
     budget = config.budgets[0]
     pool = _pool(config, catalog, profile, budget)
     staffable = topology.staffable_topologies(pool)
     if not staffable:
-        raise ConfigError(
-            f"the pool for budget {_budget_label(budget)} has {len(pool)} agent(s), too few for any topology"
+        raise ValueError(
+            f"the pool for budget {budget_label(budget)} has {len(pool)} agent(s), too few for any topology"
         )
     if override is None:
         topologies = [Topology(t) for t in policy.select_topology(params, tasks, budget, allowed=staffable)]
@@ -313,7 +301,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
 
     out_path = Path(config.out_dir) / "traces.jsonl"
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(t.to_json() for t in traces) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -322,7 +309,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.traces)
     if not path.exists():
-        raise ConfigError(f"trace file not found: {path}")
+        raise ValueError(f"trace file not found: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
     traces = list(read_jsonl(path, lines, topology.TRACE_FIELDS, topology.TRACE_REQUIRED, "trace"))
 
@@ -399,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,12 +23,10 @@ from .backend import Backend
 from .evaluators import Evaluator
 from .profile import TaskSpec
 from .reward import BUDGET, check_budget
-from .schema import BOOL, INT, NUMBER, STRING, non_negative, nullable, read_jsonl, spec, table
+from .schema import BOOL, INT, LINE_ENCODER, NUMBER, STRING, non_negative, nullable, read_jsonl, spec, table
 from .topology import BACKEND_FAILURE, EVALUATOR_FAILURE, AgentInstance, Topology, check_runnable, execute
 
 FORMAT_VERSION = 1
-# One encoder for every line: json.dumps would build a new one per row.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 # Plain, not frozen: collect builds one per run, and a frozen dataclass sets
@@ -99,12 +97,12 @@ def collect(
 
 def save(rows: Sequence[Experience], path: str | Path, header: Mapping) -> None:
     """Write header (provenance; `version` is added first) and rows to path."""
-    lines = [_ENCODER.encode({"version": FORMAT_VERSION, **header})]
+    lines = [LINE_ENCODER.encode({"version": FORMAT_VERSION, **header})]
     for exp in rows:
         record = vars(exp).copy()  # Experience's fields, in declaration order
         if record["error"] is None:
             del record["error"]
-        lines.append(_ENCODER.encode(record))
+        lines.append(LINE_ENCODER.encode(record))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -2,8 +2,9 @@
 
 The evaluator interface is pluggable; shipped implementations cover numeric
 exact match (the final number in the output, honoring #### answer markers)
-and literal string match. grade() returns None when the task carries no
-expected answer, so callers can distinguish "wrong" from "ungraded".
+and literal string match, and both grade by `Evaluator.grade`. grade()
+returns None when the task carries no expected answer, so callers can
+distinguish "wrong" from "ungraded", and raises when it cannot read one.
 """
 
 from __future__ import annotations
@@ -26,15 +27,30 @@ _NUMBER_RE = re.compile(rf"(?:{_DIGITS}|-{_DIGITS}|{_FRACTION}|-{_FRACTION})(?:[
 _GROUPED_RE = re.compile(r"-?\d{1,3}(?:,\d{3})+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
+def expected_answer(evaluator: Evaluator, task: TaskSpec) -> str | None:
+    """The task's answer as `evaluator` normalizes it, None when the task
+    carries none; a ValueError when the evaluator cannot read it."""
+    if task.answer is None:
+        return None
+    expected = evaluator.normalize(task.answer)
+    if expected is None:
+        raise ValueError(f"task {task.id!r}: the {evaluator.name} evaluator cannot read answer {task.answer!r}")
+    return expected
+
+
 class Evaluator(Protocol):
+    """Shipped evaluators inherit `grade`, the one answer rule; a plugged-in one may state its own."""
+
     name: str
 
     def normalize(self, text: str) -> str | None: ...
 
-    def grade(self, text: str, task: TaskSpec) -> bool | None: ...
+    def grade(self, text: str, task: TaskSpec) -> bool | None:
+        expected = expected_answer(self, task)
+        return None if expected is None else self.normalize(text) == expected
 
 
-class NumericEvaluator:
+class NumericEvaluator(Evaluator):
     """Grades by the final number in the output; '####' marks the answer span."""
 
     name = "numeric"
@@ -55,17 +71,8 @@ class NumericEvaluator:
         except ValueError:
             return None
 
-    def grade(self, text: str, task: TaskSpec) -> bool | None:
-        if task.answer is None:
-            return None
-        got = self.normalize(text)
-        expected = self.normalize(task.answer)
-        if expected is None:
-            raise ValueError(f"task {task.id!r}: expected answer {task.answer!r} is not numeric")
-        return got is not None and got == expected
 
-
-class LiteralEvaluator:
+class LiteralEvaluator(Evaluator):
     """Grades by whitespace-stripped string equality."""
 
     name = "literal"
@@ -73,11 +80,6 @@ class LiteralEvaluator:
     def normalize(self, text: str) -> str | None:
         stripped = text.strip()
         return stripped if stripped else None
-
-    def grade(self, text: str, task: TaskSpec) -> bool | None:
-        if task.answer is None:
-            return None
-        return self.normalize(text) == self.normalize(task.answer)
 
 
 _EVALUATORS = {

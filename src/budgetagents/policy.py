@@ -30,7 +30,7 @@ import numpy as np
 from .dataset import Experience
 from .embedder import EMBED_DIM, embed
 from .profile import TaskSpec
-from .reward import RewardConfig, TrainerConfig, check_budget, compute_reward
+from .reward import RewardConfig, TrainerConfig, budget_label, check_budget, compute_reward
 from .schema import INT, NUMBER, STRING, check, each, non_negative, nullable, obj, positive, read_json
 from .topology import TOPOLOGY_NAMES
 
@@ -188,7 +188,8 @@ def _dataset_rows(
         group = groups.setdefault((exp.task_id, exp.budget), {})
         if exp.topology in group:
             raise ValueError(
-                f"duplicate experience for (task={exp.task_id!r}, budget={exp.budget:g}, topology={exp.topology})"
+                f"duplicate experience for (task={exp.task_id!r}, budget={budget_label(exp.budget)}, "
+                f"topology={exp.topology})"
             )
         group[exp.topology] = i
     if not groups:
@@ -198,7 +199,8 @@ def _dataset_rows(
         group = groups[task_id, budget]
         missing = [TOPOLOGY_NAMES[t] for t in range(NUM_TOPOLOGIES) if t not in group]
         if missing:
-            raise ValueError(f"(task={task_id!r}, budget={budget:g}) lacks outcomes for: {', '.join(missing)}")
+            label = budget_label(budget)
+            raise ValueError(f"(task={task_id!r}, budget={label}) lacks outcomes for: {', '.join(missing)}")
         index.append([group[t] for t in range(NUM_TOPOLOGIES)])
     if budget_ref is None:
         budget_ref = max(budgets)
@@ -310,8 +312,7 @@ def select_topology(
 
     Each pick is the argmax probability (ties resolve to the lowest index)
     among the allowed topology indices (default: all). Raises ValueError on a
-    budget that is not a finite number > 0, and on a non-finite embedding or
-    weight.
+    budget that is not a finite number > 0, and on a non-finite weight.
     """
     mask = np.ones(NUM_TOPOLOGIES, dtype=bool)
     if allowed is not None:
@@ -323,8 +324,6 @@ def select_topology(
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite parameter in {name}")
     emb = embed([task.text for task in tasks])
-    if not np.all(np.isfinite(emb)):
-        raise ValueError("non-finite embedding")
     bud = np.full(len(tasks), budget / params.budget_ref)
     probs = forward(params, emb, bud)["probs"]
     return np.argmax(np.where(mask, probs, -1.0), axis=1).tolist()

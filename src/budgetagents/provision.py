@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .reward import budget_label
 from .schema import INT, NUMBER, non_negative, positive, spec, validate
 
 
@@ -110,7 +111,7 @@ def _infeasible(problem: ProvisionProblem) -> ProvisionSolution:
         total_cost=0.0,
         feasible=False,
         reason=(
-            f"budget {problem.budget:g} affords at most {most} agent(s); "
+            f"budget {budget_label(problem.budget)} affords at most {most} agent(s); "
             f"at least {problem.min_agents} required"
         ),
     )

@@ -8,7 +8,7 @@ budget left over) that is granted only when the task succeeded.
 loads no numpy, so every command checks a config's trainer section in full.
 `BUDGET` lives here for the same reason: it is the one rule for a budget
 wherever one enters, a config or flag, a dataset row, `execute`, this reward
-and the policy's pick.
+and the policy's pick; `budget_label` is how one is named.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ def check_budget(budget) -> None:
     """Raise "budget must be a finite number > 0, got <value>" unless it is one."""
     if not BUDGET[0](budget):
         raise ValueError(f"budget must be {BUDGET[1]}, got {budget!r}")
+
+
+def budget_label(budget: float) -> str:
+    """How every message and file name gives a budget: `:g` where that reads
+    back as the same number, so distinct budgets never share one."""
+    short = f"{budget:g}"
+    return short if float(short) == budget else repr(budget)
 
 
 @dataclass(frozen=True)

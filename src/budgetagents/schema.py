@@ -84,6 +84,12 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})") from None
 
 
+# Every JSON-lines file's encoder (dataset rows, traces): json.dumps would build
+# one per line. `default=vars` encodes a dataclass (a trace's CallRecord) by its
+# __dict__, its fields in declaration order, as asdict would without a deep copy.
+LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
+
+
 def read_jsonl(path: str | Path, lines, table: dict, required=(), name: str = "value", start: int = 1):
     """The checked object of each non-blank line of `lines`, numbered from
     `start`; a ValueError "<path>: line N: ..." on the first line that does

@@ -11,7 +11,6 @@ crosses).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -22,7 +21,7 @@ from .catalog import ModelCatalog, ModelSpec, estimate_cost
 from .evaluators import Evaluator
 from .profile import DEFAULT_INPUT_TOKENS, DEFAULT_MAX_TOKENS, ROLE_CRITIC, ROLE_EXECUTOR, ROLE_PLANNER, TaskSpec
 from .reward import check_budget
-from .schema import BOOL, INT, NUMBER, STRING, each, non_negative, nullable, obj, spec, table, validate
+from .schema import BOOL, INT, LINE_ENCODER, NUMBER, STRING, each, non_negative, nullable, obj, spec, table, validate
 
 
 class Topology(IntEnum):
@@ -118,13 +117,9 @@ class RunTrace:
     detail: str | None = spec(nullable(STRING), default=None)  # what halted it, in words; null for BUDGET_EXCEEDED
 
     def to_json(self) -> str:
-        return _TRACE_ENCODER.encode(vars(self))
+        return LINE_ENCODER.encode(vars(self))
 
 
-# A dataclass instance's __dict__ holds its fields in declaration order, so a
-# trace encodes as dataclasses.asdict would give it, without asdict's deep copy
-# of every value; each CallRecord encodes through default=vars.
-_TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False, default=vars)
 TRACE_FIELDS = table(RunTrace)
 TRACE_REQUIRED = ("task_id", "topology", "budget", "cumulative_cost", "oob", "halt")
 

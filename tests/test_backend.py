@@ -8,7 +8,6 @@ import pytest
 
 from budgetagents.backend import (
     CallRequest,
-    CallResponse,
     HTTPStatusError,
     HttpBackend,
     ProtocolError,
@@ -27,12 +26,6 @@ def request(role="executor", max_tokens=100, occurrence=1):
 def test_request_validation():
     with pytest.raises(ValueError):
         CallRequest(model="m", system="s", user="u", max_tokens=0)
-
-
-@pytest.mark.parametrize("prompt, completion", [(-1, 5), (5, -1)])
-def test_response_rejects_negative_token_counts(prompt, completion):
-    with pytest.raises(ValueError, match="token counts must be >= 0"):
-        CallResponse(text="x", prompt_tokens=prompt, completion_tokens=completion)
 
 
 # -- scripted backend ---------------------------------------------------------
@@ -285,6 +278,24 @@ def test_http_idle_close_reconnects_without_a_second_post(keep_alive_server):
     assert len(attempts) == 1  # no failed attempt on the dropped connection, no retry
     assert len(keep_alive_server.requests) == 2
     assert keep_alive_server.connections == 2
+    backend.close()
+
+
+def test_http_reopens_a_connection_whose_socket_was_closed(keep_alive_server):
+    # select refuses a closed socket; `_readable` counts it as readable, so the
+    # connection is reopened before the POST instead of failing it.
+    backend = HttpBackend(keep_alive_server.url, backoff_base=0.01)
+    keep_alive_server.enqueue(200, chat_payload("first"))
+    assert backend.invoke(request()).text == "first"
+    sock = backend._local.conn.sock
+    sock.close()
+    assert backend._readable(sock) is True
+    attempts = []
+    post_once = backend._post_once
+    backend._post_once = lambda body: attempts.append(body) or post_once(body)
+    keep_alive_server.enqueue(200, chat_payload("second"))
+    assert backend.invoke(request()).text == "second"
+    assert len(attempts) == 1 and keep_alive_server.connections == 2
     backend.close()
 
 

@@ -108,6 +108,11 @@ def test_instances_cycle_declaration_order():
     ]
 
 
+def test_expand_pool_wants_one_count_per_tier():
+    with pytest.raises(ValueError, match="^expected 2 counts, got 1$"):
+        expand_pool(ModelCatalog([DEEPSEEK, NANO]), (1,))
+
+
 def test_catalog_json_round_trip(tmp_path):
     catalog = ModelCatalog([DEEPSEEK, NANO])
     path = tmp_path / "catalog.json"
@@ -133,6 +138,7 @@ def _model(**overrides):
         ({"models": ["a"]}, "models[0] must be an object, got 'a'"),
         ({"models": "a"}, "models must be a list, got 'a'"),
         ([], "catalog must be an object, got []"),
+        ({"models": []}, "catalog has no models"),
         (_model(tier=None), "models[0].tier must be an integer > 0, got None"),
         (_model(tier=1.7), "models[0].tier must be an integer > 0, got 1.7"),
         (_model(tier=True), "models[0].tier must be an integer > 0, got True"),
@@ -144,7 +150,7 @@ def _model(**overrides):
         ({"models": [_model(name=n, tier=t)["models"][0] for n, t in [("x", 1), ("x", 2), ("y", 2), ("y", 2)]]},
          "models[0] and models[1] have the same name 'x'"),
     ],
-    ids=["entry_not_object", "models_not_list", "doc_not_object", "tier_null", "tier_float", "tier_bool",
+    ids=["entry_not_object", "models_not_list", "doc_not_object", "no_models", "tier_null", "tier_float", "tier_bool",
          "price_string", "price_nan", "name_number", "backend_id_list", "unknown_model_field", "repeated_name"],
 )
 def test_from_dict_rejects_malformed_entries(doc, message):

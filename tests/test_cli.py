@@ -13,8 +13,9 @@ import budgetagents
 from budgetagents import dataset, policy, provision, topology
 from budgetagents.backend import HttpBackend, ScriptedBackend
 from budgetagents.catalog import ModelCatalog
-from budgetagents.cli import ConfigError, RunConfig, _budget_label, _run_settings, build_parser, main
+from budgetagents.cli import RunConfig, _run_settings, build_parser, main
 from budgetagents.profile import TaskSpec, profile_from_dict
+from budgetagents.reward import budget_label
 from budgetagents.topology import HALT_REASONS, TOPOLOGY_NAMES, ExecutionLimits
 from synth import dominant_topology_dataset
 from test_backend import chat_payload
@@ -91,6 +92,22 @@ def test_provision_infeasible_exit_code(workdir):
         '{"budget": 300.0, "tier_costs": [1235.0, 250.0], "counts": [0, 0], "total_weight": 0, '
         '"total_cost": 0.0, "feasible": false, "reason": "budget 300 affords at most 1 agent(s); at least 2 required"}'
     )
+
+
+def test_provision_names_a_budget_by_one_label(workdir, capsys):
+    # `:g` would give the reason's budget as 0.123457.
+    assert run("provision", "--config", str(workdir / "config.json"), "--budget", "0.1234567") == 2
+    assert capsys.readouterr().out == (
+        "budget 0.1234567: infeasible (budget 0.1234567 affords at most 0 agent(s); at least 2 required)\n"
+    )
+
+
+def test_an_empty_budget_list_is_refused(workdir, capsys):
+    edit_config(workdir, budgets=[])
+    assert run("provision", "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no budgets configured (use --budget or 'budgets')\n"
+    assert captured.out == "" and not (workdir / "out").exists()
 
 
 def test_provision_explain_prints_weights(workdir, capsys):
@@ -259,7 +276,7 @@ def test_distinct_budgets_get_distinct_provision_files(workdir, capsys):
     "budget, label", [(2000.0, "2000"), (0.5, "0.5"), (1e6, "1e+06"), (0.1 + 0.2, "0.30000000000000004")]
 )
 def test_budget_label_is_short_where_it_reads_back(budget, label):
-    assert _budget_label(budget) == label
+    assert budget_label(budget) == label
     assert float(label) == budget
 
 
@@ -339,6 +356,27 @@ def test_an_answer_the_evaluator_cannot_read_is_refused_before_any_call(
     assert captured.err == f"error: task {task_id!r}: the {evaluator} evaluator cannot read answer {shown!r}\n"
     assert captured.out == "" and calls == []
     assert not (workdir / "out" / "dataset.jsonl").exists() and not (workdir / "out" / "traces.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [["collect"], ["run", "--topology", "linear"]], ids=["collect", "run"])
+def test_an_out_dir_that_cannot_be_made_stops_before_any_call(workdir, capsys, monkeypatch, argv):
+    (workdir / "file").write_text("")
+    out_dir = workdir / "file" / "out"  # under a regular file
+    edit_config(workdir, out_dir=str(out_dir))
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "invoke", lambda self, request: calls.append(request))
+    assert run(*argv, "--config", str(workdir / "config.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"Not a directory: {str(out_dir)!r}" in captured.err
+    assert captured.out == "" and calls == []
+
+
+def test_run_refuses_an_empty_task_list(workdir, capsys):
+    (workdir / "profile.json").write_text(json.dumps(dict(PROFILE, tasks=[])))
+    assert run("run", "--config", str(workdir / "config.json"), "--topology", "linear") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no tasks to run\n"
+    assert captured.out == "" and not (workdir / "out" / "traces.jsonl").exists()
 
 
 def test_report_accuracy_is_over_graded_runs(workdir, capsys):
@@ -689,6 +727,26 @@ def test_report_malformed_trace_names_its_line(workdir, capsys, bad_line, named)
     assert captured.out == ""
 
 
+def test_report_names_a_missing_trace_file(workdir, capsys):
+    path = workdir / "missing.jsonl"
+    assert run("report", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: trace file not found: {path}\n"
+    assert captured.out == ""
+
+
+def test_report_skips_a_blank_line(workdir, capsys):
+    path = workdir / "tr.jsonl"
+    path.write_text(_trace_line() + "\n")
+    assert run("report", str(path)) == 0
+    expected = capsys.readouterr().out
+    path.write_text(_trace_line() + "\n\n  \n")
+    assert run("report", str(path)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err == ""
+    assert expected.startswith("Acc 100.0%  Avg Cost 100  OOB 0/1\n")
+
+
 def test_missing_config_file(capsys):
     assert run("provision", "--config", "/nonexistent/config.json") == 1
 
@@ -856,7 +914,9 @@ def test_backends_are_built_from_the_loaded_catalog(workdir):
     path.write_text(json.dumps(catalog_doc))
     catalog = ModelCatalog.load(path)
     path.write_text("{not json")  # a second parse of the file would fail
-    config = RunConfig(catalog=str(path), task_profile=str(workdir / "profile.json"), budgets=[2000.0])
+    config = RunConfig(
+        catalog=str(path), task_profile=str(workdir / "profile.json"), out_dir=str(workdir / "out"), budgets=[2000.0]
+    )
     with _run_settings(config, catalog, profile_from_dict(PROFILE), []) as settings:
         endpoints = settings["backends"]
         assert sorted(endpoints) == ["cheap", "strong"]
@@ -865,9 +925,23 @@ def test_backends_are_built_from_the_loaded_catalog(workdir):
         assert (endpoints["cheap"]._host, endpoints["cheap"]._port, endpoints["cheap"].timeout) == ("localhost", 8, 5.0)
 
 
+def test_models_that_share_a_backend_id_share_one_http_backend(workdir, monkeypatch):
+    catalog_doc = json.loads(json.dumps(CATALOG))
+    for model in catalog_doc["models"]:
+        model["backend_id"] = "shared"
+    catalog_doc["backends"] = {"shared": {"base_url": "http://localhost:8/v1"}}
+    built = []
+    monkeypatch.setattr(budgetagents.backend, "HttpBackend", lambda **entry: built.append(entry) or HttpBackend(**entry))
+    config = RunConfig(out_dir=str(workdir / "out"), budgets=[2000.0])
+    with _run_settings(config, ModelCatalog.from_dict(catalog_doc), profile_from_dict(PROFILE), []) as settings:
+        assert list(settings["backends"]) == ["shared"]
+        assert isinstance(settings["backends"]["shared"], HttpBackend)
+    assert len(built) == 1
+
+
 def test_mock_backends_share_one_scripted_instance(workdir):
     catalog = ModelCatalog.load(workdir / "catalog.json")
-    config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
+    config = RunConfig(out_dir=str(workdir / "out"), budgets=[2000.0], mock=True)
     with _run_settings(config, catalog, profile_from_dict(PROFILE), []) as settings:
         backends = settings["backends"]
     assert sorted(backends) == ["cheap", "strong"]
@@ -886,9 +960,9 @@ def test_mock_backends_share_one_scripted_instance(workdir):
 )
 def test_mock_script_names_each_uncovered_role_in_role_order(workdir, roles, missing):
     catalog = ModelCatalog.load(workdir / "catalog.json")
-    config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
+    config = RunConfig(out_dir=str(workdir / "out"), budgets=[2000.0], mock=True)
     rules = [{"role": role, "text": "42", "completion_tokens": 5} for role in roles]
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(ValueError) as info:
         with _run_settings(config, catalog, profile_from_dict(dict(PROFILE, mock_script={"rules": rules})), []):
             pass
     assert str(info.value) == f"mock_script has no rule for role(s): {missing}"
@@ -896,7 +970,7 @@ def test_mock_script_names_each_uncovered_role_in_role_order(workdir, roles, mis
 
 def test_mock_script_wildcard_covers_every_role(workdir):
     catalog = ModelCatalog.load(workdir / "catalog.json")
-    config = RunConfig(catalog="", task_profile="", budgets=[2000.0], mock=True)
+    config = RunConfig(out_dir=str(workdir / "out"), budgets=[2000.0], mock=True)
     script = {"rules": [{"role": "*", "text": "42", "completion_tokens": 5}]}
     with _run_settings(config, catalog, profile_from_dict(dict(PROFILE, mock_script=script)), []) as settings:
         assert isinstance(settings["backends"]["cheap"], ScriptedBackend)

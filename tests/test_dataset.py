@@ -219,6 +219,26 @@ def test_load_reports_malformed_line_number(tmp_path):
         load(path)
 
 
+def test_load_skips_a_blank_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save(sample_dataset(), path, HEADER)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:2], "  ", *lines[2:]]) + "\n")
+    assert load(path) == (HEADER, sample_dataset())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty file, expected a header line"), ("{oops\n", "line 1: malformed header: ")],
+    ids=["empty", "broken_header"],
+)
+def test_load_names_a_missing_or_broken_header(tmp_path, text, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load(path)
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "nohdr.jsonl"
     path.write_text('{"task_id": "a"}\n')

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
-from budgetagents.evaluators import LiteralEvaluator, NumericEvaluator, get_evaluator
+from budgetagents.backend import ScriptRule
+from budgetagents.evaluators import LiteralEvaluator, NumericEvaluator, expected_answer, get_evaluator
 from budgetagents.profile import TaskSpec
-from budgetagents.topology import Topology, execute
+from budgetagents.topology import EVALUATOR_FAILURE, Topology, execute
 from test_topology import nano_pool, registry, star_rules
 
 
@@ -74,7 +77,28 @@ def test_literal():
     task = TaskSpec("t", "q", answer="hello world")
     assert ev.grade("  hello world\n", task) is True
     assert ev.grade("hello", task) is False
+    assert ev.grade("hello", TaskSpec("t", "q", answer=None)) is None  # ungraded
     assert ev.normalize("   ") is None
+
+
+@pytest.mark.parametrize("evaluator, answer", [(NumericEvaluator(), "forty-two"), (LiteralEvaluator(), "   ")])
+def test_every_evaluator_refuses_an_answer_it_cannot_read_with_one_message(evaluator, answer):
+    # A blank literal answer is refused as a non-number is by the numeric
+    # evaluator, even against a blank output.
+    task = TaskSpec("t1", "q", answer=answer)
+    message = f"task 't1': the {evaluator.name} evaluator cannot read answer {answer!r}"
+    for read in (lambda: expected_answer(evaluator, task), lambda: evaluator.grade("   ", task)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read()
+
+
+def test_a_blank_literal_answer_halts_the_run_as_an_evaluator_failure():
+    backends, _ = registry([ScriptRule(role="executor", text="   ", completion_tokens=5)])
+    task = TaskSpec("t1", "q", answer="")
+    trace = execute(task, nano_pool(2), Topology.LINEAR, 10_000.0, backends, LiteralEvaluator())
+    assert (trace.success, trace.halt) == (False, EVALUATOR_FAILURE)
+    assert trace.detail == "evaluator failure: task 't1': the literal evaluator cannot read answer ''"
+    assert len(trace.calls) == 2
 
 
 def test_get_evaluator():

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -152,7 +153,7 @@ def test_select_topology_rejects_a_budget_that_is_not_finite_and_positive(budget
     assert str(info.value) == f"budget must be a finite number > 0, got {budget!r}"
 
 
-def test_forward_rejects_non_finite(monkeypatch):
+def test_forward_rejects_non_finite():
     tasks = [TaskSpec("t1", "first ticket"), TaskSpec("t2", "second ticket")]
     with pytest.raises(ValueError, match="budget must be a finite number > 0, got inf"):
         select_topology(init_params(seed=1), tasks, math.inf)
@@ -160,11 +161,6 @@ def test_forward_rejects_non_finite(monkeypatch):
     params.core_w[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite parameter in core_w"):
         select_topology(params, tasks, 1.0)
-    monkeypatch.setattr(
-        policy, "embed", lambda texts: np.array([np.full(384, np.nan if t == "second ticket" else 0.0) for t in texts])
-    )
-    with pytest.raises(ValueError, match="non-finite embedding"):
-        select_topology(init_params(seed=1), tasks, 1.0)
 
 
 # -- loss and gradients -------------------------------------------------------
@@ -269,6 +265,17 @@ def test_train_and_evaluate_reject_a_repeated_experience():
         train(repeated, TrainerConfig(epochs=1))
     with pytest.raises(ValueError, match=message):
         evaluate(init_params(seed=2, budget_ref=100.0), repeated)
+
+
+def test_dataset_messages_name_a_budget_by_its_label():
+    # `:g` would print 1234567.5 as 1.23457e+06.
+    dataset = [dataclasses.replace(exp, budget=1234567.5) for exp in one_task_dataset([1.0, -1.0, -1.0, -1.0])]
+    message = r"^duplicate experience for \(task='t0', budget=1234567.5, topology=1\)$"
+    with pytest.raises(ValueError, match=message):
+        policy._dataset_rows(dataset + dataset[1:2], RewardConfig())
+    message = r"^\(task='t0', budget=1234567.5\) lacks outcomes for: planner$"
+    with pytest.raises(ValueError, match=message):
+        policy._dataset_rows(dataset[:3], RewardConfig())
 
 
 # -- training -----------------------------------------------------------------

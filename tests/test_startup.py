@@ -71,11 +71,11 @@ MODULE_IMPORTS = {
     "policy": {".dataset", ".embedder", ".profile", ".reward", ".schema", ".topology", "__future__", "base64",
                "copy", "dataclasses", "json", "math", "numpy", "pathlib", "typing"},
     "profile": {".schema", "__future__", "dataclasses", "pathlib"},
-    "provision": {".schema", "__future__", "dataclasses"},
+    "provision": {".reward", ".schema", "__future__", "dataclasses"},
     "reward": {".schema", "__future__", "dataclasses", "math"},
     "schema": {"__future__", "dataclasses", "json", "math", "pathlib", "reprlib"},
     "topology": {".backend", ".catalog", ".evaluators", ".profile", ".reward", ".schema", "__future__",
-                 "dataclasses", "enum", "json", "re", "typing"},
+                 "dataclasses", "enum", "re", "typing"},
 }
 SRC = Path(__file__).resolve().parent.parent / "src" / "budgetagents"
 

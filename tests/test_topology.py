@@ -4,7 +4,7 @@ import json
 import pytest
 
 from budgetagents import cli
-from budgetagents.backend import HttpBackend, ScriptedBackend, ScriptRule
+from budgetagents.backend import CallResponse, HttpBackend, ProtocolError, ScriptedBackend, ScriptRule
 from budgetagents.catalog import ModelCatalog, ModelSpec, estimate_cost
 from budgetagents.evaluators import NumericEvaluator
 from budgetagents.profile import TaskSpec
@@ -434,6 +434,19 @@ def test_http_failure_posts_once_plus_backend_retry(fake_server, status, posts):
     assert trace.success is False
     assert trace.halt == "backend_failure" and f"HTTP {status}" in trace.detail
     assert len(fake_server.requests) == posts
+
+
+@pytest.mark.parametrize("billed_failure", [False, True], ids=["response", "billed_failure"])
+def test_the_ledger_refuses_a_negative_token_count(billed_failure):
+    # A plugged-in backend's counts are checked where they are charged.
+    class NegativeCountBackend:
+        def invoke(self, request):
+            if billed_failure:
+                raise ProtocolError("response had no message content", usage=(5, -1))
+            return CallResponse("42", -1, 5)
+
+    with pytest.raises(ValueError, match="^token counts must be >= 0$"):
+        execute(TASK, nano_pool(2), Topology.LINEAR, 1000.0, {"openai": NegativeCountBackend()}, EVAL)
 
 
 def test_evaluator_failure_marks_unsuccessful():
